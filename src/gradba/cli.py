@@ -3,17 +3,19 @@
 All subcommands exit 0 on success and nonzero with a stage-tagged error line
 on failure. The shared config file is JSON with optional sections
 
-    solver / window / ransac / temporal / noise / scene / kernel
+    solver / window / ransac / temporal / noise / scene / kernel / descriptor_field
 
 where each field falls back to the package defaults. ``scene`` configures the
 synthetic generator geometry; ``noise`` configures the pixel noise and
 outliers applied by ``synth``; ``kernel`` selects the robust kernel used by
-``solve``.
+``solve``. A missing or malformed config file, an unknown section or key, and
+a value the section's settings reject fail with ``error[harness]``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,57 +24,92 @@ import numpy as np
 from . import scene as scn
 from . import temporal as tmp
 from . import trajectory as trj
-from .errors import GradbaError
-from .implicit import (ImplicitGradRequest, PoseErrorLoss,
-                       implicit_gradient, max_rel_error)
+from .errors import GradbaError, SceneFormatError
+from .implicit import (ImplicitGradRequest, PoseErrorLoss, fd_gradient,
+                       implicit_gradient, max_rel_error,
+                       unrolled_gradient_oracle)
 from .initializer import RansacConfig, WindowConfig, run_initialization
 from .problem import RobustKernel
 from .solver import SolverSettings, linearize, optimize
 
 GRADCHECK_SETTINGS = dict(gradient_tolerance=1e-11, max_iterations=300)
+CONFIG_SECTIONS = ("scene", "noise", "solver", "window", "ransac", "temporal",
+                   "kernel", "descriptor_field")
+NOISE_KEYS = ("sigma", "outlier_ratio", "outlier_px", "seed")
 
 
 def load_config(path):
+    """The config file as a dict; a missing or malformed file raises
+    SceneFormatError."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise SceneFormatError(f"config {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise SceneFormatError(f"config {path}: malformed JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise SceneFormatError(f"config {path}: top level must be an object")
+    _check_keys(config, "config", CONFIG_SECTIONS)
+    return config
+
+
+def _check_keys(fields, where, known):
+    if not isinstance(fields, dict):
+        raise SceneFormatError(f"{where}: must be an object")
+    unknown = sorted(set(fields) - set(known))
+    if unknown:
+        raise SceneFormatError(f"{where}: unknown key(s) {', '.join(unknown)}")
+
+
+def _section(config, name, cls, extra_keys=(), **defaults):
+    """Build ``cls`` from a config section; unknown keys and rejected values
+    raise SceneFormatError. ``extra_keys`` are read elsewhere and skipped."""
+    fields = config.get(name, {})
+    known = [f.name for f in dataclasses.fields(cls)]
+    _check_keys(fields, f"config section {name!r}", known + list(extra_keys))
+    kwargs = {**defaults, **{k: v for k, v in fields.items() if k in known}}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(f"config section {name!r}: {exc}") from exc
 
 
 def _settings(config, tight=False):
-    fields = dict(config.get("solver", {}))
-    if tight:
-        for k, v in GRADCHECK_SETTINGS.items():
-            fields.setdefault(k, v)
-    return SolverSettings(**fields)
+    return _section(config, "solver", SolverSettings,
+                    **(GRADCHECK_SETTINGS if tight else {}))
 
 
 def _kernel(config):
-    blk = config.get("kernel", {"kind": "huber", "delta": 2.0})
-    if blk.get("kind", "none") == "none":
-        return None
-    return RobustKernel(blk.get("kind", "huber"), blk.get("delta", 2.0))
+    if "kernel" not in config:
+        return RobustKernel("huber")
+    kernel = _section(config, "kernel", RobustKernel)
+    return None if kernel.kind == "none" else kernel
 
 
 def _temporal_terms(config):
-    return tmp.TemporalEnergy(**config.get("temporal", {}))
+    return _section(config, "temporal", tmp.TemporalEnergy, extra_keys=("attach",))
 
 
 def _write_json(payload, path):
+    # serialized first: a non-finite value raises before the file is opened
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        fh.write(text)
 
 
 def cmd_synth(args):
     config = load_config(args.config)
-    fields = dict(config.get("scene", {}))
     noise = config.get("noise", {})
-    fields.setdefault("pixel_sigma", noise.get("sigma", 0.0))
-    fields.setdefault("outlier_ratio", noise.get("outlier_ratio", 0.0))
-    fields.setdefault("outlier_px", noise.get("outlier_px", 20.0))
+    _check_keys(noise, "config section 'noise'", NOISE_KEYS)
+    defaults = {"pixel_sigma": noise.get("sigma", 0.0),
+                "outlier_ratio": noise.get("outlier_ratio", 0.0),
+                "outlier_px": noise.get("outlier_px", 20.0)}
     if "seed" in noise:
-        fields.setdefault("seed", noise["seed"])
-    cfg = scn.SyntheticSceneConfig(**fields)
+        defaults["seed"] = noise["seed"]
+    cfg = _section(config, "scene", scn.SyntheticSceneConfig, **defaults)
     scene = scn.generate_scene(cfg)
     if config.get("descriptor_field", {}).get("attach"):
         scn.attach_descriptor_field(scene, seed=cfg.seed + 2)
@@ -89,8 +126,8 @@ def cmd_init(args):
     scene = scn.load_scene(args.scene)
     _, K = scn.scene_intrinsics(scene)
     window = scn.scene_window(scene)
-    wcfg = WindowConfig(**config.get("window", {}))
-    rcfg = RansacConfig(**config.get("ransac", {}))
+    wcfg = _section(config, "window", WindowConfig)
+    rcfg = _section(config, "ransac", RansacConfig)
     result = run_initialization(window, K, wcfg, rcfg)
     scn.save_state(result.state, result.track_ids, args.out_state)
     recs = trj.records_from_poses(result.state.poses, scn.timestamps(scene))
@@ -146,9 +183,9 @@ def cmd_gradcheck(args):
         idx = np.sort(np.argsort(np.abs(grad.dldtheta))[-args.fd_subset:])
     else:
         idx = np.arange(dim)
-    gfd = _subset_fd(problem, solved, theta, settings, loss, args.fd_step, idx)
-    guo = _subset_unrolled(problem, solved, theta, settings, loss,
-                           args.fd_step, idx)
+    gfd = fd_gradient(problem, solved, theta, settings, loss, args.fd_step, idx)
+    guo = unrolled_gradient_oracle(problem, solved, theta, settings, loss,
+                                   args.fd_step, indices=idx)
     err_fd = max_rel_error(grad.dldtheta[idx], gfd)
     err_uo = max_rel_error(grad.dldtheta[idx], guo)
     payload = {
@@ -168,29 +205,6 @@ def cmd_gradcheck(args):
     print(f"gradcheck[{args.model}]: dim={dim} rel-err fd={err_fd:.3e} "
           f"unrolled={err_uo:.3e}")
     return 0
-
-
-def _subset_fd(problem, x0, theta, settings, loss, h, idx):
-    g = np.zeros(len(idx))
-    for n, k in enumerate(idx):
-        dt = np.zeros_like(theta)
-        dt[k] = h
-        xp, _ = optimize(problem, x0, theta + dt, settings)
-        xm, _ = optimize(problem, x0, theta - dt, settings)
-        g[n] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
-    return g
-
-
-def _subset_unrolled(problem, x0, theta, settings, loss, h, idx):
-    full = np.zeros(len(idx))
-    from .implicit import _fixed_schedule_solve
-    for n, k in enumerate(idx):
-        dt = np.zeros_like(theta)
-        dt[k] = h
-        xp = _fixed_schedule_solve(problem, x0, theta + dt, 8, 1e-12)
-        xm = _fixed_schedule_solve(problem, x0, theta - dt, 8, 1e-12)
-        full[n] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
-    return full
 
 
 def cmd_temporal_loss(args):

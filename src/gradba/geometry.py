@@ -65,6 +65,17 @@ def quat_to_matrix(q):
     ])
 
 
+def quat_to_matrix_many(q):
+    """Stacked rotation matrices of (N, 4) quaternions, with the arithmetic of
+    ``quat_to_matrix``."""
+    w, x, y, z = np.asarray(q, dtype=float).reshape(-1, 4).T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(-1, 3, 3)
+
+
 def quat_from_rotvec(w):
     theta2 = float(np.dot(w, w))
     theta = np.sqrt(theta2)
@@ -250,8 +261,8 @@ class CameraIntrinsics:
 def camera_point(pose, point):
     """World point in the camera frame (applies the pose inverse).
 
-    Uses the same matrix arithmetic as the batched path so scalar and batched
-    evaluations of the same point agree bitwise.
+    Uses the same matrix arithmetic as ``problem.project_factors`` so scalar
+    and batched evaluations of the same point agree bitwise.
     """
     return (np.asarray(point, dtype=float) - pose.t) @ quat_to_matrix(pose.q)
 
@@ -264,21 +275,6 @@ def project(pose, intr, point):
     iz = 1.0 / c[2]
     return np.array([intr.fx * c[0] * iz + intr.cx,
                      intr.fy * c[1] * iz + intr.cy])
-
-
-def project_many(pose, intr, points):
-    """Batched projection; returns (pixels (N,2), camera-frame points (N,3)).
-
-    Rows with non-positive depth get pixel (0, 0); callers must mask on the
-    returned depths. Division warnings are suppressed here for that reason.
-    """
-    R = quat_to_matrix(pose.q)
-    c = (np.asarray(points, dtype=float) - pose.t) @ R
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iz = np.where(c[:, 2] > DEPTH_EPS, 1.0 / c[:, 2], 0.0)
-    pix = np.column_stack([intr.fx * c[:, 0] * iz + intr.cx,
-                           intr.fy * c[:, 1] * iz + intr.cy])
-    return pix, c
 
 
 def projection_jacobians(pose, intr, point):

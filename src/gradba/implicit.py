@@ -128,9 +128,9 @@ def implicit_gradient(request):
             a = np.einsum("ka,ka->k", jy, ie)
             v = v + 2.0 * (rho2 * a)[:, None] * ie
     dldtheta = np.zeros(problem.obs_model.theta_dim)
-    for k in range(n_rec):
+    for k, f in enumerate(sys_.rec_factor):
         K = problem.obs_model.observe_jacobian(
-            int(sys_.rec_frame[k]), sys_.rec_track[k], theta)
+            int(sys_.rec_frame[k]), problem.track_idx[f], theta)
         dldtheta -= v[k] @ K
 
     cond = 0.0
@@ -171,6 +171,8 @@ class LandmarkTargetLoss:
     def grad_tangent(self, state, layout):
         g = np.zeros(layout.dim)
         slot = layout.lm_slot[self.landmark_index]
+        if slot < 0:
+            raise ValueError(f"landmark {self.landmark_index} is fixed")
         o = layout.lm_offset(slot)
         g[o:o + 3] = 2.0 * (state.landmarks[self.landmark_index] - self.target)
         return g
@@ -216,16 +218,21 @@ class PoseErrorLoss:
 # oracles
 # ---------------------------------------------------------------------------
 
-def fd_gradient(problem, x0, theta, settings, loss, h=1e-5):
-    """Central finite differences of theta -> L(X*(theta)), re-solving fully."""
+def fd_gradient(problem, x0, theta, settings, loss, h=1e-5, indices=None):
+    """Central finite differences of theta -> L(X*(theta)), re-solving fully.
+
+    ``indices`` selects the theta coordinates to differentiate (all by
+    default); the result holds one entry per selected coordinate.
+    """
     theta = np.asarray(theta, dtype=float)
-    g = np.zeros_like(theta)
-    for k in range(theta.size):
+    indices = np.arange(theta.size) if indices is None else indices
+    g = np.zeros(len(indices))
+    for n, k in enumerate(indices):
         dt = np.zeros_like(theta)
         dt[k] = h
         xp, _ = optimize(problem, x0, theta + dt, settings)
         xm, _ = optimize(problem, x0, theta - dt, settings)
-        g[k] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
+        g[n] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
     return g
 
 
@@ -244,20 +251,24 @@ def _fixed_schedule_solve(problem, x0, theta, n_iters, lam):
 
 
 def unrolled_gradient_oracle(problem, x0, theta, settings, loss,
-                             h=1e-5, n_iters=8, lam=1e-12):
+                             h=1e-5, n_iters=8, lam=1e-12, indices=None):
     """Differentiate the unrolled solve numerically; test oracle only.
 
     Runs a fixed iteration schedule per perturbation so the map stays smooth.
-    Restricted to small problems.
+    ``indices`` selects the theta coordinates as in ``fd_gradient``; without
+    it the oracle is restricted to small problems.
     """
-    if problem.state.n_poses > 10 or problem.state.n_landmarks > 100:
-        raise ValueError("unrolled oracle is restricted to small problems")
+    if indices is None and (problem.state.n_poses > 10
+                            or problem.state.n_landmarks > 100):
+        raise ValueError("unrolled oracle over all of theta is restricted "
+                         "to small problems")
     theta = np.asarray(theta, dtype=float)
-    g = np.zeros_like(theta)
-    for k in range(theta.size):
+    indices = np.arange(theta.size) if indices is None else indices
+    g = np.zeros(len(indices))
+    for n, k in enumerate(indices):
         dt = np.zeros_like(theta)
         dt[k] = h
         xp = _fixed_schedule_solve(problem, x0, theta + dt, n_iters, lam)
         xm = _fixed_schedule_solve(problem, x0, theta - dt, n_iters, lam)
-        g[k] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
+        g[n] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
     return g

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import temporal
-from .errors import CheiralityViolation
-from .geometry import CameraIntrinsics, Pose, project, so3_hat
+from .geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project,
+                       quat_to_matrix_many, so3_hat)
 
 DEFAULT_HUBER_DELTA = 2.0  # pixels
 
@@ -171,23 +171,53 @@ class ObservationModel:
 
 
 class StaticModel(ObservationModel):
-    """Fixed stored pixels; theta is empty."""
+    """Fixed stored pixels; theta is empty.
+
+    Frames and tracks are integers. The pixels are also stacked in one array,
+    sorted by the integer code of their (frame, track) key, so ``observe_all``
+    is a binary search and a gather; the stored observations must not change
+    after construction.
+    """
 
     def __init__(self, observations):
         self.observations = {k: np.asarray(v, dtype=float) for k, v in observations.items()}
+        keys = np.array(list(self.observations), dtype=np.int64).reshape(-1, 2)
+        self._track_range = ((int(keys[:, 1].min()), int(keys[:, 1].max()))
+                             if len(keys) else (0, -1))
+        codes = self._codes(keys[:, 0], keys[:, 1])
+        order = np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[order]
+        self._pixels = np.array(list(self.observations.values())).reshape(-1, 2)[order]
+
+    def _codes(self, frames, tracks):
+        lo, hi = self._track_range
+        return frames * (hi - lo + 1) + (tracks - lo)
 
     def observe(self, frame, track, theta=None):
         return self.observations[(frame, track)].copy()
+
+    def observe_all(self, frames, tracks, theta=None):
+        frames = np.asarray(frames, dtype=np.int64)
+        tracks = np.asarray(tracks, dtype=np.int64)
+        lo, hi = self._track_range
+        codes = self._codes(frames, tracks)
+        rows = np.searchsorted(self._sorted_codes, codes)
+        found = ((tracks >= lo) & (tracks <= hi) & (rows < len(self._sorted_codes)))
+        found[found] = self._sorted_codes[rows[found]] == codes[found]
+        if not found.all():
+            k = int(np.argmin(found))
+            raise KeyError((int(frames[k]), int(tracks[k])))
+        return self._pixels[rows]
 
     def observe_jacobian(self, frame, track, theta=None):
         return np.zeros((2, 0))
 
 
-class TrackBiasModel(ObservationModel):
+class TrackBiasModel(StaticModel):
     """Stored pixels plus one learned 2-vector bias per track."""
 
     def __init__(self, observations, track_ids, theta_init=None):
-        self.observations = {k: np.asarray(v, dtype=float) for k, v in observations.items()}
+        super().__init__(observations)
         self.track_ids = list(track_ids)
         self.track_slot = {t: i for i, t in enumerate(self.track_ids)}
         self.theta_dim = 2 * len(self.track_ids)
@@ -202,6 +232,11 @@ class TrackBiasModel(ObservationModel):
     def observe(self, frame, track, theta):
         s = self.track_slot[track]
         return self.observations[(frame, track)] + theta[2 * s:2 * s + 2]
+
+    def observe_all(self, frames, tracks, theta):
+        slots = np.fromiter(map(self.track_slot.__getitem__, tracks), dtype=int,
+                            count=len(tracks))
+        return super().observe_all(frames, tracks) + theta.reshape(-1, 2)[slots]
 
     def observe_jacobian(self, frame, track, theta):
         J = np.zeros((2, self.theta_dim))
@@ -377,11 +412,33 @@ class Problem:
         self.huber_delta = np.array(
             [f.kernel.delta if (f.kernel is not None and f.kernel.kind == "huber") else np.inf
              for f in self.factors])
-        self.by_frame = {i: np.flatnonzero(self.frame_idx == i)
-                         for i in np.unique(self.frame_idx)}
+        # fx, fy, cx, cy of every camera
+        self.intrinsics_table = np.array([[c.fx, c.fy, c.cx, c.cy]
+                                          for c in self.intrinsics]).reshape(-1, 4)
 
     def theta0(self):
         return self.obs_model.theta0()
+
+
+def project_factors(problem, state):
+    """Pinhole projection of every factor's landmark in one batch.
+
+    Returns (pixels (nf, 2), camera-frame points (nf, 3), world-from-camera
+    rotations of the observing poses (nf, 3, 3), active mask). A factor whose
+    landmark is behind the camera (depth <= DEPTH_EPS) is inactive, and its
+    pixel is (0, 0).
+    """
+    rot = quat_to_matrix_many([p.q for p in state.poses])[problem.frame_idx]
+    t = np.array([p.t for p in state.poses]).reshape(-1, 3)[problem.frame_idx]
+    d = state.landmarks[problem.lm_idx] - t
+    # d @ R per factor: the rounding of geometry.camera_point, bit for bit
+    c = np.matmul(d[:, None, :], rot)[:, 0]
+    active = c[:, 2] > DEPTH_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iz = np.where(active, 1.0 / c[:, 2], 0.0)
+    intr = problem.intrinsics_table[problem.frame_idx]
+    pix = intr[:, :2] * c[:, :2] * iz[:, None] + intr[:, 2:]
+    return pix, c, rot, active
 
 
 def evaluate_residuals(problem, state, theta):
@@ -390,18 +447,9 @@ def evaluate_residuals(problem, state, theta):
     Inactive rows (landmark behind the camera) have zero residual and are
     excluded via the returned mask.
     """
-    from .geometry import DEPTH_EPS, project_many
-
-    nf = len(problem.factors)
     preds = problem.obs_model.observe_all(problem.frame_idx, problem.track_idx, theta)
-    e = np.zeros((nf, 2))
-    active = np.zeros(nf, dtype=bool)
-    for i, idx in problem.by_frame.items():
-        pix, c = project_many(state.poses[i], problem.intrinsics[i],
-                              state.landmarks[problem.lm_idx[idx]])
-        ok = c[:, 2] > DEPTH_EPS
-        active[idx] = ok
-        e[idx[ok]] = preds[idx[ok]] - pix[ok]
+    pix, _, _, active = project_factors(problem, state)
+    e = np.where(active[:, None], preds - pix, 0.0)
     s = np.einsum("ka,kab,kb->k", e, problem.info_stack, e)
     return e, s, active
 
@@ -415,15 +463,6 @@ def residual(factor, state, intr, obs_model, theta):
     pred = obs_model.observe(factor.frame, factor.track, theta)
     proj = project(state.poses[factor.frame], intr, state.landmarks[factor.landmark])
     return pred - proj
-
-
-def factor_energy(factor, state, intr, obs_model, theta):
-    try:
-        e = residual(factor, state, intr, obs_model, theta)
-    except CheiralityViolation:
-        return 0.0, False
-    s = float(e @ factor.info @ e)
-    return robust_rho(factor.kernel, s), True
 
 
 def total_energy(problem, state, theta=None):

@@ -10,20 +10,24 @@ minus sign of e = observation - projection), the stored gradient is
 g = J^T W e, and steps solve (H + lambda D^2) dx = -g. The true energy
 gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 
-Factor evaluation and block assembly are vectorized over factors; summation
-order is fixed by the factor list, so results are bitwise reproducible.
+Factor evaluation and block assembly are vectorized over factors: one batched
+projection (``problem.project_factors``) feeds the residuals and jacobians,
+and ``scatter_blocks`` adds the per-factor blocks of ``linearize`` and of
+``exact_hessian_system`` with ``np.add.at``. Summation order is fixed by the
+factor list, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import Diverged, SingularSystem
-from .geometry import DEPTH_EPS, project_many, quat_to_matrix, se3_retract
-from .problem import total_energy
+from .geometry import quat_to_matrix_many, se3_retract, so3_hat
+from .problem import project_factors, total_energy
 
 DAMPING_FLOOR = 1e-6  # lower bound on the diagonal scaling D
 
@@ -57,13 +61,19 @@ class SolveReport:
 
 
 class SystemLayout:
-    """Mapping between free variables and tangent-stack coordinates."""
+    """Mapping between free variables and tangent-stack coordinates.
+
+    ``pose_slot`` and ``lm_slot`` map every pose and landmark index to its
+    slot among the free variables, or to -1 where the variable is fixed.
+    """
 
     def __init__(self, state):
-        self.free_pose_ids = [i for i in range(state.n_poses) if not state.fixed_poses[i]]
-        self.free_lm_ids = [j for j in range(state.n_landmarks) if not state.fixed_landmarks[j]]
-        self.pose_slot = {i: k for k, i in enumerate(self.free_pose_ids)}
-        self.lm_slot = {j: k for k, j in enumerate(self.free_lm_ids)}
+        self.free_pose_ids = np.flatnonzero(~state.fixed_poses)
+        self.free_lm_ids = np.flatnonzero(~state.fixed_landmarks)
+        self.pose_slot = np.full(state.n_poses, -1)
+        self.pose_slot[self.free_pose_ids] = np.arange(len(self.free_pose_ids))
+        self.lm_slot = np.full(state.n_landmarks, -1)
+        self.lm_slot[self.free_lm_ids] = np.arange(len(self.free_lm_ids))
         self.n_pose_params = 6 * len(self.free_pose_ids)
         self.n_lm_params = 3 * len(self.free_lm_ids)
         self.dim = self.n_pose_params + self.n_lm_params
@@ -89,7 +99,6 @@ class LinearizedSystem:
         # active-factor records
         self.rec_factor = np.zeros(0, dtype=int)
         self.rec_frame = np.zeros(0, dtype=int)
-        self.rec_track = []
         self.rec_pose_slot = np.zeros(0, dtype=int)   # -1 where fixed
         self.rec_lm_slot = np.zeros(0, dtype=int)     # -1 where fixed
         self.rec_Jp = np.zeros((0, 2, 6))
@@ -147,6 +156,62 @@ def _so3_hat_many(p):
     return out
 
 
+def _matvec(A, x):
+    """Stacked matrix-vector products A[k] @ x[k]."""
+    return (A @ x[:, :, None])[:, :, 0]
+
+
+def _projection_jacobian(focal, c):
+    """d pixel / d camera point, (k, 2, 3), at camera-frame points c."""
+    iz = 1.0 / c[:, 2]
+    out = np.zeros((len(c), 2, 3))
+    out[:, 0, 0] = focal[:, 0] * iz
+    out[:, 0, 2] = -focal[:, 0] * c[:, 0] * iz * iz
+    out[:, 1, 1] = focal[:, 1] * iz
+    out[:, 1, 2] = -focal[:, 1] * c[:, 1] * iz * iz
+    return out
+
+
+def scatter_blocks(sys_, pose_slot, lm_slot, bpp, bll, bpl, gp=None, gl=None):
+    """Add per-factor blocks into the system, in factor order.
+
+    ``bpp`` (k, 6, 6) goes to the diagonal pose blocks of ``Hpp``, ``bll``
+    (k, 3, 3) to ``Hll``, ``bpl`` (k, 6, 3) to ``Hpl`` and the optional
+    ``gp`` (k, 6) / ``gl`` (k, 3) to ``g``. A slot of -1 marks a fixed
+    variable, whose blocks are dropped. ``np.add.at`` accumulates repeated
+    slots one factor at a time, so the sums are those of a loop over factors.
+    """
+    lay = sys_.layout
+    np_ = lay.n_pose_params
+    n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
+    has_p = _rows(pose_slot >= 0)
+    has_l = _rows(lm_slot >= 0)
+    both = _rows((pose_slot >= 0) & (lm_slot >= 0))
+    ps, ls = pose_slot[has_p], lm_slot[has_l]
+    pair_ps, pair_ls = pose_slot[both], lm_slot[both]
+    if len(ps):
+        Hpp = sys_.Hpp.reshape(n_p, 6, n_p, 6)
+        np.add.at(Hpp, (ps, slice(None), ps, slice(None)), bpp[has_p])
+        if gp is not None:
+            np.add.at(sys_.g[:np_].reshape(-1, 6), ps, gp[has_p])
+    if len(ls):
+        np.add.at(sys_.Hll, ls, bll[has_l])
+        if gl is not None:
+            np.add.at(sys_.g[np_:].reshape(-1, 3), ls, gl[has_l])
+    if len(pair_ps):
+        Hpl = sys_.Hpl.reshape(n_p, 6, n_l, 3)
+        np.add.at(Hpl, (pair_ps, slice(None), pair_ls, slice(None)), bpl[both])
+
+
+def _rows(mask):
+    """Index of the true rows; a slice, which copies nothing, when they are one
+    contiguous run (factors are usually grouped by frame)."""
+    idx = np.flatnonzero(mask)
+    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
 def linearize(problem, state, theta=None):
     """Evaluate residuals, IRLS weights and jacobian blocks at the state.
 
@@ -156,48 +221,24 @@ def linearize(problem, state, theta=None):
     theta = problem.theta0() if theta is None else theta
     layout = SystemLayout(state)
     sys_ = LinearizedSystem(layout)
-    nf = len(problem.factors)
     preds = problem.obs_model.observe_all(problem.frame_idx, problem.track_idx, theta)
+    pix, cam, rot, active = project_factors(problem, state)
 
-    e_all = np.zeros((nf, 2))
-    Jp_all = np.zeros((nf, 2, 6))
-    Jl_all = np.zeros((nf, 2, 3))
-    cam_all = np.zeros((nf, 3))
-    active = np.zeros(nf, dtype=bool)
-    for i, idx in problem.by_frame.items():
-        pose = state.poses[i]
-        intr = problem.intrinsics[i]
-        pts = state.landmarks[problem.lm_idx[idx]]
-        pix, c = project_many(pose, intr, pts)
-        ok = c[:, 2] > DEPTH_EPS
-        if not ok.any():
-            continue
-        sub = idx[ok]
-        csub = c[ok]
-        cam_all[sub] = csub
-        iz = 1.0 / csub[:, 2]
-        dh_dc = np.zeros((len(sub), 2, 3))
-        dh_dc[:, 0, 0] = intr.fx * iz
-        dh_dc[:, 0, 2] = -intr.fx * csub[:, 0] * iz * iz
-        dh_dc[:, 1, 1] = intr.fy * iz
-        dh_dc[:, 1, 2] = -intr.fy * csub[:, 1] * iz * iz
-        Rt = quat_to_matrix(pose.q).T
-        dh_dc_Rt = dh_dc @ Rt
-        # residual jacobians carry the minus sign of e = obs - projection
-        Jl = -dh_dc_Rt
-        Jp = np.empty((len(sub), 2, 6))
-        Jp[:, :, :3] = -np.einsum("kab,kbc->kac", dh_dc_Rt, _so3_hat_many(pts[ok]))
-        Jp[:, :, 3:] = -Jl
-        active[sub] = True
-        e_all[sub] = preds[sub] - pix[ok]
-        Jp_all[sub] = Jp
-        Jl_all[sub] = Jl
-
-    sys_.inactive_count = int(nf - active.sum())
     sel = np.flatnonzero(active)
-    e = e_all[sel]
-    Jp = Jp_all[sel]
-    Jl = Jl_all[sel]
+    sys_.inactive_count = int(len(active) - len(sel))
+    frames = problem.frame_idx[sel]
+    e = preds[sel] - pix[sel]
+    c = cam[sel]
+    p = state.landmarks[problem.lm_idx[sel]]
+    # d pixel / d world point = dh/dc R^T; residual jacobians carry the minus
+    # sign of e = obs - projection
+    dh_dc = _projection_jacobian(problem.intrinsics_table[frames, :2], c)
+    dh_dc_Rt = dh_dc @ np.swapaxes(rot[sel], 1, 2)
+    Jl = -dh_dc_Rt
+    Jp = np.empty((len(sel), 2, 6))
+    Jp[:, :, :3] = -np.einsum("kab,kbc->kac", dh_dc_Rt, _so3_hat_many(p))
+    Jp[:, :, 3:] = dh_dc_Rt
+
     info = problem.info_stack[sel]
     s = np.einsum("ka,kab,kb->k", e, info, e)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -205,53 +246,34 @@ def linearize(problem, state, theta=None):
                      problem.huber_delta[sel] / np.sqrt(s), 1.0)
     W = w[:, None, None] * info
 
-    pose_slot = np.array([layout.pose_slot.get(problem.frame_idx[k], -1) for k in sel],
-                         dtype=int)
-    lm_slot = np.array([layout.lm_slot.get(int(problem.lm_idx[k]), -1) for k in sel],
-                       dtype=int)
-
+    pose_slot = layout.pose_slot[frames]
+    lm_slot = layout.lm_slot[problem.lm_idx[sel]]
     WJp = np.einsum("kab,kbc->kac", W, Jp)
     WJl = np.einsum("kab,kbc->kac", W, Jl)
-    bpp = np.einsum("kba,kbc->kac", Jp, WJp)
-    bll = np.einsum("kba,kbc->kac", Jl, WJl)
-    bpl = np.einsum("kba,kbc->kac", Jp, WJl)
-    gp = np.einsum("kab,ka->kb", WJp, e)
-    gl = np.einsum("kab,ka->kb", WJl, e)
-
-    has_p = pose_slot >= 0
-    has_l = lm_slot >= 0
-    np_ = layout.n_pose_params
-    for k in np.flatnonzero(has_p):
-        a = 6 * pose_slot[k]
-        sys_.Hpp[a:a + 6, a:a + 6] += bpp[k]
-        sys_.g[a:a + 6] += gp[k]
-    if has_l.any():
-        np.add.at(sys_.Hll, lm_slot[has_l], bll[has_l])
-        gl_view = sys_.g[np_:].reshape(-1, 3)
-        np.add.at(gl_view, lm_slot[has_l], gl[has_l])
-    for k in np.flatnonzero(has_p & has_l):
-        a, o = 6 * pose_slot[k], 3 * lm_slot[k]
-        sys_.Hpl[a:a + 6, o:o + 3] += bpl[k]
+    scatter_blocks(sys_, pose_slot, lm_slot,
+                   np.einsum("kba,kbc->kac", Jp, WJp),
+                   np.einsum("kba,kbc->kac", Jl, WJl),
+                   np.einsum("kba,kbc->kac", Jp, WJl),
+                   np.einsum("kab,ka->kb", WJp, e),
+                   np.einsum("kab,ka->kb", WJl, e))
 
     sys_.rec_factor = sel
-    sys_.rec_frame = problem.frame_idx[sel]
-    sys_.rec_track = [problem.track_idx[k] for k in sel]
+    sys_.rec_frame = frames
     sys_.rec_pose_slot = pose_slot
     sys_.rec_lm_slot = lm_slot
     sys_.rec_Jp = Jp
     sys_.rec_Jl = Jl
     sys_.rec_W = W
-    sys_.rec_point = state.landmarks[problem.lm_idx[sel]]
-    sys_.rec_campoint = cam_all[sel]
+    sys_.rec_point = p
+    sys_.rec_campoint = c
     sys_.residuals = e
     sys_.weights = w
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior
         r = sp.residual(state)
-        jacs = dict(zip((sp.i, sp.j), sp.jacobians(state)))
-        rows = [(layout.pose_slot[i], J) for i, J in jacs.items()
-                if i in layout.pose_slot]
+        rows = [(layout.pose_slot[i], J) for i, J in zip((sp.i, sp.j), sp.jacobians(state))
+                if layout.pose_slot[i] >= 0]
         for slot_a, Ja in rows:
             a = 6 * slot_a
             sys_.g[a:a + 6] += sp.weight * r * Ja.ravel()
@@ -269,8 +291,9 @@ def exact_hessian_system(problem, state, theta, sys_):
     the rho'' rank-one term. Both vanish with the residuals, but at noisy
     optima they shift the sensitivity dX*/dtheta well above the oracle
     tolerance, so the implicit-gradient adjoint solve uses this corrected H.
-    All corrections are factor-local and preserve the Schur block sparsity.
-    The scale prior contributes its own r * grad^2 r curvature.
+    All corrections are factor-local 9x9 blocks over (pose, landmark) and
+    preserve the Schur block sparsity. The scale prior contributes its own
+    r * grad^2 r curvature.
     """
     import copy
 
@@ -280,53 +303,51 @@ def exact_hessian_system(problem, state, theta, sys_):
     out.Hpl = sys_.Hpl.copy()
     lay = sys_.layout
 
-    R_of = {i: quat_to_matrix(state.poses[i].q) for i in np.unique(sys_.rec_frame)}
-    hub_mask = problem.huber_mask[sys_.rec_factor]
-    hub_delta = problem.huber_delta[sys_.rec_factor]
-    for k in range(len(sys_.rec_factor)):
-        e = sys_.residuals[k]
-        info = problem.info_stack[sys_.rec_factor[k]]
-        w = sys_.weights[k]
-        kap = w * (info @ e)
-        c = sys_.rec_campoint[k]
-        p = sys_.rec_point[k]
-        intr = problem.intrinsics[int(sys_.rec_frame[k])]
-        R = R_of[int(sys_.rec_frame[k])]
-        X, Y, Z = c
-        iz = 1.0 / Z
-        dh_dc = np.array([[intr.fx * iz, 0.0, -intr.fx * X * iz * iz],
-                          [0.0, intr.fy * iz, -intr.fy * Y * iz * iz]])
-        # second derivative of the pinhole map, contracted with kappa
-        G = np.zeros((3, 3))
-        G[0, 2] = G[2, 0] = -intr.fx * kap[0] * iz * iz
-        G[1, 2] = G[2, 1] = -intr.fy * kap[1] * iz * iz
-        G[2, 2] = 2.0 * (intr.fx * X * kap[0] + intr.fy * Y * kap[1]) * iz ** 3
-        Dc = np.hstack([R.T @ _hat3(p), -R.T, R.T])  # d cam-point / d (w, v, p)
-        T = Dc.T @ G @ Dc
-        # second derivative of the camera point, contracted with psi = R dh^T kappa
-        psi = R @ (dh_dc.T @ kap)
-        hat_psi = _hat3(psi)
-        T2 = np.zeros((9, 9))
-        T2[:3, :3] = 0.5 * (np.outer(psi, p) + np.outer(p, psi)) - (psi @ p) * np.eye(3)
-        T2[:3, 3:6] = -0.5 * hat_psi
-        T2[3:6, :3] = -0.5 * hat_psi.T
-        T2[:3, 6:] = hat_psi
-        T2[6:, :3] = hat_psi.T
-        C9 = -(T + T2)
-        if hub_mask[k]:
-            s = float(e @ info @ e)
-            if s > hub_delta[k] ** 2:
-                rho2 = -hub_delta[k] / (2.0 * s ** 1.5)
-                u9 = np.concatenate([sys_.rec_Jp[k].T @ (info @ e),
-                                     sys_.rec_Jl[k].T @ (info @ e)])
-                C9 += 2.0 * rho2 * np.outer(u9, u9)
-        ps, ls = sys_.rec_pose_slot[k], sys_.rec_lm_slot[k]
-        if ps >= 0:
-            out.Hpp[6 * ps:6 * ps + 6, 6 * ps:6 * ps + 6] += C9[:6, :6]
-        if ls >= 0:
-            out.Hll[ls] += C9[6:, 6:]
-        if ps >= 0 and ls >= 0:
-            out.Hpl[6 * ps:6 * ps + 6, 3 * ls:3 * ls + 3] += C9[:6, 6:]
+    # stacked matmuls round like the per-factor matrix products they replace
+    rec = sys_.rec_factor
+    e = sys_.residuals
+    ie = _matvec(problem.info_stack[rec], e)
+    kap = sys_.weights[:, None] * ie
+    c = sys_.rec_campoint
+    p = sys_.rec_point
+    focal = problem.intrinsics_table[sys_.rec_frame, :2]
+    R = quat_to_matrix_many([q.q for q in state.poses])[sys_.rec_frame]
+    Rt = np.swapaxes(R, 1, 2)
+    iz = 1.0 / c[:, 2]
+    dh_dc = _projection_jacobian(focal, c)
+    # second derivative of the pinhole map, contracted with kappa
+    G = np.zeros((len(rec), 3, 3))
+    G[:, 0, 2] = G[:, 2, 0] = -focal[:, 0] * kap[:, 0] * iz * iz
+    G[:, 1, 2] = G[:, 2, 1] = -focal[:, 1] * kap[:, 1] * iz * iz
+    G[:, 2, 2] = 2.0 * (focal[:, 0] * c[:, 0] * kap[:, 0]
+                        + focal[:, 1] * c[:, 1] * kap[:, 1]) * iz ** 3
+    # d cam-point / d (w, v, p)
+    Dc = np.concatenate([Rt @ _so3_hat_many(p), -Rt, Rt], axis=2)
+    T = np.swapaxes(Dc, 1, 2) @ G @ Dc
+    # second derivative of the camera point, contracted with psi = R dh^T kappa
+    psi = _matvec(R, _matvec(np.swapaxes(dh_dc, 1, 2), kap))
+    hat_psi = _so3_hat_many(psi)
+    outer = psi[:, :, None] * p[:, None, :]
+    T2 = np.zeros((len(rec), 9, 9))
+    T2[:, :3, :3] = (0.5 * (outer + np.swapaxes(outer, 1, 2))
+                     - (psi[:, None, :] @ p[:, :, None]) * np.eye(3))
+    T2[:, :3, 3:6] = -0.5 * hat_psi
+    T2[:, 3:6, :3] = -0.5 * np.swapaxes(hat_psi, 1, 2)
+    T2[:, :3, 6:] = hat_psi
+    T2[:, 6:, :3] = np.swapaxes(hat_psi, 1, 2)
+    C9 = -(T + T2)
+    # rho'' rank-one term on the Huber outlier branch
+    s = (e[:, None, :] @ problem.info_stack[rec] @ e[:, :, None])[:, 0, 0]
+    delta = problem.huber_delta[rec]
+    outl = np.flatnonzero(problem.huber_mask[rec] & (s > delta ** 2))
+    if len(outl):
+        rho2 = -delta[outl] / (2.0 * s[outl] ** 1.5)
+        u9 = np.concatenate([_matvec(np.swapaxes(sys_.rec_Jp[outl], 1, 2), ie[outl]),
+                             _matvec(np.swapaxes(sys_.rec_Jl[outl], 1, 2), ie[outl])],
+                            axis=1)
+        C9[outl] += (2.0 * rho2)[:, None, None] * (u9[:, :, None] * u9[:, None, :])
+    scatter_blocks(out, sys_.rec_pose_slot, sys_.rec_lm_slot,
+                   C9[:, :6, :6], C9[:, 6:, 6:], C9[:, :6, 6:])
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior
@@ -337,32 +358,26 @@ def exact_hessian_system(problem, state, theta, sys_):
         u = d / n
         P = (np.eye(3) - np.outer(u, u)) / n
         r = n - sp.target
-        Dti = np.hstack([-_hat3(ti), np.eye(3)])  # d world-translation / d tangent
-        Dtj = np.hstack([-_hat3(tj), np.eye(3)])
+        Dti = np.hstack([-so3_hat(ti), np.eye(3)])  # d world-translation / d tangent
+        Dtj = np.hstack([-so3_hat(tj), np.eye(3)])
         blocks = {}
         blocks[(sp.i, sp.i)] = Dti.T @ P @ Dti + _translation_curvature(-u, ti)
         blocks[(sp.j, sp.j)] = Dtj.T @ P @ Dtj + _translation_curvature(u, tj)
         blocks[(sp.i, sp.j)] = -Dti.T @ P @ Dtj
         blocks[(sp.j, sp.i)] = -Dtj.T @ P @ Dti
         for (a, b), blk in blocks.items():
-            sa, sb = lay.pose_slot.get(a), lay.pose_slot.get(b)
-            if sa is not None and sb is not None:
+            sa, sb = lay.pose_slot[a], lay.pose_slot[b]
+            if sa >= 0 and sb >= 0:
                 out.Hpp[6 * sa:6 * sa + 6, 6 * sb:6 * sb + 6] += sp.weight * r * blk
     return out
-
-
-def _hat3(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
 
 
 def _translation_curvature(cvec, t):
     """sum_m c_m * d^2(world translation)_m / d tangent^2 for one pose."""
     out = np.zeros((6, 6))
     out[:3, :3] = 0.5 * (np.outer(cvec, t) + np.outer(t, cvec)) - (cvec @ t) * np.eye(3)
-    out[:3, 3:] = -0.5 * _hat3(cvec)
-    out[3:, :3] = -0.5 * _hat3(cvec).T
+    out[:3, 3:] = -0.5 * so3_hat(cvec)
+    out[3:, :3] = -0.5 * so3_hat(cvec).T
     return out
 
 
@@ -444,20 +459,28 @@ def apply_step(state, layout, delta):
     return new
 
 
+def _finite(value, what):
+    if not math.isfinite(value):
+        raise Diverged(f"{what} is not finite ({value})")
+    return value
+
+
 def optimize(problem, x0, theta=None, settings=None):
     """LM loop: linearize, Schur-solve, retract, accept on energy decrease.
 
     Returns (optimized state, SolveReport). The energy sequence over accepted
     iterations is non-increasing by construction. Raises Diverged when the
-    damped system stays singular over 10 consecutive lambda increases.
+    damped system stays singular over 10 consecutive lambda increases, and
+    when the start energy, a linearized gradient or the final energy is not
+    finite (a NaN or infinite observation, for example).
     """
     theta = problem.theta0() if theta is None else theta
     settings = SolverSettings() if settings is None else settings
     state = x0.copy()
     sys_ = linearize(problem, state, theta)
-    energy = total_energy(problem, state, theta)
+    energy = _finite(total_energy(problem, state, theta), "energy at the start")
     energies = [energy]
-    grad_norm = sys_.gradient_inf_norm()
+    grad_norm = _finite(sys_.gradient_inf_norm(), "gradient at the start")
     if grad_norm <= settings.gradient_tolerance:
         return state, SolveReport(0, energy, energies, grad_norm,
                                   "converged_gradient", sys_.inactive_count)
@@ -486,7 +509,7 @@ def optimize(problem, x0, theta=None, settings=None):
             energies.append(energy)
             lam /= settings.lambda_down
             sys_ = linearize(problem, state, theta)
-            grad_norm = sys_.gradient_inf_norm()
+            grad_norm = _finite(sys_.gradient_inf_norm(), f"gradient at iteration {it}")
             if grad_norm <= settings.gradient_tolerance:
                 reason = "converged_gradient"
                 break
@@ -509,7 +532,7 @@ def optimize(problem, x0, theta=None, settings=None):
             settings.gradient_tolerance)
         if polished and grad_norm <= settings.gradient_tolerance:
             reason = "converged_gradient"
-    final_energy = total_energy(problem, state, theta)
+    final_energy = _finite(total_energy(problem, state, theta), "final energy")
     return state, SolveReport(it, final_energy, energies, grad_norm, reason,
                               sys_.inactive_count)
 

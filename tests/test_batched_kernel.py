@@ -1,0 +1,149 @@
+"""The batched factor kernel against its per-factor loop references.
+
+Where the arithmetic is unchanged (the block scatter, the observation
+lookups) the results must be equal bit for bit. Elsewhere the tolerance is
+RTOL, relative to the largest reference entry; it was fixed before the
+batched code was written and must not be loosened.
+"""
+
+import numpy as np
+import pytest
+
+from gradba.geometry import quat_to_matrix
+from gradba.problem import (Problem, RobustKernel, StateVector, StaticModel,
+                            evaluate_residuals)
+from gradba.solver import (LinearizedSystem, exact_hessian_system, linearize,
+                           scatter_blocks)
+
+from conftest import build_ba_problem
+from loop_reference import (loop_assemble, loop_exact_hessian, loop_linearize,
+                            loop_residuals)
+
+RTOL = 1e-12
+FIXED_LM = 3
+BEHIND_LM, BEHIND_CAM = 7, 2
+DUPLICATE = 25  # frame 1 (free), landmark 5 (free)
+
+
+def assert_rel(actual, reference):
+    reference = np.asarray(reference, dtype=float)
+    assert actual.shape == reference.shape
+    scale = max(np.abs(reference).max(initial=0.0), 1e-300)
+    assert np.abs(actual - reference).max(initial=0.0) <= RTOL * scale
+
+
+def edge_case_problem(seed):
+    """A fixed pose, a fixed landmark, a duplicated factor, a landmark behind
+    one camera, the scale prior and Huber outliers, with a nonzero theta."""
+    prob, x0, *_ = build_ba_problem(seed, n_cams=5, n_lms=20, sigma=1.0,
+                                    kernel=RobustKernel("huber", 1.0),
+                                    outlier_ratio=0.2)
+    fixed_lm = np.zeros(prob.state.n_landmarks, dtype=bool)
+    fixed_lm[FIXED_LM] = True
+    state = StateVector(prob.state.poses, prob.state.landmarks,
+                        prob.state.fixed_poses, fixed_lm)
+    factors = list(prob.factors) + [prob.factors[DUPLICATE]]
+    prob = Problem(state, prob.intrinsics, factors, prob.obs_model,
+                   scale_prior=prob.scale_prior)
+    lms = x0.landmarks.copy()
+    cam = x0.poses[BEHIND_CAM]
+    lms[BEHIND_LM] = cam.t - 2.0 * quat_to_matrix(cam.q)[:, 2]
+    x0 = StateVector(x0.poses, lms, x0.fixed_poses, fixed_lm)
+    theta = np.random.default_rng(seed).normal(scale=0.3,
+                                               size=prob.obs_model.theta_dim)
+    return prob, x0, theta
+
+
+@pytest.fixture(params=[0, 1, 2])
+def case(request):
+    return edge_case_problem(request.param)
+
+
+def test_case_covers_the_edge_cases(case):
+    prob, x0, theta = case
+    sys_ = linearize(prob, x0, theta)
+    assert sys_.inactive_count >= 1
+    assert (sys_.weights < 1.0).any()
+    assert prob.scale_prior is not None
+    assert sys_.layout.pose_slot[0] == -1
+    assert sys_.layout.lm_slot[FIXED_LM] == -1
+    assert (sys_.rec_lm_slot == -1).any() and (sys_.rec_pose_slot == -1).any()
+    dup = prob.factors[DUPLICATE]
+    assert sum(f is dup for f in prob.factors) == 2
+    assert sys_.layout.pose_slot[dup.frame] >= 0
+    assert sys_.layout.lm_slot[dup.landmark] >= 0
+
+
+@pytest.mark.parametrize("start", ["zero", "nonzero"])
+def test_scatter_is_bit_identical_to_loop(case, start):
+    prob, x0, theta = case
+    ref = linearize(prob, x0, theta)
+    ps, ls = ref.rec_pose_slot, ref.rec_lm_slot
+    rng = np.random.default_rng(5)
+    k = len(ps)
+    blocks = (rng.normal(size=(k, 6, 6)), rng.normal(size=(k, 3, 3)),
+              rng.normal(size=(k, 6, 3)), rng.normal(size=(k, 6)),
+              rng.normal(size=(k, 3)))
+    systems = [LinearizedSystem(ref.layout), LinearizedSystem(ref.layout)]
+    if start == "nonzero":
+        init = [rng.normal(size=getattr(ref, n).shape)
+                for n in ("Hpp", "Hll", "Hpl", "g")]
+        for s in systems:
+            s.Hpp, s.Hll, s.Hpl, s.g = (a.copy() for a in init)
+    scatter_blocks(systems[0], ps, ls, *blocks)
+    loop_assemble(systems[1], ps, ls, *blocks)
+    for name in ("Hpp", "Hll", "Hpl", "g"):
+        assert np.array_equal(getattr(systems[0], name), getattr(systems[1], name)), name
+
+
+def test_linearize_matches_loop(case):
+    prob, x0, theta = case
+    new = linearize(prob, x0, theta)
+    ref = loop_linearize(prob, x0, theta)
+    assert new.inactive_count == ref.inactive_count
+    for name in ("rec_factor", "rec_frame", "rec_pose_slot", "rec_lm_slot"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    for name in ("Hpp", "Hll", "Hpl", "g", "residuals", "weights", "rec_W",
+                 "rec_Jp", "rec_Jl", "rec_point", "rec_campoint"):
+        assert_rel(getattr(new, name), getattr(ref, name))
+
+
+def test_exact_hessian_matches_loop(case):
+    prob, x0, theta = case
+    sys_ = linearize(prob, x0, theta)
+    new = exact_hessian_system(prob, x0, theta, sys_)
+    ref = loop_exact_hessian(prob, x0, theta, sys_)
+    for name in ("Hpp", "Hll", "Hpl"):
+        assert_rel(getattr(new, name), getattr(ref, name))
+    # the Gauss-Newton system it copies is left as it was
+    assert np.array_equal(sys_.Hpp, linearize(prob, x0, theta).Hpp)
+
+
+def test_residuals_match_loop(case):
+    prob, x0, theta = case
+    e, s, active = evaluate_residuals(prob, x0, theta)
+    e_ref, s_ref, active_ref = loop_residuals(prob, x0, theta)
+    assert np.array_equal(active, active_ref)
+    assert not active.all()
+    assert_rel(e, e_ref)
+    assert_rel(s, s_ref)
+
+
+def test_observe_all_matches_observe(case):
+    prob, _, theta = case
+    frames, tracks = prob.frame_idx, prob.track_idx
+    static = StaticModel(prob.obs_model.observations)
+    for model, th in ((prob.obs_model, theta), (static, None)):
+        stacked = model.observe_all(frames, tracks, th)
+        loop = np.array([model.observe(f, t, th) for f, t in zip(frames, tracks)])
+        assert np.array_equal(stacked, loop)
+
+
+def test_observe_all_rejects_unknown_pairs(case):
+    prob, _, _ = case
+    model = StaticModel(prob.obs_model.observations)
+    last = max(t for _, t in model.observations)
+    # (0, last + 1) would alias (1, first track) if track ids were not range-checked
+    for frames, tracks in (([0], [last + 1]), ([99], [0]), ([1, 0], [0, -5])):
+        with pytest.raises(KeyError):
+            model.observe_all(np.array(frames), tracks)

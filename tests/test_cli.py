@@ -114,3 +114,52 @@ class TestPipeline:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[init]" in err
+
+
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line]
+
+
+class TestFailureContract:
+    def test_nan_observation_fails_in_solver(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        sc, st = str(tmp_path / "scene.json"), str(tmp_path / "state.json")
+        assert main(["synth", "--config", cfg, "--out", sc]) == 0
+        assert main(["init", "--scene", sc, "--config", cfg,
+                     "--out-state", st, "--out-traj",
+                     str(tmp_path / "init.tum")]) == 0
+        scene = scn.load_scene(sc)
+        scene["observations"][0]["u"] = float("nan")
+        scn.save_scene(scene, sc)
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        rc = main(["solve", "--scene", sc, "--state", st, "--config", cfg,
+                   "--out-traj", str(tmp_path / "est.tum"),
+                   "--report", str(report)])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[solver]: ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("case", ["unknown_key", "missing", "malformed"])
+    def test_config_errors_are_stage_tagged(self, tmp_path, capsys, case):
+        cfg = tmp_path / "config.json"
+        if case == "unknown_key":
+            cfg.write_text(json.dumps({"solver": {"bogus_key": 1}}))
+        elif case == "malformed":
+            cfg.write_text('{"solver": {"max_iterations": 5,')
+        sc = str(tmp_path / "scene.json")
+        rc = main(["synth", "--config", str(cfg), "--out", sc])
+        if case == "unknown_key":
+            # synth does not read the solver section; solve does
+            assert rc == 0
+            st = str(tmp_path / "state.json")
+            assert main(["init", "--scene", sc, "--out-state", st,
+                         "--out-traj", str(tmp_path / "init.tum")]) == 0
+            capsys.readouterr()
+            rc = main(["solve", "--scene", sc, "--state", st,
+                       "--config", str(cfg), "--out-traj",
+                       str(tmp_path / "est.tum")])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
