@@ -8,8 +8,9 @@ on failure. The shared config file is JSON with optional sections
 where each field falls back to the package defaults. ``scene`` configures the
 synthetic generator geometry; ``noise`` configures the pixel noise and
 outliers applied by ``synth``; ``kernel`` selects the robust kernel used by
-``solve``. A missing or malformed config file, an unknown section or key, and
-a value the section's settings reject fail with ``error[harness]``.
+``solve``, Huber unless ``"kind": "none"``. A missing or malformed config
+file, an unknown section or key, and a value the section's settings reject
+fail with ``error[harness]``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,7 @@ def load_config(path):
     SceneFormatError."""
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise SceneFormatError(f"config {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise SceneFormatError(f"config {path}: malformed JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise SceneFormatError(f"config {path}: top level must be an object")
+    config = scn.read_json(path, "config")
     _check_keys(config, "config", CONFIG_SECTIONS)
     return config
 
@@ -83,9 +76,7 @@ def _settings(config, tight=False):
 
 
 def _kernel(config):
-    if "kernel" not in config:
-        return RobustKernel("huber")
-    kernel = _section(config, "kernel", RobustKernel)
+    kernel = _section(config, "kernel", RobustKernel, kind="huber")
     return None if kernel.kind == "none" else kernel
 
 

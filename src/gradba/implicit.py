@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alignment import align, apply_alignment
 from .errors import NotAtOptimum
+from .geometry import quat_conj, quat_from_matrix, quat_mul, quat_to_rotvec
 from .solver import (apply_step, exact_hessian_system, linearize,
                      optimize, schur_solve, schur_solve_rhs)
 
@@ -103,8 +105,7 @@ def implicit_gradient(request):
 
     # dL/dtheta = -y^T J^T W (d obs/d theta), accumulated factor by factor
     np_ = sys_.layout.n_pose_params
-    n_rec = len(sys_.rec_factor)
-    jy = np.zeros((n_rec, 2))
+    jy = np.zeros((len(sys_.rec_factor), 2))
     has_p = sys_.rec_pose_slot >= 0
     if has_p.any():
         yp = y[:np_].reshape(-1, 6)[sys_.rec_pose_slot[has_p]]
@@ -114,19 +115,11 @@ def implicit_gradient(request):
         yl = y[np_:].reshape(-1, 3)[sys_.rec_lm_slot[has_l]]
         jy[has_l] += np.einsum("kab,kb->ka", sys_.rec_Jl[has_l], yl)
     v = np.einsum("kab,kb->ka", sys_.rec_W, jy)
-    if request.hessian_mode == "exact":
+    if request.hessian_mode == "exact" and sys_.rec_curvature.any():
         # rho'' part of the mixed Hessian on the Huber outlier branch
-        hub = problem.huber_mask[sys_.rec_factor]
-        info = problem.info_stack[sys_.rec_factor]
-        ie = np.einsum("kab,kb->ka", info, sys_.residuals)
-        s = np.einsum("ka,ka->k", sys_.residuals, ie)
-        delta = problem.huber_delta[sys_.rec_factor]
-        outl = hub & (s > delta ** 2)
-        if outl.any():
-            rho2 = np.zeros(n_rec)
-            rho2[outl] = -delta[outl] / (2.0 * s[outl] ** 1.5)
-            a = np.einsum("ka,ka->k", jy, ie)
-            v = v + 2.0 * (rho2 * a)[:, None] * ie
+        ie = np.einsum("kab,kb->ka", problem.info_stack[sys_.rec_factor], sys_.residuals)
+        a = np.einsum("ka,ka->k", jy, ie)
+        v = v + 2.0 * (sys_.rec_curvature * a)[:, None] * ie
     dldtheta = np.zeros(problem.obs_model.theta_dim)
     for k, f in enumerate(sys_.rec_factor):
         K = problem.obs_model.observe_jacobian(
@@ -187,27 +180,20 @@ class PoseErrorLoss:
     is a smooth closed form, so this is accurate to O(h^2).
     """
 
-    def __init__(self, ref_poses, align_mode="sim", rot_weight=1.0):
+    def __init__(self, ref_poses):
         self.ref_poses = [p.copy() for p in ref_poses]
-        self.align_mode = align_mode
-        self.rot_weight = rot_weight
 
     def value(self, state):
-        from .alignment import align, apply_alignment
-        from .geometry import quat_mul, quat_conj, quat_to_rotvec
-
         est = np.array([p.t for p in state.poses])
         ref = np.array([p.t for p in self.ref_poses])
-        s, R, t = align(est, ref, self.align_mode)
+        s, R, t = align(est, ref)
         pos = apply_alignment(est, s, R, t)
         total = float(((pos - ref) ** 2).sum())
-        if self.rot_weight:
-            from .geometry import quat_from_matrix
-            q_align = quat_from_matrix(R)
-            for p, pref in zip(state.poses, self.ref_poses):
-                q_al = quat_mul(q_align, p.q)
-                w = quat_to_rotvec(quat_mul(q_al, quat_conj(pref.q)))
-                total += self.rot_weight * float(w @ w)
+        q_align = quat_from_matrix(R)
+        for p, pref in zip(state.poses, self.ref_poses):
+            q_al = quat_mul(q_align, p.q)
+            w = quat_to_rotvec(quat_mul(q_al, quat_conj(pref.q)))
+            total += float(w @ w)
         return total
 
     def grad_tangent(self, state, layout):

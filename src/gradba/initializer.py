@@ -22,7 +22,8 @@ from .errors import (DegenerateGeometry, Diverged, InitializationFailed,
                      TooFewCorrespondences, TooFewPoints)
 from .geometry import (CameraIntrinsics, Pose, project, quat_from_matrix,
                        quat_to_rotvec, quat_mul, quat_conj, so3_hat)
-from .problem import Problem, ReprojectionFactor, StateVector, StaticModel
+from .problem import (Problem, ReprojectionFactor, StateVector, StaticModel,
+                      evaluate_residuals)
 from .solver import SolverSettings, optimize
 
 RAY_PARALLEL_EPS = 1e-6  # rad
@@ -354,13 +355,10 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
     pose = solved.poses[0] if solved is not None else None
 
     if pose is not None:
-        errs = []
-        for k in range(n):
-            try:
-                errs.append(np.linalg.norm(project(pose, intr, landmarks[k]) - pixels[k]))
-            except Exception:
-                errs.append(np.inf)
-        if np.mean(errs) > eps_max:
+        # unit covariance: sqrt(s) is the pixel error; a landmark behind the
+        # camera counts as infinitely far off
+        ev = evaluate_residuals(prob, solved, prob.theta0())
+        if np.mean(np.where(ev.active, np.sqrt(ev.s), np.inf)) > eps_max:
             pose = None
     if pose is not None and fallback is not None:
         rot, trans = _pose_jump(pose, pose_init)

@@ -4,8 +4,14 @@ The residual convention is ``e = observe(frame, track) - project(pose, point)``:
 the parameterized observation model predicts where a track is seen, and the
 geometric projection is subtracted from it.
 
-Robust kernels are realized as IRLS weights that multiply the information
-matrix inside the normal equations; only the Huber kernel is shipped.
+``evaluate_residuals`` is the one place where factors are evaluated: it
+predicts, projects, and applies the robust kernel to the squared Mahalanobis
+norm ``s = e^T Sigma^-1 e`` of every factor at once. ``robust_terms`` is the
+one place where the kernel is computed: the cost rho(s), the IRLS weight
+rho'(s) that multiplies Sigma^-1 in the normal equations, and the curvature
+rho''(s) of the exact Hessian. The energy, the solver's linearization, the
+exact Hessian and the implicit gradient all read these. Only the Huber kernel
+is shipped; a factor without one has the plain quadratic cost.
 
 A Problem is immutable once validated; residual and energy evaluation is a
 pure map-reduce over factors with a fixed summation order, so results are
@@ -41,23 +47,21 @@ class RobustKernel:
             raise ValueError("huber delta must be positive")
 
 
-def robust_weight(kernel, s):
-    """IRLS weight for a squared Mahalanobis residual s; multiplies Sigma^-1."""
-    if kernel is None or kernel.kind == "none":
-        return 1.0
-    root = np.sqrt(s)
-    if root <= kernel.delta:
-        return 1.0
-    return kernel.delta / root
+def robust_terms(s, delta):
+    """Huber kernel of squared Mahalanobis norms ``s`` with thresholds ``delta``.
 
-
-def robust_rho(kernel, s):
-    """Robust cost of a squared Mahalanobis residual s."""
-    if kernel is None or kernel.kind == "none":
-        return float(s)
-    if s <= kernel.delta ** 2:
-        return float(s)
-    return float(2.0 * kernel.delta * np.sqrt(s) - kernel.delta ** 2)
+    Returns the arrays (rho, rho', rho''); rho' is the IRLS weight that
+    multiplies Sigma^-1. ``delta = inf`` gives the plain quadratic cost
+    (rho = s, rho' = 1, rho'' = 0), and so does a NaN ``s``.
+    """
+    s, delta = np.broadcast_arrays(np.asarray(s, dtype=float), delta)
+    out = s > delta ** 2
+    rho, weight, curvature = s.copy(), np.ones(s.shape), np.zeros(s.shape)
+    root, d = np.sqrt(s[out]), delta[out]
+    rho[out] = 2.0 * d * root - d ** 2
+    weight[out] = d / root
+    curvature[out] = -d / (2.0 * s[out] ** 1.5)
+    return rho, weight, curvature
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +410,7 @@ class Problem:
         self.lm_idx = np.array([f.landmark for f in self.factors], dtype=int)
         self.info_stack = (np.stack([f.info for f in self.factors])
                            if nf else np.zeros((0, 2, 2)))
-        self.huber_mask = np.array(
-            [f.kernel is not None and f.kernel.kind == "huber" for f in self.factors],
-            dtype=bool)
+        # Huber threshold per factor; inf selects the plain quadratic cost
         self.huber_delta = np.array(
             [f.kernel.delta if (f.kernel is not None and f.kernel.kind == "huber") else np.inf
              for f in self.factors])
@@ -441,17 +443,33 @@ def project_factors(problem, state):
     return pix, c, rot, active
 
 
-def evaluate_residuals(problem, state, theta):
-    """Residuals, squared Mahalanobis norms and cheirality mask, vectorized.
+@dataclass
+class FactorEvaluation:
+    """Every factor of a problem evaluated at one state, in factor order.
 
-    Inactive rows (landmark behind the camera) have zero residual and are
-    excluded via the returned mask.
+    An inactive factor (landmark behind the camera) has a zero residual; sums
+    over factors leave it out through ``active``.
     """
+
+    e: np.ndarray          # (nf, 2) residuals, observation - projection
+    s: np.ndarray          # (nf,) squared Mahalanobis norms e^T Sigma^-1 e
+    active: np.ndarray     # (nf,) landmark in front of the camera
+    rho: np.ndarray        # (nf,) robust costs rho(s)
+    weight: np.ndarray     # (nf,) IRLS weights rho'(s)
+    curvature: np.ndarray  # (nf,) rho''(s), nonzero on the Huber outlier branch
+    campoint: np.ndarray   # (nf, 3) landmarks in the camera frame
+    rot: np.ndarray        # (nf, 3, 3) world-from-camera rotations
+
+
+def evaluate_residuals(problem, state, theta):
+    """Predictions, projections, residuals and robust-kernel terms of every
+    factor in one batch; see FactorEvaluation."""
     preds = problem.obs_model.observe_all(problem.frame_idx, problem.track_idx, theta)
-    pix, _, _, active = project_factors(problem, state)
+    pix, cam, rot, active = project_factors(problem, state)
     e = np.where(active[:, None], preds - pix, 0.0)
     s = np.einsum("ka,kab,kb->k", e, problem.info_stack, e)
-    return e, s, active
+    return FactorEvaluation(e, s, active, *robust_terms(s, problem.huber_delta),
+                            cam, rot)
 
 
 def residual(factor, state, intr, obs_model, theta):
@@ -468,12 +486,8 @@ def residual(factor, state, intr, obs_model, theta):
 def total_energy(problem, state, theta=None):
     """Robust reprojection energy plus gauge priors plus temporal terms."""
     theta = problem.theta0() if theta is None else theta
-    _, s, active = evaluate_residuals(problem, state, theta)
-    with np.errstate(invalid="ignore"):
-        rho = np.where(problem.huber_mask & (s > problem.huber_delta ** 2),
-                       2.0 * problem.huber_delta * np.sqrt(s) - problem.huber_delta ** 2,
-                       s)
-    total = float(rho[active].sum())
+    ev = evaluate_residuals(problem, state, theta)
+    total = float(ev.rho[ev.active].sum())
     if problem.scale_prior is not None:
         r = problem.scale_prior.residual(state)
         total += problem.scale_prior.weight * r * r

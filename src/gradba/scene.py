@@ -194,14 +194,30 @@ def save_scene(scene, path):
         fh.write(dumps_scene(scene))
 
 
+def read_json(path, what):
+    """The JSON object in a file; a missing file, malformed JSON and a top
+    level that is not an object raise SceneFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SceneFormatError(f"{what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise SceneFormatError(f"{what} {path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SceneFormatError(f"{what} {path}: top level must be an object")
+    return doc
+
+
 def load_scene(path):
-    with open(path, encoding="utf-8") as fh:
-        scene = json.load(fh)
+    scene = read_json(path, "scene")
     if "version" not in scene:
         raise SceneFormatError(f"{path}: missing version field")
     ids = {f["id"] for f in scene.get("frames", [])}
     tracks = {l["id"] for l in scene.get("landmarks", [])}
     for o in scene.get("observations", []):
+        if not isinstance(o, dict) or not {"frame", "track", "u", "v"} <= o.keys():
+            raise SceneFormatError(f"observation needs frame, track, u and v: {o}")
         if o["frame"] not in ids or o["track"] not in tracks:
             raise SceneFormatError(
                 f"observation references unknown frame/track: {o}")
@@ -271,8 +287,7 @@ def save_state(state, track_ids, path):
 
 
 def load_state(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "state")
     if doc.get("version") != 1:
         raise SceneFormatError(f"{path}: unsupported state version")
     poses = [Pose(p["q_wxyz"], p["t"]) for p in doc["poses"]]
@@ -356,6 +371,24 @@ def build_problem(scene, model="static", kernel=None, state=None,
 # descriptor-field section
 # ---------------------------------------------------------------------------
 
+def _drifting_grid(rng, grid_shape, base, slope):
+    """A unit reference descriptor and an H x W x C grid whose descriptors
+    drift away from it with distance to the grid center: each cell is the
+    reference plus a random direction of length base + slope * distance."""
+    H, W, C = grid_shape
+    ref = rng.normal(size=C)
+    ref /= np.linalg.norm(ref)
+    cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
+    grid = np.empty((H, W, C))
+    for y in range(H):
+        for x in range(W):
+            d = np.hypot(y - cy, x - cx)
+            noise = rng.normal(size=C)
+            noise /= np.linalg.norm(noise)
+            grid[y, x] = ref + (base + slope * d) * noise
+    return ref, grid
+
+
 def attach_descriptor_field(scene, grid_shape=(5, 5, 4), seed=0):
     """Write a descriptor-field block: one grid per track, origins per
     observation chosen so the soft-argmax reproduces the stored pixel at the
@@ -363,26 +396,11 @@ def attach_descriptor_field(scene, grid_shape=(5, 5, 4), seed=0):
     rng = np.random.Generator(np.random.Philox(key=seed))
     H, W, C = grid_shape
     tracks = sorted(l["id"] for l in scene["landmarks"])
-    grids = {}
-    refs = {}
-    for t in tracks:
-        ref = rng.normal(size=C)
-        ref /= np.linalg.norm(ref)
-        # descriptors drift away from the reference with distance to center
-        cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
-        grid = np.empty((H, W, C))
-        for y in range(H):
-            for x in range(W):
-                d = np.hypot(y - cy, x - cx)
-                noise = rng.normal(size=C)
-                noise /= np.linalg.norm(noise)
-                grid[y, x] = ref + (0.25 + 0.45 * d) * noise
-        grids[t] = grid
-        refs[t] = ref
+    drawn = {t: _drifting_grid(rng, grid_shape, 0.25, 0.45) for t in tracks}
     scene["descriptor_field"] = {
         "grid_shape": [H, W, C],
-        "grids": {str(t): grids[t].ravel().tolist() for t in tracks},
-        "refs": {str(t): refs[t].tolist() for t in tracks},
+        "grids": {str(t): drawn[t][1].ravel().tolist() for t in tracks},
+        "refs": {str(t): drawn[t][0].tolist() for t in tracks},
     }
     return scene
 
@@ -415,7 +433,7 @@ def descriptor_field_model(scene, observations, track_ids):
 
 def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
                     drift_px=1.5, grid_shape=(9, 9, 8), sigma_long=0.2,
-                    seed=0, with_maps=True):
+                    seed=0):
     """Synthetic-tracker temporal section: chained endpoints with
     controllable drift against near-truth long-baseline references, plus
     descriptor patches for the dense losses."""
@@ -437,26 +455,15 @@ def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
             true_px = project(poses[frame], intr, lms[t])
             rec = true_px + drift_px * rng.normal(size=2)
             long = true_px + sigma_long * rng.normal(size=2)
-            item = {"track": int(t),
-                    "recursive": rec.tolist(),
-                    "long": long.tolist(),
-                    "valid": True}
-            if with_maps:
-                ref = rng.normal(size=C)
-                ref /= np.linalg.norm(ref)
-                grid = np.empty((H, W, C))
-                cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
-                for y in range(H):
-                    for x in range(W):
-                        d = np.hypot(y - cy, x - cx)
-                        noise = rng.normal(size=C)
-                        noise /= np.linalg.norm(noise)
-                        grid[y, x] = ref + (0.2 + 0.3 * d) * noise
-                origin = long - np.array([cx, cy])
-                item["grid"] = grid.ravel().tolist()
-                item["grid_shape"] = [H, W, C]
-                item["origin"] = origin.tolist()
-            items.append(item)
+            _, grid = _drifting_grid(rng, grid_shape, 0.2, 0.3)
+            origin = long - np.array([(W - 1) / 2.0, (H - 1) / 2.0])
+            items.append({"track": int(t),
+                          "recursive": rec.tolist(),
+                          "long": long.tolist(),
+                          "valid": True,
+                          "grid": grid.ravel().tolist(),
+                          "grid_shape": [H, W, C],
+                          "origin": origin.tolist()})
         transitions.append({"frame": int(frame), "items": items})
     scene["temporal"] = {"transitions": transitions}
     return scene

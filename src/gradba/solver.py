@@ -10,15 +10,17 @@ minus sign of e = observation - projection), the stored gradient is
 g = J^T W e, and steps solve (H + lambda D^2) dx = -g. The true energy
 gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 
-Factor evaluation and block assembly are vectorized over factors: one batched
-projection (``problem.project_factors``) feeds the residuals and jacobians,
-and ``scatter_blocks`` adds the per-factor blocks of ``linearize`` and of
+Factor evaluation and block assembly are vectorized over factors: one
+evaluation (``problem.evaluate_residuals``) gives the residuals, camera
+points and robust-kernel terms that the jacobians are built from, and
+``scatter_blocks`` adds the per-factor blocks of ``linearize`` and of
 ``exact_hessian_system`` with ``np.add.at``. Summation order is fixed by the
 factor list, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -26,8 +28,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import Diverged, SingularSystem
-from .geometry import quat_to_matrix_many, se3_retract, so3_hat
-from .problem import project_factors, total_energy
+from .geometry import se3_retract, so3_hat
+from .problem import evaluate_residuals, total_energy
 
 DAMPING_FLOOR = 1e-6  # lower bound on the diagonal scaling D
 
@@ -85,8 +87,9 @@ class SystemLayout:
 class LinearizedSystem:
     """H = J^T W J and g = J^T W e in block form over the free variables.
 
-    Per-factor record arrays (residual jacobian blocks, weights, residuals)
-    are kept for the adjoint solve of the implicit-gradient module.
+    Per-factor record arrays (residual jacobian blocks, robust-kernel terms,
+    residuals) are kept for the exact Hessian and the adjoint solve of the
+    implicit-gradient module.
     """
 
     def __init__(self, layout):
@@ -106,8 +109,10 @@ class LinearizedSystem:
         self.rec_W = np.zeros((0, 2, 2))
         self.rec_point = np.zeros((0, 3))      # landmark position, world frame
         self.rec_campoint = np.zeros((0, 3))   # landmark position, camera frame
+        self.rec_rot = np.zeros((0, 3, 3))     # world-from-camera rotation
         self.residuals = np.zeros((0, 2))
-        self.weights = np.zeros(0)
+        self.weights = np.zeros(0)             # IRLS weights rho'
+        self.rec_curvature = np.zeros(0)       # rho
 
     # -- dense views -------------------------------------------------------
 
@@ -221,30 +226,26 @@ def linearize(problem, state, theta=None):
     theta = problem.theta0() if theta is None else theta
     layout = SystemLayout(state)
     sys_ = LinearizedSystem(layout)
-    preds = problem.obs_model.observe_all(problem.frame_idx, problem.track_idx, theta)
-    pix, cam, rot, active = project_factors(problem, state)
+    ev = evaluate_residuals(problem, state, theta)
 
-    sel = np.flatnonzero(active)
-    sys_.inactive_count = int(len(active) - len(sel))
+    sel = np.flatnonzero(ev.active)
+    sys_.inactive_count = int(len(ev.active) - len(sel))
     frames = problem.frame_idx[sel]
-    e = preds[sel] - pix[sel]
-    c = cam[sel]
+    e = ev.e[sel]
+    c = ev.campoint[sel]
+    rot = ev.rot[sel]
     p = state.landmarks[problem.lm_idx[sel]]
     # d pixel / d world point = dh/dc R^T; residual jacobians carry the minus
     # sign of e = obs - projection
     dh_dc = _projection_jacobian(problem.intrinsics_table[frames, :2], c)
-    dh_dc_Rt = dh_dc @ np.swapaxes(rot[sel], 1, 2)
+    dh_dc_Rt = dh_dc @ np.swapaxes(rot, 1, 2)
     Jl = -dh_dc_Rt
     Jp = np.empty((len(sel), 2, 6))
     Jp[:, :, :3] = -np.einsum("kab,kbc->kac", dh_dc_Rt, _so3_hat_many(p))
     Jp[:, :, 3:] = dh_dc_Rt
 
-    info = problem.info_stack[sel]
-    s = np.einsum("ka,kab,kb->k", e, info, e)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(problem.huber_mask[sel] & (s > problem.huber_delta[sel] ** 2),
-                     problem.huber_delta[sel] / np.sqrt(s), 1.0)
-    W = w[:, None, None] * info
+    w = ev.weight[sel]
+    W = w[:, None, None] * problem.info_stack[sel]
 
     pose_slot = layout.pose_slot[frames]
     lm_slot = layout.lm_slot[problem.lm_idx[sel]]
@@ -266,8 +267,10 @@ def linearize(problem, state, theta=None):
     sys_.rec_W = W
     sys_.rec_point = p
     sys_.rec_campoint = c
+    sys_.rec_rot = rot
     sys_.residuals = e
     sys_.weights = w
+    sys_.rec_curvature = ev.curvature[sel]
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior
@@ -288,15 +291,13 @@ def exact_hessian_system(problem, state, theta, sys_):
 
     The Gauss-Newton H drops the residual-curvature term
     rho' * sum_c (Sigma^-1 e)_c * grad^2 e_c and, on the Huber outlier branch,
-    the rho'' rank-one term. Both vanish with the residuals, but at noisy
+    the rho'' rank-one term; both read the records of ``sys_``. Both vanish with the residuals, but at noisy
     optima they shift the sensitivity dX*/dtheta well above the oracle
     tolerance, so the implicit-gradient adjoint solve uses this corrected H.
     All corrections are factor-local 9x9 blocks over (pose, landmark) and
     preserve the Schur block sparsity. The scale prior contributes its own
     r * grad^2 r curvature.
     """
-    import copy
-
     out = copy.copy(sys_)
     out.Hpp = sys_.Hpp.copy()
     out.Hll = sys_.Hll.copy()
@@ -311,7 +312,7 @@ def exact_hessian_system(problem, state, theta, sys_):
     c = sys_.rec_campoint
     p = sys_.rec_point
     focal = problem.intrinsics_table[sys_.rec_frame, :2]
-    R = quat_to_matrix_many([q.q for q in state.poses])[sys_.rec_frame]
+    R = sys_.rec_rot
     Rt = np.swapaxes(R, 1, 2)
     iz = 1.0 / c[:, 2]
     dh_dc = _projection_jacobian(focal, c)
@@ -337,15 +338,13 @@ def exact_hessian_system(problem, state, theta, sys_):
     T2[:, 6:, :3] = np.swapaxes(hat_psi, 1, 2)
     C9 = -(T + T2)
     # rho'' rank-one term on the Huber outlier branch
-    s = (e[:, None, :] @ problem.info_stack[rec] @ e[:, :, None])[:, 0, 0]
-    delta = problem.huber_delta[rec]
-    outl = np.flatnonzero(problem.huber_mask[rec] & (s > delta ** 2))
+    outl = np.flatnonzero(sys_.rec_curvature)
     if len(outl):
-        rho2 = -delta[outl] / (2.0 * s[outl] ** 1.5)
         u9 = np.concatenate([_matvec(np.swapaxes(sys_.rec_Jp[outl], 1, 2), ie[outl]),
                              _matvec(np.swapaxes(sys_.rec_Jl[outl], 1, 2), ie[outl])],
                             axis=1)
-        C9[outl] += (2.0 * rho2)[:, None, None] * (u9[:, :, None] * u9[:, None, :])
+        C9[outl] += ((2.0 * sys_.rec_curvature[outl])[:, None, None]
+                     * (u9[:, :, None] * u9[:, None, :]))
     scatter_blocks(out, sys_.rec_pose_slot, sys_.rec_lm_slot,
                    C9[:, :6, :6], C9[:, 6:, 6:], C9[:, :6, 6:])
 

@@ -25,6 +25,13 @@ def _project_frame(pose, intr, points):
     return pix, c
 
 
+def huber_deltas(problem):
+    """Huber threshold per factor from the factors' own kernels; inf for the
+    plain quadratic cost."""
+    return np.array([f.kernel.delta if f.kernel is not None and f.kernel.kind == "huber"
+                     else np.inf for f in problem.factors])
+
+
 def _by_frame(problem):
     return {i: np.flatnonzero(problem.frame_idx == i)
             for i in np.unique(problem.frame_idx)}
@@ -122,9 +129,9 @@ def loop_linearize(problem, state, theta):
     Jl = Jl_all[sel]
     info = problem.info_stack[sel]
     s = np.einsum("ka,kab,kb->k", e, info, e)
+    delta = huber_deltas(problem)[sel]
     with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(problem.huber_mask[sel] & (s > problem.huber_delta[sel] ** 2),
-                     problem.huber_delta[sel] / np.sqrt(s), 1.0)
+        w = np.where(s > delta ** 2, delta / np.sqrt(s), 1.0)
     W = w[:, None, None] * info
 
     pose_slot = np.array([pslot.get(problem.frame_idx[k], -1) for k in sel], dtype=int)
@@ -179,8 +186,7 @@ def loop_exact_hessian(problem, state, theta, sys_):
     pslot, _ = slot_maps(state)
 
     R_of = {i: quat_to_matrix(state.poses[i].q) for i in np.unique(sys_.rec_frame)}
-    hub_mask = problem.huber_mask[sys_.rec_factor]
-    hub_delta = problem.huber_delta[sys_.rec_factor]
+    hub_delta = huber_deltas(problem)[sys_.rec_factor]
     for k in range(len(sys_.rec_factor)):
         e = sys_.residuals[k]
         info = problem.info_stack[sys_.rec_factor[k]]
@@ -209,13 +215,12 @@ def loop_exact_hessian(problem, state, theta, sys_):
         T2[:3, 6:] = hat_psi
         T2[6:, :3] = hat_psi.T
         C9 = -(T + T2)
-        if hub_mask[k]:
-            s = float(e @ info @ e)
-            if s > hub_delta[k] ** 2:
-                rho2 = -hub_delta[k] / (2.0 * s ** 1.5)
-                u9 = np.concatenate([sys_.rec_Jp[k].T @ (info @ e),
-                                     sys_.rec_Jl[k].T @ (info @ e)])
-                C9 += 2.0 * rho2 * np.outer(u9, u9)
+        s = float(e @ info @ e)
+        if s > hub_delta[k] ** 2:
+            rho2 = -hub_delta[k] / (2.0 * s ** 1.5)
+            u9 = np.concatenate([sys_.rec_Jp[k].T @ (info @ e),
+                                 sys_.rec_Jl[k].T @ (info @ e)])
+            C9 += 2.0 * rho2 * np.outer(u9, u9)
         ps, ls = sys_.rec_pose_slot[k], sys_.rec_lm_slot[k]
         if ps >= 0:
             out.Hpp[6 * ps:6 * ps + 6, 6 * ps:6 * ps + 6] += C9[:6, :6]

@@ -121,12 +121,12 @@ def test_exact_hessian_matches_loop(case):
 
 def test_residuals_match_loop(case):
     prob, x0, theta = case
-    e, s, active = evaluate_residuals(prob, x0, theta)
+    ev = evaluate_residuals(prob, x0, theta)
     e_ref, s_ref, active_ref = loop_residuals(prob, x0, theta)
-    assert np.array_equal(active, active_ref)
-    assert not active.all()
-    assert_rel(e, e_ref)
-    assert_rel(s, s_ref)
+    assert np.array_equal(ev.active, active_ref)
+    assert not ev.active.all()
+    assert_rel(ev.e, e_ref)
+    assert_rel(ev.s, s_ref)
 
 
 def test_observe_all_matches_observe(case):

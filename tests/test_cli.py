@@ -5,7 +5,7 @@ import pytest
 
 from gradba import scene as scn
 from gradba import trajectory as trj
-from gradba.cli import main
+from gradba.cli import _kernel, main
 
 
 @pytest.fixture
@@ -163,3 +163,54 @@ class TestFailureContract:
         assert rc == 1
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+
+    @pytest.mark.parametrize("case", ["frame", "track", "u", "v", "missing",
+                                      "malformed"])
+    def test_scene_errors_are_stage_tagged(self, workdir, capsys, case):
+        tmp_path, cfg = workdir
+        sc = tmp_path / "scene.json"
+        assert main(["synth", "--config", cfg, "--out", str(sc)]) == 0
+        if case == "missing":
+            sc.unlink()
+        elif case == "malformed":
+            sc.write_text(sc.read_text()[:-10])
+        else:
+            scene = json.loads(sc.read_text())
+            del scene["observations"][0][case]
+            sc.write_text(json.dumps(scene))
+        capsys.readouterr()
+        rc = main(["init", "--scene", str(sc), "--out-state",
+                   str(tmp_path / "state.json"), "--out-traj",
+                   str(tmp_path / "init.tum")])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+
+    @pytest.mark.parametrize("case", ["missing", "malformed"])
+    def test_state_errors_are_stage_tagged(self, workdir, capsys, case):
+        tmp_path, cfg = workdir
+        sc, st = str(tmp_path / "scene.json"), tmp_path / "state.json"
+        assert main(["synth", "--config", cfg, "--out", sc]) == 0
+        assert main(["init", "--scene", sc, "--config", cfg, "--out-state",
+                     str(st), "--out-traj", str(tmp_path / "init.tum")]) == 0
+        if case == "missing":
+            st.unlink()
+        else:
+            st.write_text(st.read_text()[:-10])
+        capsys.readouterr()
+        rc = main(["solve", "--scene", sc, "--state", str(st),
+                   "--out-traj", str(tmp_path / "est.tum")])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({}, ("huber", 2.0)),
+    ({"kernel": {}}, ("huber", 2.0)),
+    ({"kernel": {"delta": 3.0}}, ("huber", 3.0)),
+    ({"kernel": {"kind": "none"}}, None),
+])
+def test_kernel_section_without_kind_means_huber(config, expected):
+    kernel = _kernel(config)
+    assert (kernel and (kernel.kind, kernel.delta)) == expected

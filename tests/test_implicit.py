@@ -183,6 +183,20 @@ class TestWeightedCovariances:
         gfd = fd_gradient(prob2, xs, theta, TIGHT, loss, h=1e-5)
         assert max_rel_error(rep.dldtheta, gfd) < 1e-4
 
+    def test_fd_agreement_with_huber_outliers_at_the_optimum(self):
+        # factors left on the Huber outlier branch at the optimum bring the
+        # rho'' terms into both the Hessian and the mixed term
+        from gradba.problem import RobustKernel
+        prob, x0, gt_poses, *_ = build_ba_problem(
+            18, sigma=0.5, kernel=RobustKernel("huber", 2.0), outlier_ratio=0.1)
+        loss = PoseErrorLoss(gt_poses)
+        theta = prob.theta0()
+        xs, rep = solve_and_grad(prob, x0, loss)
+        assert (linearize(prob, xs, theta).rec_curvature < 0).sum() >= 5
+        idx = np.sort(np.argsort(np.abs(rep.dldtheta))[-8:])
+        gfd = fd_gradient(prob, xs, theta, TIGHT, loss, h=1e-5, indices=idx)
+        assert max_rel_error(rep.dldtheta[idx], gfd) < 1e-4
+
     def test_energy_scales_with_information(self):
         from gradba.problem import ReprojectionFactor, total_energy
         prob, x0, *_ = build_ba_problem(15, sigma=0.8)

@@ -294,6 +294,18 @@ class TestPnp:
         with pytest.raises(TooFewPoints):
             pnp_pose(np.zeros((2, 3)), np.zeros((2, 2)), np.eye(3), Pose())
 
+    def test_landmark_behind_refined_pose_falls_back(self, rng):
+        K, pose, pts, pix = self._scene(rng)
+        prev = [Pose(t=[0.1, -0.2, 0.1]), Pose(t=[0.2, -0.2, 0.1])]
+        fallback = constant_velocity_extrapolation(prev)
+        # control: without the landmark behind it, the refinement is kept
+        est = pnp_pose(pts, pix, K, pose, prev)
+        assert np.linalg.norm(est.t - pose.t) < 1e-10
+        behind = np.vstack([pts, pose.t + [0.0, 0.0, -3.0]])
+        est = pnp_pose(behind, np.vstack([pix, [320.0, 240.0]]), K, pose, prev)
+        np.testing.assert_array_equal(est.t, fallback.t)
+        np.testing.assert_array_equal(est.q, fallback.q)
+
 
 class TestRunInitialization:
     def test_short_window_rejected(self):

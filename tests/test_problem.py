@@ -4,8 +4,7 @@ import pytest
 from gradba.geometry import CameraIntrinsics, Pose, project
 from gradba.problem import (DescriptorFieldModel, Problem, ReprojectionFactor,
                             RobustKernel, ScalePrior, StateVector, StaticModel,
-                            TrackBiasModel, residual, robust_rho, robust_weight,
-                            total_energy)
+                            TrackBiasModel, residual, robust_terms, total_energy)
 from gradba.solver import linearize
 
 from conftest import build_ba_problem
@@ -61,24 +60,47 @@ class TestResidual:
 
 class TestRobustKernel:
     def test_inlier_branch(self):
-        assert robust_weight(RobustKernel("huber", 1.0), 0.25) == 1.0
+        assert robust_terms(0.25, 1.0) == (0.25, 1.0, 0.0)
 
     def test_outlier_branch(self):
-        assert robust_weight(RobustKernel("huber", 1.0), 4.0) == pytest.approx(0.5)
+        assert robust_terms(4.0, 1.0)[1] == pytest.approx(0.5)
 
     def test_none_kernel(self):
-        assert robust_weight(RobustKernel("none"), 123.0) == 1.0
-        assert robust_weight(None, 123.0) == 1.0
+        # kind "none" and no kernel at all both give the quadratic cost
+        for kernel in (RobustKernel("none"), None):
+            prob, _ = two_view_problem({(0, 0): [0.0, 0.0], (1, 0): [0.0, 0.0]},
+                                       kernel=kernel)
+            rho, weight, curvature = robust_terms(np.full(2, 123.0),
+                                                  prob.huber_delta)
+            assert rho.tolist() == [123.0, 123.0]
+            assert weight.tolist() == [1.0, 1.0]
+            assert curvature.tolist() == [0.0, 0.0]
+
+    def test_nan_takes_quadratic_branch(self):
+        rho, weight, curvature = robust_terms(np.array([np.nan]), np.array([1.0]))
+        assert np.isnan(rho[0]) and weight[0] == 1.0 and curvature[0] == 0.0
 
     def test_weight_continuous_at_threshold(self):
-        k = RobustKernel("huber", 1.5)
-        lo = robust_weight(k, 1.5 ** 2 - 1e-9)
-        hi = robust_weight(k, 1.5 ** 2 + 1e-9)
+        lo = robust_terms(1.5 ** 2 - 1e-9, 1.5)[1]
+        hi = robust_terms(1.5 ** 2 + 1e-9, 1.5)[1]
         assert abs(lo - hi) < 1e-6
 
     def test_rho_continuous_at_threshold(self):
-        k = RobustKernel("huber", 2.0)
-        assert abs(robust_rho(k, 4.0 - 1e-9) - robust_rho(k, 4.0 + 1e-9)) < 1e-6
+        assert abs(robust_terms(4.0 - 1e-9, 2.0)[0]
+                   - robust_terms(4.0 + 1e-9, 2.0)[0]) < 1e-6
+
+    def test_derivatives_match_central_differences(self):
+        # both branches and the quadratic cost, away from s = delta^2
+        s = np.array([0.3, 2.0, 5.0, 40.0, 900.0, 7.0])
+        delta = np.array([1.0, 2.0, 2.0, 2.0, 3.0, np.inf])
+        h = 1e-5 * s
+        rho_p, w_p, _ = robust_terms(s + h, delta)
+        rho_m, w_m, _ = robust_terms(s - h, delta)
+        _, weight, curvature = robust_terms(s, delta)
+        np.testing.assert_allclose(weight, (rho_p - rho_m) / (2 * h), rtol=1e-7)
+        np.testing.assert_allclose(curvature, (w_p - w_m) / (2 * h), rtol=1e-6,
+                                   atol=1e-12)
+        assert (curvature < 0).tolist() == [False, False, True, True, True, False]
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):

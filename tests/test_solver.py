@@ -19,7 +19,7 @@ from conftest import build_ba_problem
 def dense_reference(problem, state, theta=None):
     """Naive dense J^T W J / J^T W e assembly straight from the factor list."""
     theta = problem.theta0() if theta is None else theta
-    from gradba.problem import residual, robust_weight
+    from gradba.problem import residual
     lay_free_p = [i for i in range(state.n_poses) if not state.fixed_poses[i]]
     lay_free_l = [j for j in range(state.n_landmarks) if not state.fixed_landmarks[j]]
     pslot = {i: k for k, i in enumerate(lay_free_p)}
@@ -32,7 +32,10 @@ def dense_reference(problem, state, theta=None):
         Jp, Jx = projection_jacobians(state.poses[f.frame],
                                       problem.intrinsics[f.frame],
                                       state.landmarks[f.landmark])
-        w = robust_weight(f.kernel, float(e @ f.info @ e))
+        # Huber IRLS weight, written out independently of gradba.problem
+        root = np.sqrt(float(e @ f.info @ e))
+        huber = f.kernel is not None and f.kernel.kind == "huber"
+        w = f.kernel.delta / root if huber and root > f.kernel.delta else 1.0
         W = w * f.info
         J = np.zeros((2, dim))
         if f.frame in pslot:
