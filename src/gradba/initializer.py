@@ -20,10 +20,10 @@ from . import fivepoint
 from .errors import (DegenerateGeometry, Diverged, InitializationFailed,
                      LowParallax, NegativeDepth, NoValidTerminal,
                      TooFewCorrespondences, TooFewPoints)
-from .geometry import (CameraIntrinsics, Pose, project, quat_from_matrix,
-                       quat_to_rotvec, quat_mul, quat_conj, so3_hat)
-from .problem import (Problem, ReprojectionFactor, StateVector, StaticModel,
-                      evaluate_residuals)
+from .geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project,
+                       quat_from_matrix, quat_to_rotvec, quat_mul, quat_conj,
+                       so3_hat)
+from .problem import Problem, ReprojectionFactor, StateVector, StaticModel
 from .solver import SolverSettings, optimize
 
 RAY_PARALLEL_EPS = 1e-6  # rad
@@ -354,12 +354,9 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
         solved = None
     pose = solved.poses[0] if solved is not None else None
 
-    if pose is not None:
-        # unit covariance: sqrt(s) is the pixel error; a landmark behind the
-        # camera counts as infinitely far off
-        ev = evaluate_residuals(prob, solved, prob.theta0())
-        if np.mean(np.where(ev.active, np.sqrt(ev.s), np.inf)) > eps_max:
-            pose = None
+    if pose is not None and np.mean(
+            reprojection_errors(pose, landmarks, pixels, intr)) > eps_max:
+        pose = None
     if pose is not None and fallback is not None:
         rot, trans = _pose_jump(pose, pose_init)
         steps = [np.linalg.norm(b.t - a.t) for a, b in zip(prev_poses, prev_poses[1:])]
@@ -371,6 +368,16 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
             return fallback
         raise TooFewPoints("refinement failed and no motion history available")
     return pose
+
+
+def reprojection_errors(pose, points, pixels, intr):
+    """Pixel error of each point seen from one pose, in one batch. A point
+    behind the camera (depth <= DEPTH_EPS) counts as infinitely far off."""
+    c = (points - pose.t) @ pose.rotation_matrix()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = np.array([intr.fx, intr.fy]) * c[:, :2] / c[:, 2:] + [intr.cx, intr.cy]
+        err = np.linalg.norm(uv - pixels, axis=1)
+    return np.where(c[:, 2] > DEPTH_EPS, err, np.inf)
 
 
 @dataclass
@@ -529,10 +536,7 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
             pose_j = pnp_pose(pts, pix, K, pose_init, prev, eps_max=np.inf)
             good = np.ones(len(usable), dtype=bool)
             if len(usable) >= 4:
-                errs = np.array([np.linalg.norm(
-                    project(pose_j, intr, pts[k]) - pix[k])
-                    for k in range(len(usable))])
-                good = errs <= reject_px
+                good = reprojection_errors(pose_j, pts, pix, intr) <= reject_px
                 if good.sum() >= 4 and not good.all():
                     pose_j = pnp_pose(pts[good], pix[good], K, pose_j, prev,
                                       eps_max=cfg.eps_max)

@@ -209,15 +209,25 @@ def read_json(path, what):
     return doc
 
 
+def _records(doc, name, keys):
+    """The list ``doc[name]``; a missing list, or an entry that is not an
+    object holding ``keys``, raises SceneFormatError."""
+    items = doc.get(name)
+    if not isinstance(items, list):
+        raise SceneFormatError(f"{name} must be a list")
+    for item in items:
+        if not isinstance(item, dict) or not set(keys) <= item.keys():
+            raise SceneFormatError(f"each of {name} needs {', '.join(keys)}: {item}")
+    return items
+
+
 def load_scene(path):
     scene = read_json(path, "scene")
     if "version" not in scene:
         raise SceneFormatError(f"{path}: missing version field")
-    ids = {f["id"] for f in scene.get("frames", [])}
-    tracks = {l["id"] for l in scene.get("landmarks", [])}
-    for o in scene.get("observations", []):
-        if not isinstance(o, dict) or not {"frame", "track", "u", "v"} <= o.keys():
-            raise SceneFormatError(f"observation needs frame, track, u and v: {o}")
+    ids = {f["id"] for f in _records(scene, "frames", ("id", "timestamp"))}
+    tracks = {l["id"] for l in _records(scene, "landmarks", ("id",))}
+    for o in _records(scene, "observations", ("frame", "track", "u", "v")):
         if o["frame"] not in ids or o["track"] not in tracks:
             raise SceneFormatError(
                 f"observation references unknown frame/track: {o}")
@@ -225,12 +235,14 @@ def load_scene(path):
 
 
 def scene_intrinsics(scene):
-    it = scene["intrinsics"]
-    intr = CameraIntrinsics(it["fx"], it["fy"], it["cx"], it["cy"])
-    K = np.array([[it["fx"], 0.0, it["cx"]],
-                  [0.0, it["fy"], it["cy"]],
-                  [0.0, 0.0, 1.0]])
-    return intr, K
+    """(CameraIntrinsics, K); missing or non-positive focal lengths raise
+    SceneFormatError."""
+    try:
+        it = scene["intrinsics"]
+        intr = CameraIntrinsics(it["fx"], it["fy"], it["cx"], it["cy"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SceneFormatError(f"scene intrinsics: {exc!r}") from exc
+    return intr, intr.matrix()
 
 
 def scene_window(scene):
@@ -290,11 +302,13 @@ def load_state(path):
     doc = read_json(path, "state")
     if doc.get("version") != 1:
         raise SceneFormatError(f"{path}: unsupported state version")
-    poses = [Pose(p["q_wxyz"], p["t"]) for p in doc["poses"]]
-    fixed_p = [p["fixed"] for p in doc["poses"]]
-    lms = np.array([l["position"] for l in doc["landmarks"]]).reshape(-1, 3)
-    fixed_l = [l["fixed"] for l in doc["landmarks"]]
-    tracks = [l["track"] for l in doc["landmarks"]]
+    pose_docs = _records(doc, "poses", ("q_wxyz", "t", "fixed"))
+    lm_docs = _records(doc, "landmarks", ("track", "position", "fixed"))
+    poses = [Pose(p["q_wxyz"], p["t"]) for p in pose_docs]
+    fixed_p = [p["fixed"] for p in pose_docs]
+    lms = np.array([l["position"] for l in lm_docs]).reshape(-1, 3)
+    fixed_l = [l["fixed"] for l in lm_docs]
+    tracks = [l["track"] for l in lm_docs]
     return StateVector(poses, lms, fixed_p, fixed_l), tracks
 
 
@@ -415,15 +429,14 @@ def descriptor_field_model(scene, observations, track_ids):
     for t in track_ids:
         grids[t] = np.array(blk["grids"][str(t)]).reshape(H, W, C)
         refs[t] = np.array(blk["refs"][str(t)])
-    model = DescriptorFieldModel(track_ids, grids, refs, origins={})
-    theta0 = model.theta0()
-    origins = {}
-    for (frame, track), pix in observations.items():
-        # place the patch so the initial prediction equals the stored pixel
-        model.origins[(frame, track)] = np.zeros(2)
-        local = model.observe(frame, track, theta0)
-        origins[(frame, track)] = pix - local
-    model.origins = origins
+    keys = list(observations)
+    model = DescriptorFieldModel(track_ids, grids, refs,
+                                 origins=dict.fromkeys(keys, np.zeros(2)))
+    # place the patches so the initial predictions equal the stored pixels;
+    # observe_all takes one soft-argmax per track
+    local = model.observe_all([f for f, _ in keys], [t for _, t in keys],
+                              model.theta0())
+    model.origins = {k: observations[k] - p for k, p in zip(keys, local)}
     return model
 
 

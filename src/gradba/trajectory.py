@@ -1,7 +1,8 @@
 """Trajectory records, TUM-format I/O, and ATE/ARE metrics.
 
-TUM lines are "timestamp tx ty tz qx qy qz qw", space separated, with '#'
-comments. Metrics align the estimate onto the reference with the closed-form
+TUM lines are "timestamp tx ty tz qx qy qz qw": eight finite numbers, space
+separated, with '#' comments, increasing timestamps and unit quaternions.
+Metrics align the estimate onto the reference with the closed-form
 least-squares (Umeyama) transform: similarity by default for monocular
 output, rigid when scale is known, or no alignment at all for raw errors.
 """
@@ -49,9 +50,15 @@ def write_tum(records, path):
 
 
 def read_tum(path):
+    """Records of a TUM file; a missing file and a line that breaks the
+    format (see the module docstring) raise SceneFormatError."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise SceneFormatError(f"trajectory {path}: {exc.strerror}") from exc
     records = []
     last = -np.inf
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -59,7 +66,12 @@ def read_tum(path):
             parts = line.split()
             if len(parts) != 8:
                 raise SceneFormatError(f"{path}:{ln}: expected 8 fields")
-            vals = [float(p) for p in parts]
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError as exc:
+                raise SceneFormatError(f"{path}:{ln}: {exc}") from exc
+            if not np.all(np.isfinite(vals)):
+                raise SceneFormatError(f"{path}:{ln}: non-finite value")
             ts = vals[0]
             if ts <= last:
                 raise SceneFormatError(

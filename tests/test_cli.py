@@ -141,16 +141,20 @@ class TestFailureContract:
         assert len(lines) == 1 and lines[0].startswith("error[solver]: ")
         assert not report.exists()
 
-    @pytest.mark.parametrize("case", ["unknown_key", "missing", "malformed"])
+    @pytest.mark.parametrize("case", ["unknown_key", "missing", "malformed",
+                                      "energy_relative_tolerance"])
     def test_config_errors_are_stage_tagged(self, tmp_path, capsys, case):
         cfg = tmp_path / "config.json"
         if case == "unknown_key":
             cfg.write_text(json.dumps({"solver": {"bogus_key": 1}}))
+        elif case == "energy_relative_tolerance":
+            # a removed solver setting is an unknown key
+            cfg.write_text(json.dumps({"solver": {case: 1e-10}}))
         elif case == "malformed":
             cfg.write_text('{"solver": {"max_iterations": 5,')
         sc = str(tmp_path / "scene.json")
         rc = main(["synth", "--config", str(cfg), "--out", sc])
-        if case == "unknown_key":
+        if case in ("unknown_key", "energy_relative_tolerance"):
             # synth does not read the solver section; solve does
             assert rc == 0
             st = str(tmp_path / "state.json")
@@ -165,7 +169,7 @@ class TestFailureContract:
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
 
     @pytest.mark.parametrize("case", ["frame", "track", "u", "v", "missing",
-                                      "malformed"])
+                                      "malformed", "frame_id", "negative_fx"])
     def test_scene_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc = tmp_path / "scene.json"
@@ -176,7 +180,12 @@ class TestFailureContract:
             sc.write_text(sc.read_text()[:-10])
         else:
             scene = json.loads(sc.read_text())
-            del scene["observations"][0][case]
+            if case == "frame_id":
+                del scene["frames"][0]["id"]
+            elif case == "negative_fx":
+                scene["intrinsics"]["fx"] = -500.0
+            else:
+                del scene["observations"][0][case]
             sc.write_text(json.dumps(scene))
         capsys.readouterr()
         rc = main(["init", "--scene", str(sc), "--out-state",
@@ -186,7 +195,7 @@ class TestFailureContract:
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
 
-    @pytest.mark.parametrize("case", ["missing", "malformed"])
+    @pytest.mark.parametrize("case", ["missing", "malformed", "q_wxyz"])
     def test_state_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc, st = str(tmp_path / "scene.json"), tmp_path / "state.json"
@@ -195,11 +204,28 @@ class TestFailureContract:
                      str(st), "--out-traj", str(tmp_path / "init.tum")]) == 0
         if case == "missing":
             st.unlink()
+        elif case == "q_wxyz":
+            doc = json.loads(st.read_text())
+            del doc["poses"][1]["q_wxyz"]
+            st.write_text(json.dumps(doc))
         else:
             st.write_text(st.read_text()[:-10])
         capsys.readouterr()
         rc = main(["solve", "--scene", sc, "--state", str(st),
                    "--out-traj", str(tmp_path / "est.tum")])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+
+    @pytest.mark.parametrize("case", ["missing", "nan"])
+    def test_trajectory_errors_are_stage_tagged(self, tmp_path, capsys, case):
+        rows = [f"{k}.0 {k} {k * k} 0 0 0 0 1" for k in range(4)]
+        gt, est = tmp_path / "gt.tum", tmp_path / "est.tum"
+        gt.write_text("\n".join(rows) + "\n")
+        if case == "nan":
+            rows[2] = "2.0 2 nan 0 0 0 0 1"
+            est.write_text("\n".join(rows) + "\n")
+        rc = main(["eval", "--est", str(est), "--gt", str(gt)])
         assert rc == 1
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")

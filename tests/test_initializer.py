@@ -11,7 +11,8 @@ from gradba.initializer import (CandidateStats, InverseDepthEstimate,
                                 constant_velocity_extrapolation, depth_gate,
                                 estimate_relative_pose, fuse_inverse_depth,
                                 mean_reprojection_error, normalize_bearings,
-                                pnp_pose, run_initialization,
+                                pnp_pose, reprojection_errors,
+                                run_initialization,
                                 select_terminal_frame, sigma_obs_from_reproj,
                                 triangulate)
 
@@ -305,6 +306,21 @@ class TestPnp:
         est = pnp_pose(behind, np.vstack([pix, [320.0, 240.0]]), K, pose, prev)
         np.testing.assert_array_equal(est.t, fallback.t)
         np.testing.assert_array_equal(est.q, fallback.q)
+
+
+    def test_rejection_errors_count_a_landmark_behind_as_infinite(self, rng):
+        # the lenient fit keeps its refined pose with a landmark behind it;
+        # the rejection pass's errors must reject that observation, not raise
+        K, pose, pts, pix = self._scene(rng)
+        intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
+        behind = np.vstack([pts, pose.t + [0.0, 0.0, -3.0]])
+        pixels = np.vstack([pix, [320.0, 240.0]])
+        est = pnp_pose(behind, pixels, K, pose, eps_max=np.inf)
+        assert np.linalg.norm(est.t - pose.t) < 1e-10
+        errs = reprojection_errors(est, behind, pixels, intr)
+        assert errs[-1] == np.inf
+        ref = [np.linalg.norm(project(est, intr, p) - u) for p, u in zip(pts, pix)]
+        np.testing.assert_allclose(errs[:-1], ref, rtol=0, atol=1e-12)
 
 
 class TestRunInitialization:

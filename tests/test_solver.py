@@ -216,6 +216,18 @@ class TestOptimize:
             xs, rep = optimize(prob, x0, settings=settings)
             assert rep.final_gradient_norm <= settings.gradient_tolerance
 
+    def test_noisy_tight_solve_ends_stationary(self):
+        # no noisy solve reaches a 1e-11 gradient: it ends when the energy is
+        # flat to rounding and a step no longer lowers the gradient
+        tight = SolverSettings(gradient_tolerance=1e-11, max_iterations=300)
+        prob, x0, *_ = build_ba_problem(18, sigma=0.5, outlier_ratio=0.1,
+                                        kernel=RobustKernel("huber", 2.0))
+        _, rep = optimize(prob, x0, settings=tight)
+        assert rep.termination == "converged_stationary"
+        assert rep.final_gradient_norm <= 1e-9
+        assert rep.iterations < tight.max_iterations
+        assert np.all(np.diff(rep.energies) <= 0.0)
+
     def test_gauge_invariance(self):
         prob, x0, gt_poses, gt_lms, _ = build_ba_problem(10, sigma=0.8)
         _, rep_a = optimize(prob, x0)

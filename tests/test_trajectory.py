@@ -63,6 +63,17 @@ class TestTumIO:
         with pytest.raises(SceneFormatError):
             read_tum(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "x1"])
+    def test_fields_must_be_finite_numbers(self, tmp_path, value):
+        path = tmp_path / "t.tum"
+        path.write_text(f"0.0 1 2 3 0 0 0 1\n1.0 4 {value} 6 0 0 0 1\n")
+        with pytest.raises(SceneFormatError):
+            read_tum(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(SceneFormatError):
+            read_tum(tmp_path / "absent.tum")
+
 
 class TestAte:
     def test_identical_is_zero(self, rng):
