@@ -111,3 +111,9 @@ class SceneFormatError(GradbaError):
     """Malformed scene / state / config file."""
 
     stage = "harness"
+
+
+class NonUniqueAlignment(GradbaError):
+    """A gauge-aligned loss whose similarity alignment is not unique."""
+
+    stage = "implicit"

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import align, apply_alignment
-from .errors import NotAtOptimum
-from .geometry import quat_conj, quat_from_matrix, quat_mul, quat_to_rotvec
+from .errors import NonUniqueAlignment, NotAtOptimum
+from .geometry import (quat_conj, quat_from_matrix, quat_mul, quat_to_rotvec,
+                       so3_hat)
 from .solver import (apply_step, exact_hessian_system, linearize,
                      optimize, schur_solve, schur_solve_rhs)
 
@@ -103,7 +104,7 @@ def implicit_gradient(request):
     y = schur_solve_rhs(hsys, 0.0, dldx)
     solve_residual = float(np.abs(hsys.matvec(y) - dldx).max()) if dldx.size else 0.0
 
-    # dL/dtheta = -y^T J^T W (d obs/d theta), accumulated factor by factor
+    # dL/dtheta = -y^T J^T W (d obs/d theta), one vector-jacobian product
     np_ = sys_.layout.n_pose_params
     jy = np.zeros((len(sys_.rec_factor), 2))
     has_p = sys_.rec_pose_slot >= 0
@@ -120,11 +121,8 @@ def implicit_gradient(request):
         ie = np.einsum("kab,kb->ka", problem.info_stack[sys_.rec_factor], sys_.residuals)
         a = np.einsum("ka,ka->k", jy, ie)
         v = v + 2.0 * (sys_.rec_curvature * a)[:, None] * ie
-    dldtheta = np.zeros(problem.obs_model.theta_dim)
-    for k, f in enumerate(sys_.rec_factor):
-        K = problem.obs_model.observe_jacobian(
-            int(sys_.rec_frame[k]), problem.track_idx[f], theta)
-        dldtheta -= v[k] @ K
+    tracks = [problem.track_idx[f] for f in sys_.rec_factor]
+    dldtheta = -problem.obs_model.observe_vjp(sys_.rec_frame, tracks, theta, v)
 
     cond = 0.0
     if len(sys_.layout.free_lm_ids):
@@ -139,7 +137,8 @@ def implicit_gradient(request):
 # ---------------------------------------------------------------------------
 
 def fd_tangent_gradient(value_fn, state, layout, h=1e-6):
-    """Central-difference gradient of a state loss in tangent coordinates."""
+    """Central-difference gradient of a state loss in tangent coordinates;
+    test oracle only."""
     g = np.zeros(layout.dim)
     for k in range(layout.dim):
         d = np.zeros(layout.dim)
@@ -174,30 +173,96 @@ class LandmarkTargetLoss:
 class PoseErrorLoss:
     """Gauge-aligned squared pose error against reference poses.
 
-    Camera centers are similarity-aligned to the reference (Umeyama), then the
-    loss sums squared aligned-position error and squared geodesic rotation
-    angle. The tangent gradient is taken by central differences; the alignment
-    is a smooth closed form, so this is accurate to O(h^2).
+    Camera centres c_i are similarity-aligned to the reference centres r_i
+    (Umeyama), then the loss sums the squared aligned-position errors and the
+    squared geodesic rotation angles |w_i|^2, w_i = log(q_A q_i q_ref,i^*),
+    where q_A is the alignment rotation R_A.
+
+    The tangent gradient is analytic. The position term is at its minimum
+    over the alignment (s, R_A, t), so by the envelope theorem its gradient
+    is 2 s R_A^T (s R_A c_i + t - r_i). The rotation term depends on the
+    centres only through R_A; the implicit function theorem on the
+    stationarity of the position term in (s, phi, t), phi a left rotation
+    increment of R_A, gives that part from one 7x7 solve. Both reach the
+    left-retraction tangent [omega, v] of a world-from-camera pose as
+    g_v = G_i and g_omega = c_i x G_i + 2 R_A^T w_i; landmark entries are
+    zero. The alignment must be unique (see ``check_unique_alignment``).
     """
 
     def __init__(self, ref_poses):
         self.ref_poses = [p.copy() for p in ref_poses]
 
-    def value(self, state):
+    def _alignment(self, state):
+        """(estimated centres, reference centres, s, R_A, t, rotation errors
+        w_i as an (N, 3) array)."""
         est = np.array([p.t for p in state.poses])
         ref = np.array([p.t for p in self.ref_poses])
+        check_unique_alignment(est, ref)
         s, R, t = align(est, ref)
+        q_align = quat_from_matrix(R)
+        w = np.array([quat_to_rotvec(quat_mul(quat_mul(q_align, p.q), quat_conj(pref.q)))
+                      for p, pref in zip(state.poses, self.ref_poses)])
+        return est, ref, s, R, t, w
+
+    def value(self, state):
+        est, ref, s, R, t, w = self._alignment(state)
         pos = apply_alignment(est, s, R, t)
         total = float(((pos - ref) ** 2).sum())
-        q_align = quat_from_matrix(R)
-        for p, pref in zip(state.poses, self.ref_poses):
-            q_al = quat_mul(q_align, p.q)
-            w = quat_to_rotvec(quat_mul(q_al, quat_conj(pref.q)))
-            total += float(w @ w)
+        for wi in w:
+            total += float(wi @ wi)
         return total
 
     def grad_tangent(self, state, layout):
-        return fd_tangent_gradient(self.value, state, layout)
+        est, ref, s, R, t, w = self._alignment(state)
+        a = est @ R.T                  # R_A c_i
+        e = s * a + t - ref            # aligned - reference
+        # Hessian of sum |s exp(phi) R_A c_i + t - r_i|^2 over (s, phi, t)
+        H = np.zeros((7, 7))
+        H[0, 0] = 2.0 * (a * a).sum()
+        H[0, 1:4] = H[1:4, 0] = 2.0 * np.cross(a, e).sum(axis=0)
+        H[0, 4:] = H[4:, 0] = 2.0 * a.sum(axis=0)
+        ea = np.einsum("ka,kb->ab", e, a)
+        aa = np.einsum("ka,kb->ab", a, a)
+        H[1:4, 1:4] = (s * (ea + ea.T - 2.0 * np.trace(ea) * np.eye(3))
+                       + 2.0 * s * s * (np.trace(aa) * np.eye(3) - aa))
+        H[1:4, 4:] = 2.0 * s * so3_hat(a.sum(axis=0))
+        H[4:, 1:4] = H[1:4, 4:].T
+        H[4:, 4:] = 2.0 * len(est) * np.eye(3)
+        # the rotation term moves with phi as 2 sum w_i
+        lam = np.linalg.solve(H, np.concatenate([[0.0], 2.0 * w.sum(axis=0), np.zeros(3)]))
+        ls, lp, lt = lam[0], lam[1:4], lam[4:]
+        # dL/dc_i: envelope term minus d/dc_i of lam . grad_(s, phi, t)
+        G = 2.0 * (s * e - ls * (s * a + e) - s * np.cross(e, lp)
+                   - s * s * np.cross(lp, a) - s * lt) @ R
+        ids = layout.free_pose_ids
+        g = np.zeros(layout.dim)
+        gp = g[:layout.n_pose_params].reshape(-1, 6)
+        gp[:, :3] = np.cross(est[ids], G[ids]) + 2.0 * w[ids] @ R
+        gp[:, 3:] = G[ids]
+        return g
+
+
+# singular values of the centres' cross-covariance below this fraction of the
+# largest count as zero: the 7x7 solve of PoseErrorLoss.grad_tangent amplifies
+# rounding by about their ratio, which leaves 1e-7 relative at the threshold
+ALIGNMENT_RANK_RTOL = 1e-9
+
+
+def check_unique_alignment(est, ref):
+    """Raise NonUniqueAlignment unless the centred estimated and reference
+    centres have a cross-covariance of rank >= 2.
+
+    Below rank 2 (fewer than three distinct centres, or collinear ones) the
+    similarity rotation about the line is free, so an aligned loss has no
+    gradient with respect to it.
+    """
+    cov = (ref - ref.mean(axis=0)).T @ (est - est.mean(axis=0))
+    sv = np.linalg.svd(cov, compute_uv=False)
+    if not sv[1] > ALIGNMENT_RANK_RTOL * sv[0]:
+        raise NonUniqueAlignment(
+            f"similarity alignment of {len(est)} camera centres is not unique "
+            f"(cross-covariance singular values {sv[0]:.3e}, {sv[1]:.3e}, "
+            f"{sv[2]:.3e}): collinear or coincident centres")
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,12 @@ class ObservationModel:
         """2 x theta_dim derivative of observe w.r.t. theta."""
         raise NotImplementedError
 
+    def observe_vjp(self, frames, tracks, theta, v):
+        """sum_k v[k] @ observe_jacobian(frames[k], tracks[k], theta) for
+        parallel (frame, track) arrays and (n, 2) cotangents ``v``, without
+        forming a jacobian row."""
+        raise NotImplementedError
+
     def observe_all(self, frames, tracks, theta):
         """Stacked predictions for parallel (frame, track) arrays."""
         return np.array([self.observe(f, t, theta) for f, t in zip(frames, tracks)])
@@ -216,6 +222,9 @@ class StaticModel(ObservationModel):
     def observe_jacobian(self, frame, track, theta=None):
         return np.zeros((2, 0))
 
+    def observe_vjp(self, frames, tracks, theta, v):
+        return np.zeros(0)
+
 
 class TrackBiasModel(StaticModel):
     """Stored pixels plus one learned 2-vector bias per track."""
@@ -248,6 +257,13 @@ class TrackBiasModel(StaticModel):
         J[0, 2 * s] = 1.0
         J[1, 2 * s + 1] = 1.0
         return J
+
+    def observe_vjp(self, frames, tracks, theta, v):
+        slots = np.fromiter(map(self.track_slot.__getitem__, tracks), dtype=int,
+                            count=len(tracks))
+        out = np.zeros((len(self.track_ids), 2))
+        np.add.at(out, slots, np.reshape(v, (-1, 2)))
+        return out.ravel()
 
 
 class DescriptorFieldModel(ObservationModel):
@@ -306,7 +322,9 @@ class DescriptorFieldModel(ObservationModel):
             out[k] = self.origins[(f, t)] + cache[t]
         return out
 
-    def observe_jacobian(self, frame, track, theta):
+    def _softargmax_jacobian(self, track, theta):
+        """d u / dG and d v / dG of a track's soft-argmax, flattened like
+        its grid block of theta."""
         grid, sim, s, u, v = self._softargmax(track, theta)
         H, W, _ = grid.shape
         diff = grid - self.refs[track]
@@ -317,11 +335,27 @@ class DescriptorFieldModel(ObservationModel):
         ys = np.arange(H)[:, None, None]
         du = ((xs - u) / s) * dsim_dgrid               # d u / dG
         dv = ((ys - v) / s) * dsim_dgrid
+        return du.ravel(), dv.ravel()
+
+    def observe_jacobian(self, frame, track, theta):
         J = np.zeros((2, self.theta_dim))
         a, b = self._offsets[track]
-        J[0, a:b] = du.ravel()
-        J[1, a:b] = dv.ravel()
+        J[0, a:b], J[1, a:b] = self._softargmax_jacobian(track, theta)
         return J
+
+    def observe_vjp(self, frames, tracks, theta, v):
+        """A prediction depends on theta only through its track's grid, so
+        ``v`` is summed per track and contracted once with that track's
+        soft-argmax jacobian."""
+        uniq, inverse = np.unique(np.asarray(tracks, dtype=np.int64), return_inverse=True)
+        vsum = np.zeros((len(uniq), 2))
+        np.add.at(vsum, inverse, np.reshape(v, (-1, 2)))
+        out = np.zeros(self.theta_dim)
+        for track, (vu, vv) in zip(uniq.tolist(), vsum):
+            du, dv = self._softargmax_jacobian(track, theta)
+            a, b = self._offsets[track]
+            out[a:b] = vu * du + vv * dv
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +540,8 @@ def temporal_theta_gradient(problem, theta):
         return np.zeros(problem.obs_model.theta_dim)
     transitions = att.build(problem.obs_model, theta)
     res = temporal.temporal_energy(att.terms, transitions)
-    g = np.zeros(problem.obs_model.theta_dim)
-    for obs_list, gep in zip(att.transitions, res.grad_endpoints):
-        for k, ob in enumerate(obs_list):
-            J = problem.obs_model.observe_jacobian(ob.frame, ob.track, theta)
-            g += gep[k] @ J
+    observed = [ob for obs_list in att.transitions for ob in obs_list]
+    g = problem.obs_model.observe_vjp([ob.frame for ob in observed],
+                                      [ob.track for ob in observed], theta,
+                                      np.concatenate(res.grad_endpoints))
     return att.terms.lambda_t * g

@@ -14,6 +14,7 @@ platforms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,7 +222,28 @@ def _records(doc, name, keys):
     return items
 
 
+_JSON_NUMBERS = (int, float)  # the types json gives numbers; bool is not one
+
+
+def _is_finite_number(x):
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _finite_vector(item, key, n, where):
+    """``item[key]`` when it is a list of n finite numbers; anything else
+    raises SceneFormatError."""
+    value = item[key]
+    if not (isinstance(value, list) and len(value) == n
+            and all(map(_is_finite_number, value))):
+        raise SceneFormatError(f"{where}: {key} must be {n} finite numbers, "
+                               f"got {value!r}")
+    return value
+
+
 def load_scene(path):
+    """The scene in a file. Observation pixels must be numbers; a NaN pixel
+    is left for the solver to reject."""
     scene = read_json(path, "scene")
     if "version" not in scene:
         raise SceneFormatError(f"{path}: missing version field")
@@ -231,15 +253,20 @@ def load_scene(path):
         if o["frame"] not in ids or o["track"] not in tracks:
             raise SceneFormatError(
                 f"observation references unknown frame/track: {o}")
+        if type(o["u"]) not in _JSON_NUMBERS or type(o["v"]) not in _JSON_NUMBERS:
+            raise SceneFormatError(f"observation pixel must be numbers: {o}")
     return scene
 
 
 def scene_intrinsics(scene):
-    """(CameraIntrinsics, K); missing or non-positive focal lengths raise
-    SceneFormatError."""
+    """(CameraIntrinsics, K); missing or non-finite values and non-positive
+    focal lengths raise SceneFormatError."""
     try:
         it = scene["intrinsics"]
-        intr = CameraIntrinsics(it["fx"], it["fy"], it["cx"], it["cy"])
+        values = [it[k] for k in ("fx", "fy", "cx", "cy")]
+        if not all(map(_is_finite_number, values)):
+            raise ValueError(f"fx, fy, cx, cy must be finite numbers, got {values!r}")
+        intr = CameraIntrinsics(*values)
     except (KeyError, TypeError, ValueError) as exc:
         raise SceneFormatError(f"scene intrinsics: {exc!r}") from exc
     return intr, intr.matrix()
@@ -304,6 +331,12 @@ def load_state(path):
         raise SceneFormatError(f"{path}: unsupported state version")
     pose_docs = _records(doc, "poses", ("q_wxyz", "t", "fixed"))
     lm_docs = _records(doc, "landmarks", ("track", "position", "fixed"))
+    for p in pose_docs:
+        if not any(_finite_vector(p, "q_wxyz", 4, f"{path}: pose")):
+            raise SceneFormatError(f"{path}: pose q_wxyz must not be zero")
+        _finite_vector(p, "t", 3, f"{path}: pose")
+    for l in lm_docs:
+        _finite_vector(l, "position", 3, f"{path}: landmark")
     poses = [Pose(p["q_wxyz"], p["t"]) for p in pose_docs]
     fixed_p = [p["fixed"] for p in pose_docs]
     lms = np.array([l["position"] for l in lm_docs]).reshape(-1, 3)

@@ -1,9 +1,10 @@
 """Per-factor loop versions of the batched factor kernel, kept as references.
 
-These are the frame-by-frame projection and the factor-by-factor block
-assembly and exact-Hessian correction that ``gradba.solver`` and
-``gradba.problem`` used before they became array code. ``test_batched_kernel``
-compares the library against them.
+These are the frame-by-frame projection, the factor-by-factor block
+assembly and exact-Hessian correction, and the jacobian-row contractions of
+the theta gradients that ``gradba.solver``, ``gradba.problem`` and
+``gradba.implicit`` used before they became array code.
+``test_batched_kernel`` compares the library against them.
 """
 
 import copy
@@ -250,3 +251,26 @@ def loop_exact_hessian(problem, state, theta, sys_):
             if sa is not None and sb is not None:
                 out.Hpp[6 * sa:6 * sa + 6, 6 * sb:6 * sb + 6] += sp.weight * r * blk
     return out
+
+
+def loop_observe_vjp(model, frames, tracks, theta, v):
+    """sum_k v[k] @ observe_jacobian(frames[k], tracks[k]), one dense
+    jacobian row per observation."""
+    g = np.zeros(model.theta_dim)
+    for f, t, vk in zip(frames, tracks, v):
+        g += vk @ model.observe_jacobian(int(f), t, theta)
+    return g
+
+
+def loop_temporal_theta_gradient(problem, theta):
+    """d(lambda_t * sum phi)/d theta, one jacobian row per temporal track."""
+    from gradba import temporal
+    att = problem.temporal_terms
+    transitions = att.build(problem.obs_model, theta)
+    res = temporal.temporal_energy(att.terms, transitions)
+    g = np.zeros(problem.obs_model.theta_dim)
+    for obs_list, gep in zip(att.transitions, res.grad_endpoints):
+        for k, ob in enumerate(obs_list):
+            J = problem.obs_model.observe_jacobian(ob.frame, ob.track, theta)
+            g += gep[k] @ J
+    return att.terms.lambda_t * g

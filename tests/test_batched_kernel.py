@@ -1,4 +1,5 @@
-"""The batched factor kernel against its per-factor loop references.
+"""The batched factor kernel and theta gradients against their per-factor
+loop references.
 
 Where the arithmetic is unchanged (the block scatter, the observation
 lookups) the results must be equal bit for bit. Elsewhere the tolerance is
@@ -6,18 +7,25 @@ RTOL, relative to the largest reference entry; it was fixed before the
 batched code was written and must not be loosened.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from gradba import scene as scn
 from gradba.geometry import quat_to_matrix
+from gradba.implicit import (ImplicitGradRequest, PoseErrorLoss,
+                             implicit_gradient)
 from gradba.problem import (Problem, RobustKernel, StateVector, StaticModel,
-                            evaluate_residuals)
-from gradba.solver import (LinearizedSystem, exact_hessian_system, linearize,
+                            evaluate_residuals, temporal_theta_gradient)
+from gradba.solver import (LinearizedSystem, SolverSettings,
+                           exact_hessian_system, linearize, optimize,
                            scatter_blocks)
 
 from conftest import build_ba_problem
 from loop_reference import (loop_assemble, loop_exact_hessian, loop_linearize,
-                            loop_residuals)
+                            loop_observe_vjp, loop_residuals,
+                            loop_temporal_theta_gradient)
 
 RTOL = 1e-12
 FIXED_LM = 3
@@ -147,3 +155,43 @@ def test_observe_all_rejects_unknown_pairs(case):
     for frames, tracks in (([0], [last + 1]), ([99], [0]), ([1, 0], [0, -5])):
         with pytest.raises(KeyError):
             model.observe_all(np.array(frames), tracks)
+
+
+def window_problem(seed, model):
+    """A noisy orbit window with descriptor fields and temporal terms, solved
+    tight, as one online training step sees it."""
+    sc = scn.generate_scene(scn.SyntheticSceneConfig(
+        n_cameras=6, n_landmarks=30, trajectory="orbit", pixel_sigma=0.5,
+        seed=seed))
+    scn.attach_descriptor_field(sc, seed=seed + 2)
+    scn.attach_temporal(sc, seed=seed + 3)
+    prob = scn.build_problem(sc, model=model)
+    theta = prob.theta0()
+    xs, _ = optimize(prob, prob.state, theta,
+                     SolverSettings(gradient_tolerance=1e-11, max_iterations=300))
+    return prob, xs, theta, PoseErrorLoss(scn.gt_poses(sc))
+
+
+@pytest.mark.parametrize("model", ["trackbias", "descfield"])
+def test_theta_gradients_match_loop(model, monkeypatch):
+    prob, xs, theta, loss = window_problem(4, model)
+    sys_ = linearize(prob, xs, theta)
+    request = ImplicitGradRequest(prob, xs, theta,
+                                  loss.grad_tangent(xs, sys_.layout), 1e-7)
+    dldtheta = implicit_gradient(request).dldtheta
+    g_temporal = temporal_theta_gradient(prob, theta)
+    assert_rel(g_temporal, loop_temporal_theta_gradient(prob, theta))
+    monkeypatch.setattr(prob.obs_model, "observe_vjp",
+                        functools.partial(loop_observe_vjp, prob.obs_model))
+    assert_rel(dldtheta, implicit_gradient(request).dldtheta)
+    assert np.abs(dldtheta).max() > 0 and np.abs(g_temporal).max() > 0
+
+
+def test_observe_vjp_matches_loop(case):
+    prob, _, theta = case
+    frames, tracks = prob.frame_idx, prob.track_idx
+    v = np.random.default_rng(0).normal(size=(len(frames), 2))
+    static = StaticModel(prob.obs_model.observations)
+    for model, th in ((prob.obs_model, theta), (static, None)):
+        assert_rel(model.observe_vjp(frames, tracks, th, v),
+                   loop_observe_vjp(model, frames, tracks, th, v))

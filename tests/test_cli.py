@@ -141,6 +141,23 @@ class TestFailureContract:
         assert len(lines) == 1 and lines[0].startswith("error[solver]: ")
         assert not report.exists()
 
+    def test_non_unique_alignment_is_stage_tagged(self, tmp_path, capsys):
+        # collinear camera centres leave the alignment rotation about the
+        # line free, so the pose loss has no gradient
+        cfg = tmp_path / "line.json"
+        cfg.write_text(json.dumps({"scene": {
+            "n_cameras": 6, "n_landmarks": 40, "trajectory": "line", "seed": 3}}))
+        sc = str(tmp_path / "line_scene.json")
+        assert main(["synth", "--config", str(cfg), "--out", sc]) == 0
+        capsys.readouterr()
+        report = tmp_path / "grad.json"
+        rc = main(["gradcheck", "--scene", sc, "--model", "trackbias",
+                   "--fd-subset", "8", "--report", str(report)])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[implicit]: ")
+        assert not report.exists()
+
     @pytest.mark.parametrize("case", ["unknown_key", "missing", "malformed",
                                       "energy_relative_tolerance"])
     def test_config_errors_are_stage_tagged(self, tmp_path, capsys, case):
@@ -169,7 +186,8 @@ class TestFailureContract:
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
 
     @pytest.mark.parametrize("case", ["frame", "track", "u", "v", "missing",
-                                      "malformed", "frame_id", "negative_fx"])
+                                      "malformed", "frame_id", "negative_fx",
+                                      "u_not_a_number", "nan_cx"])
     def test_scene_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc = tmp_path / "scene.json"
@@ -184,6 +202,10 @@ class TestFailureContract:
                 del scene["frames"][0]["id"]
             elif case == "negative_fx":
                 scene["intrinsics"]["fx"] = -500.0
+            elif case == "u_not_a_number":
+                scene["observations"][0]["u"] = "abc"
+            elif case == "nan_cx":
+                scene["intrinsics"]["cx"] = float("nan")
             else:
                 del scene["observations"][0][case]
             sc.write_text(json.dumps(scene))
@@ -195,7 +217,8 @@ class TestFailureContract:
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
 
-    @pytest.mark.parametrize("case", ["missing", "malformed", "q_wxyz"])
+    @pytest.mark.parametrize("case", ["missing", "malformed", "q_wxyz",
+                                      "q_wxyz_not_numbers", "short_position"])
     def test_state_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc, st = str(tmp_path / "scene.json"), tmp_path / "state.json"
@@ -204,9 +227,14 @@ class TestFailureContract:
                      str(st), "--out-traj", str(tmp_path / "init.tum")]) == 0
         if case == "missing":
             st.unlink()
-        elif case == "q_wxyz":
+        elif case in ("q_wxyz", "q_wxyz_not_numbers", "short_position"):
             doc = json.loads(st.read_text())
-            del doc["poses"][1]["q_wxyz"]
+            if case == "q_wxyz":
+                del doc["poses"][1]["q_wxyz"]
+            elif case == "q_wxyz_not_numbers":
+                doc["poses"][1]["q_wxyz"] = "abc"
+            else:
+                doc["landmarks"][0]["position"] = [1, 2]
             st.write_text(json.dumps(doc))
         else:
             st.write_text(st.read_text()[:-10])

@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gradba.errors import NotAtOptimum
+from gradba import scene as scn
+from gradba.errors import NonUniqueAlignment, NotAtOptimum
 from gradba.geometry import CameraIntrinsics, Pose, project, projection_jacobians
 from gradba.implicit import (ImplicitGradRequest, LandmarkTargetLoss,
-                             PoseErrorLoss, fd_gradient, implicit_gradient,
-                             max_rel_error, optimality_residual,
-                             unrolled_gradient_oracle)
+                             PoseErrorLoss, fd_gradient, fd_tangent_gradient,
+                             implicit_gradient, max_rel_error,
+                             optimality_residual, unrolled_gradient_oracle)
 from gradba.problem import (Problem, ReprojectionFactor, StateVector,
                             StaticModel, TrackBiasModel)
-from gradba.solver import SolverSettings, linearize, optimize
+from gradba.solver import SolverSettings, SystemLayout, linearize, optimize
 
 from conftest import build_ba_problem
 
@@ -58,6 +59,42 @@ def closed_form_problem():
     state = StateVector([pose0, pose1], lm, fixed_poses=[True, True])
     model = TrackBiasModel(obs, [7])
     return Problem(state, intr, factors, model), state
+
+
+class TestPoseErrorLoss:
+    # fixed before the analytic gradient was written
+    FD_RTOL = 1e-6
+
+    @pytest.mark.parametrize("trajectory", ["orbit", "arc"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_analytic_gradient_matches_fd(self, trajectory, seed):
+        sc = scn.generate_scene(scn.SyntheticSceneConfig(
+            n_cameras=7, n_landmarks=30, trajectory=trajectory,
+            pixel_sigma=0.5, seed=seed))
+        prob = scn.build_problem(sc, model="trackbias")
+        xs, _ = optimize(prob, prob.state, prob.theta0(), TIGHT)
+        assert xs.fixed_poses[0] and not xs.fixed_poses[1:].any()
+        loss = PoseErrorLoss(scn.gt_poses(sc))
+        layout = SystemLayout(xs)
+        g = loss.grad_tangent(xs, layout)
+        assert max_rel_error(g, fd_tangent_gradient(loss.value, xs, layout)) < self.FD_RTOL
+        assert not g[layout.n_pose_params:].any()
+        assert np.abs(g).max() > 0
+
+    def test_collinear_centres_have_no_unique_alignment(self):
+        poses = [Pose(t=[0.3 * k, 0.0, 0.0]) for k in range(5)]
+        state = StateVector(poses, np.zeros((1, 3)),
+                            fixed_poses=[True] + [False] * 4)
+        # estimated centres off the line: the collinear reference alone
+        # leaves the rotation about it free
+        est = [Pose(p.q, p.t + [0.0, 0.01 * k * k, 0.0]) for k, p in enumerate(poses)]
+        loss = PoseErrorLoss(poses)
+        for st in (state, StateVector(est, np.zeros((1, 3)))):
+            with pytest.raises(NonUniqueAlignment) as info:
+                loss.value(st)
+            assert info.value.stage == "implicit"
+            with pytest.raises(NonUniqueAlignment):
+                loss.grad_tangent(st, SystemLayout(st))
 
 
 class TestImplicitGradient:
