@@ -121,8 +121,8 @@ def implicit_gradient(request):
         ie = np.einsum("kab,kb->ka", problem.info_stack[sys_.rec_factor], sys_.residuals)
         a = np.einsum("ka,ka->k", jy, ie)
         v = v + 2.0 * (sys_.rec_curvature * a)[:, None] * ie
-    tracks = [problem.track_idx[f] for f in sys_.rec_factor]
-    dldtheta = -problem.obs_model.observe_vjp(sys_.rec_frame, tracks, theta, v)
+    dldtheta = -problem.obs_model.observe_vjp(
+        sys_.rec_frame, problem.track_idx[sys_.rec_factor], theta, v)
 
     cond = 0.0
     if len(sys_.layout.free_lm_ids):

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import temporal
-from .geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project,
-                       quat_to_matrix_many, so3_hat)
+from .errors import DimensionMismatch
+from .geometry import DEPTH_EPS, CameraIntrinsics, quat_to_matrix_many, so3_hat
 
 DEFAULT_HUBER_DELTA = 2.0  # pixels
 
@@ -154,42 +154,33 @@ class ScalePrior:
 # observation models
 # ---------------------------------------------------------------------------
 
+def _find(sorted_keys, keys, columns, valid=True):
+    """Positions of int ``keys`` in ``sorted_keys``; KeyError naming the
+    first key (one entry of each of ``columns``) not there or not ``valid``."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = valid & (pos < len(sorted_keys))
+    found[found] = sorted_keys[pos[found]] == keys[found]
+    if not found.all():
+        key = tuple(int(c[np.argmin(found)]) for c in columns)
+        raise KeyError(key if len(key) > 1 else key[0])
+    return pos
+
+
 class ObservationModel:
-    """Differentiable map (frame, track, theta) -> predicted pixel."""
+    """Differentiable map (frame, track, theta) -> predicted pixel: the
+    stored pixel of a (frame, track) key plus an offset of its track.
+
+    theta holds one block per track, in ``track_ids`` order (by default the
+    table's sorted tracks). The pixels are stacked in one array sorted by the
+    integer code of their key, so a lookup is a binary search and a gather;
+    the table must not change after construction. Here the offsets are zero
+    and theta is empty; a model with parameters defines ``track_offsets``
+    and their cotangent ``_offsets_vjp``.
+    """
 
     theta_dim = 0
 
-    def theta0(self):
-        return np.zeros(self.theta_dim)
-
-    def observe(self, frame, track, theta):
-        raise NotImplementedError
-
-    def observe_jacobian(self, frame, track, theta):
-        """2 x theta_dim derivative of observe w.r.t. theta."""
-        raise NotImplementedError
-
-    def observe_vjp(self, frames, tracks, theta, v):
-        """sum_k v[k] @ observe_jacobian(frames[k], tracks[k], theta) for
-        parallel (frame, track) arrays and (n, 2) cotangents ``v``, without
-        forming a jacobian row."""
-        raise NotImplementedError
-
-    def observe_all(self, frames, tracks, theta):
-        """Stacked predictions for parallel (frame, track) arrays."""
-        return np.array([self.observe(f, t, theta) for f, t in zip(frames, tracks)])
-
-
-class StaticModel(ObservationModel):
-    """Fixed stored pixels; theta is empty.
-
-    Frames and tracks are integers. The pixels are also stacked in one array,
-    sorted by the integer code of their (frame, track) key, so ``observe_all``
-    is a binary search and a gather; the stored observations must not change
-    after construction.
-    """
-
-    def __init__(self, observations):
+    def __init__(self, observations, track_ids=None):
         self.observations = {k: np.asarray(v, dtype=float) for k, v in observations.items()}
         keys = np.array(list(self.observations), dtype=np.int64).reshape(-1, 2)
         self._track_range = ((int(keys[:, 1].min()), int(keys[:, 1].max()))
@@ -198,41 +189,69 @@ class StaticModel(ObservationModel):
         order = np.argsort(codes, kind="stable")
         self._sorted_codes = codes[order]
         self._pixels = np.array(list(self.observations.values())).reshape(-1, 2)[order]
+        self.track_ids = np.unique(keys[:, 1]).tolist() if track_ids is None else list(track_ids)
+        ids = np.array(self.track_ids, dtype=np.int64)
+        self._slot_order = np.argsort(ids, kind="stable")
+        self._sorted_ids = ids[self._slot_order]
+
+    def theta0(self):
+        return np.zeros(self.theta_dim)
 
     def _codes(self, frames, tracks):
         lo, hi = self._track_range
         return frames * (hi - lo + 1) + (tracks - lo)
 
-    def observe(self, frame, track, theta=None):
-        return self.observations[(frame, track)].copy()
+    def _rows(self, frames, tracks):
+        """Table rows of parallel (frame, track) arrays; KeyError on a pair
+        the table does not hold."""
+        frames, tracks = (np.asarray(a, dtype=np.int64) for a in (frames, tracks))
+        lo, hi = self._track_range
+        # an out-of-range track could alias the code of another key
+        return _find(self._sorted_codes, self._codes(frames, tracks),
+                     (frames, tracks), (tracks >= lo) & (tracks <= hi))
+
+    def slots(self, tracks):
+        """Positions of ``tracks`` in ``track_ids``; KeyError on another track."""
+        tracks = np.asarray(tracks, dtype=np.int64)
+        return self._slot_order[_find(self._sorted_ids, tracks, (tracks,))]
+
+    def _offsets_vjp(self, theta, vsum):
+        """theta cotangent of (n_tracks, 2) cotangents of ``track_offsets``."""
+        return np.zeros(self.theta_dim)
 
     def observe_all(self, frames, tracks, theta=None):
-        frames = np.asarray(frames, dtype=np.int64)
-        tracks = np.asarray(tracks, dtype=np.int64)
-        lo, hi = self._track_range
-        codes = self._codes(frames, tracks)
-        rows = np.searchsorted(self._sorted_codes, codes)
-        found = ((tracks >= lo) & (tracks <= hi) & (rows < len(self._sorted_codes)))
-        found[found] = self._sorted_codes[rows[found]] == codes[found]
-        if not found.all():
-            k = int(np.argmin(found))
-            raise KeyError((int(frames[k]), int(tracks[k])))
-        return self._pixels[rows]
+        """Stacked predictions for parallel (frame, track) arrays."""
+        pixels = self._pixels[self._rows(frames, tracks)]
+        if not self.theta_dim:
+            return pixels
+        return pixels + self.track_offsets(theta)[self.slots(tracks)]
 
-    def observe_jacobian(self, frame, track, theta=None):
-        return np.zeros((2, 0))
+    def observe(self, frame, track, theta=None):
+        return self.observe_all([frame], [track], theta)[0]
 
     def observe_vjp(self, frames, tracks, theta, v):
-        return np.zeros(0)
+        """sum_k v[k] @ observe_jacobian(frames[k], tracks[k], theta) for
+        parallel (frame, track) arrays and (n, 2) cotangents ``v``, without
+        forming a jacobian row: ``v`` is summed per track, then contracted
+        once with the offsets' jacobian."""
+        vsum = np.zeros((len(self.track_ids), 2))
+        np.add.at(vsum, self.slots(tracks), np.reshape(v, (-1, 2)))
+        return self._offsets_vjp(theta, vsum)
 
 
-class TrackBiasModel(StaticModel):
+class StaticModel(ObservationModel):
+    """Fixed stored pixels; theta is empty."""
+
+    def observe_jacobian(self, frame, track, theta=None):
+        """2 x theta_dim derivative of observe w.r.t. theta."""
+        return np.zeros((2, 0))
+
+
+class TrackBiasModel(ObservationModel):
     """Stored pixels plus one learned 2-vector bias per track."""
 
     def __init__(self, observations, track_ids, theta_init=None):
-        super().__init__(observations)
-        self.track_ids = list(track_ids)
-        self.track_slot = {t: i for i, t in enumerate(self.track_ids)}
+        super().__init__(observations, track_ids)
         self.theta_dim = 2 * len(self.track_ids)
         self._theta0 = (np.zeros(self.theta_dim) if theta_init is None
                         else np.asarray(theta_init, dtype=float).copy())
@@ -242,120 +261,94 @@ class TrackBiasModel(StaticModel):
     def theta0(self):
         return self._theta0.copy()
 
-    def observe(self, frame, track, theta):
-        s = self.track_slot[track]
-        return self.observations[(frame, track)] + theta[2 * s:2 * s + 2]
+    def track_offsets(self, theta):
+        return np.reshape(theta, (-1, 2))
 
-    def observe_all(self, frames, tracks, theta):
-        slots = np.fromiter(map(self.track_slot.__getitem__, tracks), dtype=int,
-                            count=len(tracks))
-        return super().observe_all(frames, tracks) + theta.reshape(-1, 2)[slots]
+    def _offsets_vjp(self, theta, vsum):
+        return vsum.ravel()
 
     def observe_jacobian(self, frame, track, theta):
-        J = np.zeros((2, self.theta_dim))
-        s = self.track_slot[track]
-        J[0, 2 * s] = 1.0
-        J[1, 2 * s + 1] = 1.0
-        return J
+        J = np.zeros((2, len(self.track_ids), 2))
+        J[:, int(self.slots([track])[0])] = np.eye(2)
+        return J.reshape(2, -1)
 
-    def observe_vjp(self, frames, tracks, theta, v):
-        slots = np.fromiter(map(self.track_slot.__getitem__, tracks), dtype=int,
-                            count=len(tracks))
-        out = np.zeros((len(self.track_ids), 2))
-        np.add.at(out, slots, np.reshape(v, (-1, 2)))
-        return out.ravel()
+
+def softargmax(grids, refs):
+    """Similarity maps (n, H, W), their sums (n,) and soft-argmax cell
+    coordinates (n, 2) of descriptor grids (n, H, W, C) compared against
+    reference descriptors (n, C)."""
+    sim = np.exp(-np.linalg.norm(grids - refs[:, None, None], axis=3))
+    s = sim.sum(axis=(1, 2))
+    H, W = sim.shape[1:]
+    # vecdot takes one dot product per grid, rounded as a lone grid's would be
+    uv = np.column_stack([np.vecdot(sim.sum(axis=1), np.arange(W)),
+                          np.vecdot(sim.sum(axis=2), np.arange(H))]) / s[:, None]
+    return sim, s, uv
+
+
+def _softargmax_jacobian(grids, refs):
+    """(n, 2, H, W, C) derivatives of each grid's soft-argmax (u, v)."""
+    sim, s, uv = softargmax(grids, refs)
+    diff = grids - refs[:, None, None]
+    r = np.linalg.norm(diff, axis=3, keepdims=True)
+    unit = np.where(r > 1e-12, diff / np.where(r > 1e-12, r, 1.0), 0.0)
+    dsim_dgrid = -sim[..., None] * unit            # dC(y,x)/dG(y,x,c)
+    u, v, s = (a[:, None, None, None] for a in (uv[:, 0], uv[:, 1], s))
+    xs, ys = np.arange(sim.shape[2])[:, None], np.arange(sim.shape[1])[:, None, None]
+    return np.stack([((xs - u) / s) * dsim_dgrid,  # d u / dG
+                     ((ys - v) / s) * dsim_dgrid], axis=1)
 
 
 class DescriptorFieldModel(ObservationModel):
     """Soft-argmax over a similarity map built from learned descriptor grids.
 
-    theta holds one flattened H x W x C descriptor grid per track. The
-    predicted pixel is the patch origin plus the similarity-weighted mean cell
-    coordinate; the similarity map compares the grid against a fixed reference
-    descriptor per track. Temperature is fixed at one: the similarity map is
-    already exponential.
+    theta holds one flattened H x W x C descriptor grid per track, all of one
+    shape. The stored pixel of a (frame, track) key is the origin of its
+    patch, and the track's offset is the similarity-weighted mean cell
+    coordinate; the similarity map compares the grid against a fixed
+    reference descriptor per track. Temperature is fixed at one: the
+    similarity map is already exponential. A non-finite grid raises
+    DimensionMismatch.
     """
 
     def __init__(self, track_ids, grids, refs, origins):
-        self.track_ids = list(track_ids)
-        self.grid_shape = {t: np.asarray(grids[t]).shape for t in self.track_ids}
-        self.refs = {t: np.asarray(refs[t], dtype=float) for t in self.track_ids}
-        self.origins = {k: np.asarray(v, dtype=float) for k, v in origins.items()}
-        self._grids0 = {t: np.asarray(grids[t], dtype=float) for t in self.track_ids}
-        self._offsets = {}
-        off = 0
-        for t in self.track_ids:
-            size = int(np.prod(self.grid_shape[t]))
-            self._offsets[t] = (off, off + size)
-            off += size
-        self.theta_dim = off
+        super().__init__(origins, track_ids)
+        shapes = {np.shape(grids[t]) for t in self.track_ids}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 3:
+            raise ValueError(f"need one H x W x C grid shape for all tracks, got {shapes}")
+        (self.grid_shape,) = shapes
+        self._grids0 = np.array([grids[t] for t in self.track_ids], dtype=float)
+        self.refs = np.array([refs[t] for t in self.track_ids], dtype=float)
+        if self.refs.shape != (len(self.track_ids), self.grid_shape[2]):
+            raise ValueError("need one reference descriptor of length C per track")
+        self.theta_dim = self._grids0.size
 
     def theta0(self):
-        return np.concatenate([self._grids0[t].ravel() for t in self.track_ids])
+        return self._grids0.flatten()
 
-    def _grid(self, track, theta):
-        a, b = self._offsets[track]
-        return theta[a:b].reshape(self.grid_shape[track])
+    def _grids(self, theta):
+        grids = np.reshape(theta, (-1, *self.grid_shape))
+        if not np.isfinite(grids).all():
+            raise DimensionMismatch("descriptor map has non-finite entries")
+        return grids
 
-    def _softargmax(self, track, theta):
-        grid = self._grid(track, theta)
-        sim = temporal.similarity_map(grid, self.refs[track])
-        s = sim.sum()
-        H, W = sim.shape
-        xs = np.arange(W)
-        ys = np.arange(H)
-        u = float((sim.sum(axis=0) @ xs) / s)
-        v = float((sim.sum(axis=1) @ ys) / s)
-        return grid, sim, s, u, v
+    def track_offsets(self, theta):
+        return softargmax(self._grids(theta), self.refs)[2]
 
-    def observe(self, frame, track, theta):
-        _, _, _, u, v = self._softargmax(track, theta)
-        return self.origins[(frame, track)] + np.array([u, v])
+    def _offsets_vjp(self, theta, vsum):
+        J = _softargmax_jacobian(self._grids(theta), self.refs)
+        return np.einsum("na,na...->n...", vsum, J).ravel()
 
-    def observe_all(self, frames, tracks, theta):
-        out = np.empty((len(frames), 2))
-        cache = {}
-        for k, (f, t) in enumerate(zip(frames, tracks)):
-            if t not in cache:
-                _, _, _, u, v = self._softargmax(t, theta)
-                cache[t] = np.array([u, v])
-            out[k] = self.origins[(f, t)] + cache[t]
-        return out
-
-    def _softargmax_jacobian(self, track, theta):
-        """d u / dG and d v / dG of a track's soft-argmax, flattened like
-        its grid block of theta."""
-        grid, sim, s, u, v = self._softargmax(track, theta)
-        H, W, _ = grid.shape
-        diff = grid - self.refs[track]
-        r = np.linalg.norm(diff, axis=2)
-        unit = np.where(r[..., None] > 1e-12, diff / np.where(r > 1e-12, r, 1.0)[..., None], 0.0)
-        dsim_dgrid = -sim[..., None] * unit            # dC(y,x)/dG(y,x,c)
-        xs = np.arange(W)[None, :, None]
-        ys = np.arange(H)[:, None, None]
-        du = ((xs - u) / s) * dsim_dgrid               # d u / dG
-        dv = ((ys - v) / s) * dsim_dgrid
-        return du.ravel(), dv.ravel()
+    # its own attribute, so a per-class wrapper (perfbench's spans) finds it
+    observe_all = ObservationModel.observe_all
 
     def observe_jacobian(self, frame, track, theta):
-        J = np.zeros((2, self.theta_dim))
-        a, b = self._offsets[track]
-        J[0, a:b], J[1, a:b] = self._softargmax_jacobian(track, theta)
-        return J
-
-    def observe_vjp(self, frames, tracks, theta, v):
-        """A prediction depends on theta only through its track's grid, so
-        ``v`` is summed per track and contracted once with that track's
-        soft-argmax jacobian."""
-        uniq, inverse = np.unique(np.asarray(tracks, dtype=np.int64), return_inverse=True)
-        vsum = np.zeros((len(uniq), 2))
-        np.add.at(vsum, inverse, np.reshape(v, (-1, 2)))
-        out = np.zeros(self.theta_dim)
-        for track, (vu, vv) in zip(uniq.tolist(), vsum):
-            du, dv = self._softargmax_jacobian(track, theta)
-            a, b = self._offsets[track]
-            out[a:b] = vu * du + vv * dv
-        return out
+        """One track's grid alone, as a dense 2 x theta_dim row pair."""
+        s = int(self.slots([track])[0])
+        J = np.zeros((2, len(self.track_ids), self._grids0[0].size))
+        J[:, s] = _softargmax_jacobian(self._grids(theta)[s:s + 1],
+                                       self.refs[s:s + 1])[0].reshape(2, -1)
+        return J.reshape(2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +376,20 @@ class TemporalAttachment:
     terms: temporal.TemporalEnergy
     transitions: list  # list of lists of TemporalObservation
 
+    def observed(self):
+        """(frames, tracks) of every temporal observation, in order."""
+        obs = [ob for obs_list in self.transitions for ob in obs_list]
+        return [ob.frame for ob in obs], [ob.track for ob in obs]
+
     def build(self, obs_model, theta):
         """Materialize Transition structures with model-predicted endpoints."""
+        recs = iter(obs_model.observe_all(*self.observed(), theta))
         out = []
         for obs_list in self.transitions:
-            pairs = []
-            dense = []
-            for k, ob in enumerate(obs_list):
-                rec = obs_model.observe(ob.frame, ob.track, theta)
-                pairs.append(temporal.TrackPair(rec, np.asarray(ob.long_endpoint, float)))
-                if ob.grid is not None:
-                    dense.append(temporal.build_dense_item(
-                        k, ob.grid, ob.origin, ob.long_endpoint))
+            pairs = [temporal.TrackPair(next(recs), np.asarray(ob.long_endpoint, float))
+                     for ob in obs_list]
+            dense = [temporal.build_dense_item(k, ob.grid, ob.origin, ob.long_endpoint)
+                     for k, ob in enumerate(obs_list) if ob.grid is not None]
             out.append(temporal.Transition(pairs, dense))
         return out
 
@@ -440,7 +435,7 @@ class Problem:
         """Per-factor arrays; the factor list is immutable after validation."""
         nf = len(self.factors)
         self.frame_idx = np.array([f.frame for f in self.factors], dtype=int)
-        self.track_idx = [f.track for f in self.factors]
+        self.track_idx = np.array([f.track for f in self.factors], dtype=int)
         self.lm_idx = np.array([f.landmark for f in self.factors], dtype=int)
         self.info_stack = (np.stack([f.info for f in self.factors])
                            if nf else np.zeros((0, 2, 2)))
@@ -506,17 +501,6 @@ def evaluate_residuals(problem, state, theta):
                             cam, rot)
 
 
-def residual(factor, state, intr, obs_model, theta):
-    """e = predicted observation - projection, in pixels.
-
-    Raises CheiralityViolation when the landmark is behind the camera; the
-    solver soft-deactivates such factors for the current linearization.
-    """
-    pred = obs_model.observe(factor.frame, factor.track, theta)
-    proj = project(state.poses[factor.frame], intr, state.landmarks[factor.landmark])
-    return pred - proj
-
-
 def total_energy(problem, state, theta=None):
     """Robust reprojection energy plus gauge priors plus temporal terms."""
     theta = problem.theta0() if theta is None else theta
@@ -540,8 +524,6 @@ def temporal_theta_gradient(problem, theta):
         return np.zeros(problem.obs_model.theta_dim)
     transitions = att.build(problem.obs_model, theta)
     res = temporal.temporal_energy(att.terms, transitions)
-    observed = [ob for obs_list in att.transitions for ob in obs_list]
-    g = problem.obs_model.observe_vjp([ob.frame for ob in observed],
-                                      [ob.track for ob in observed], theta,
+    g = problem.obs_model.observe_vjp(*att.observed(), theta,
                                       np.concatenate(res.grad_endpoints))
     return att.terms.lambda_t * g

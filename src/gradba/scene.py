@@ -24,7 +24,8 @@ from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, project,
                        quat_from_matrix)
 from .problem import (DescriptorFieldModel, Problem, ReprojectionFactor,
                       RobustKernel, ScalePrior, StateVector, StaticModel,
-                      TemporalAttachment, TemporalObservation, TrackBiasModel)
+                      TemporalAttachment, TemporalObservation, TrackBiasModel,
+                      softargmax)
 from .temporal import TemporalEnergy, TrackPair, Transition, build_dense_item
 
 SCENE_VERSION = 1
@@ -452,25 +453,41 @@ def attach_descriptor_field(scene, grid_shape=(5, 5, 4), seed=0):
     return scene
 
 
+def _track_vectors(blk, name, track_ids, n):
+    """(len(track_ids), n) array of the entries ``blk[name][str(track)]``; an
+    entry that is missing or not n finite numbers raises SceneFormatError."""
+    table = blk.get(name)
+    out = np.empty((len(track_ids), n))
+    for k, t in enumerate(track_ids):
+        value = table.get(str(t)) if isinstance(table, dict) else None
+        ok = (isinstance(value, list) and len(value) == n
+              and set(map(type, value)).issubset(_JSON_NUMBERS))
+        if ok:
+            out[k] = value
+        if not (ok and np.isfinite(out[k]).all()):
+            raise SceneFormatError(f"descriptor_field: {name} of track {t} "
+                                   f"must be a list of {n} finite numbers")
+    return out
+
+
 def descriptor_field_model(scene, observations, track_ids):
+    """The scene's descriptor-field model, each observation's patch placed so
+    the prediction at the stored grids equals its pixel. A missing or
+    malformed ``descriptor_field`` block raises SceneFormatError."""
     blk = scene.get("descriptor_field")
-    if blk is None:
+    if not isinstance(blk, dict):
         raise SceneFormatError("scene has no descriptor_field block")
-    H, W, C = blk["grid_shape"]
-    grids = {}
-    refs = {}
-    for t in track_ids:
-        grids[t] = np.array(blk["grids"][str(t)]).reshape(H, W, C)
-        refs[t] = np.array(blk["refs"][str(t)])
-    keys = list(observations)
-    model = DescriptorFieldModel(track_ids, grids, refs,
-                                 origins=dict.fromkeys(keys, np.zeros(2)))
-    # place the patches so the initial predictions equal the stored pixels;
-    # observe_all takes one soft-argmax per track
-    local = model.observe_all([f for f, _ in keys], [t for _, t in keys],
-                              model.theta0())
-    model.origins = {k: observations[k] - p for k, p in zip(keys, local)}
-    return model
+    shape = blk.get("grid_shape")
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(n) is int and n >= 1 for n in shape)):
+        raise SceneFormatError("descriptor_field: grid_shape must be three "
+                               f"positive integers [H, W, C], got {shape!r}")
+    grids = _track_vectors(blk, "grids", track_ids, math.prod(shape)).reshape(-1, *shape)
+    refs = _track_vectors(blk, "refs", track_ids, shape[2])
+    offsets = dict(zip(track_ids, softargmax(grids, refs)[2]))
+    origins = {k: p - offsets[k[1]] for k, p in observations.items()}
+    return DescriptorFieldModel(track_ids, dict(zip(track_ids, grids)),
+                                dict(zip(track_ids, refs)), origins)
 
 
 # ---------------------------------------------------------------------------

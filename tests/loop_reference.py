@@ -1,19 +1,56 @@
 """Per-factor loop versions of the batched factor kernel, kept as references.
 
-These are the frame-by-frame projection, the factor-by-factor block
-assembly and exact-Hessian correction, and the jacobian-row contractions of
-the theta gradients that ``gradba.solver``, ``gradba.problem`` and
-``gradba.implicit`` used before they became array code.
-``test_batched_kernel`` compares the library against them.
+These are the per-row observation predictor, the frame-by-frame projection,
+the factor-by-factor block assembly and exact-Hessian correction, and the
+jacobian-row contractions of the theta gradients that ``gradba.solver``,
+``gradba.problem`` and ``gradba.implicit`` used before they became array
+code. ``test_batched_kernel`` compares the library against them.
 """
 
 import copy
 
 import numpy as np
 
-from gradba.geometry import DEPTH_EPS, quat_to_matrix
+from gradba import temporal
+from gradba.geometry import DEPTH_EPS, project, quat_to_matrix
+from gradba.problem import DescriptorFieldModel, TrackBiasModel
 from gradba.solver import (LinearizedSystem, SystemLayout, _so3_hat_many,
                            _translation_curvature)
+
+
+def loop_observe(model, frame, track, theta):
+    """One prediction: a dict lookup of the stored pixel plus the track's
+    offset, the descriptor field's from one soft-argmax of that track's grid
+    alone."""
+    pixel = model.observations[(frame, track)]
+    if isinstance(model, TrackBiasModel):
+        s = model.track_ids.index(track)
+        return pixel + theta[2 * s:2 * s + 2]
+    if isinstance(model, DescriptorFieldModel):
+        s = model.track_ids.index(track)
+        size = int(np.prod(model.grid_shape))
+        grid = theta[s * size:(s + 1) * size].reshape(model.grid_shape)
+        sim = temporal.similarity_map(grid, model.refs[s])
+        H, W = sim.shape
+        u = float((sim.sum(axis=0) @ np.arange(W)) / sim.sum())
+        v = float((sim.sum(axis=1) @ np.arange(H)) / sim.sum())
+        return pixel + np.array([u, v])
+    return pixel.copy()
+
+
+def loop_predictions(problem, theta):
+    return np.array([loop_observe(problem.obs_model, f, t, theta)
+                     for f, t in zip(problem.frame_idx, problem.track_idx)]).reshape(-1, 2)
+
+
+def residual(factor, state, intr, obs_model, theta):
+    """e = predicted observation - projection, in pixels.
+
+    Raises CheiralityViolation when the landmark is behind the camera.
+    """
+    pred = loop_observe(obs_model, factor.frame, factor.track, theta)
+    proj = project(state.poses[factor.frame], intr, state.landmarks[factor.landmark])
+    return pred - proj
 
 
 def _project_frame(pose, intr, points):
@@ -41,8 +78,7 @@ def _by_frame(problem):
 def loop_residuals(problem, state, theta):
     """(e, s, active) with one projection per camera."""
     nf = len(problem.factors)
-    preds = np.array([problem.obs_model.observe(f, t, theta)
-                      for f, t in zip(problem.frame_idx, problem.track_idx)])
+    preds = loop_predictions(problem, theta)
     e = np.zeros((nf, 2))
     active = np.zeros(nf, dtype=bool)
     for i, idx in _by_frame(problem).items():
@@ -87,8 +123,7 @@ def loop_linearize(problem, state, theta):
     pslot, lslot = slot_maps(state)
     sys_ = LinearizedSystem(layout)
     nf = len(problem.factors)
-    preds = np.array([problem.obs_model.observe(f, t, theta)
-                      for f, t in zip(problem.frame_idx, problem.track_idx)])
+    preds = loop_predictions(problem, theta)
 
     e_all = np.zeros((nf, 2))
     Jp_all = np.zeros((nf, 2, 6))

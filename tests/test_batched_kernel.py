@@ -16,15 +16,16 @@ from gradba import scene as scn
 from gradba.geometry import quat_to_matrix
 from gradba.implicit import (ImplicitGradRequest, PoseErrorLoss,
                              implicit_gradient)
-from gradba.problem import (Problem, RobustKernel, StateVector, StaticModel,
-                            evaluate_residuals, temporal_theta_gradient)
+from gradba.problem import (DescriptorFieldModel, Problem, RobustKernel,
+                            StateVector, StaticModel, evaluate_residuals,
+                            temporal_theta_gradient)
 from gradba.solver import (LinearizedSystem, SolverSettings,
                            exact_hessian_system, linearize, optimize,
                            scatter_blocks)
 
 from conftest import build_ba_problem
 from loop_reference import (loop_assemble, loop_exact_hessian, loop_linearize,
-                            loop_observe_vjp, loop_residuals,
+                            loop_observe, loop_observe_vjp, loop_residuals,
                             loop_temporal_theta_gradient)
 
 RTOL = 1e-12
@@ -137,24 +138,38 @@ def test_residuals_match_loop(case):
     assert_rel(ev.s, s_ref)
 
 
+def all_models(prob, theta):
+    """(model, theta) of the three observation models over the table of
+    ``prob``, whose own model is the track-bias one."""
+    r = np.random.default_rng(5)
+    tracks = prob.obs_model.track_ids
+    field = DescriptorFieldModel(tracks, {t: r.normal(size=(3, 4, 2)) for t in tracks},
+                                 {t: r.normal(size=2) for t in tracks},
+                                 prob.obs_model.observations)
+    return [(prob.obs_model, theta), (StaticModel(prob.obs_model.observations), None),
+            (field, field.theta0() + 0.1 * r.normal(size=field.theta_dim))]
+
+
 def test_observe_all_matches_observe(case):
     prob, _, theta = case
     frames, tracks = prob.frame_idx, prob.track_idx
-    static = StaticModel(prob.obs_model.observations)
-    for model, th in ((prob.obs_model, theta), (static, None)):
+    for model, th in all_models(prob, theta):
         stacked = model.observe_all(frames, tracks, th)
-        loop = np.array([model.observe(f, t, th) for f, t in zip(frames, tracks)])
-        assert np.array_equal(stacked, loop)
+        loop = np.array([loop_observe(model, f, t, th) for f, t in zip(frames, tracks)])
+        if isinstance(model, DescriptorFieldModel):
+            assert_rel(stacked, loop)
+        else:
+            assert np.array_equal(stacked, loop)
 
 
 def test_observe_all_rejects_unknown_pairs(case):
-    prob, _, _ = case
-    model = StaticModel(prob.obs_model.observations)
-    last = max(t for _, t in model.observations)
-    # (0, last + 1) would alias (1, first track) if track ids were not range-checked
-    for frames, tracks in (([0], [last + 1]), ([99], [0]), ([1, 0], [0, -5])):
-        with pytest.raises(KeyError):
-            model.observe_all(np.array(frames), tracks)
+    prob, _, theta = case
+    last = max(t for _, t in prob.obs_model.observations)
+    for model, th in all_models(prob, theta):
+        # (0, last + 1) would alias (1, first track) if track ids were not range-checked
+        for frames, tracks in (([0], [last + 1]), ([99], [0]), ([1, 0], [0, -5])):
+            with pytest.raises(KeyError):
+                model.observe_all(np.array(frames), tracks, th)
 
 
 def window_problem(seed, model):
@@ -191,7 +206,6 @@ def test_observe_vjp_matches_loop(case):
     prob, _, theta = case
     frames, tracks = prob.frame_idx, prob.track_idx
     v = np.random.default_rng(0).normal(size=(len(frames), 2))
-    static = StaticModel(prob.obs_model.observations)
-    for model, th in ((prob.obs_model, theta), (static, None)):
+    for model, th in all_models(prob, theta):
         assert_rel(model.observe_vjp(frames, tracks, th, v),
                    loop_observe_vjp(model, frames, tracks, th, v))

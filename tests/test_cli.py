@@ -245,6 +245,34 @@ class TestFailureContract:
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
 
+    @pytest.mark.parametrize("case", ["short_grid", "missing_grid",
+                                      "missing_grid_shape", "nan_grid",
+                                      "short_ref"])
+    def test_descriptor_field_errors_are_stage_tagged(self, workdir, capsys, case):
+        tmp_path, cfg = workdir
+        sc = str(tmp_path / "scene.json")
+        assert main(["synth", "--config", cfg, "--out", sc]) == 0
+        scene = scn.load_scene(sc)
+        scn.attach_descriptor_field(scene, grid_shape=(4, 4, 3), seed=9)
+        blk = scene["descriptor_field"]
+        if case == "short_grid":
+            blk["grids"]["0"].pop()
+        elif case == "missing_grid":
+            del blk["grids"]["1"]
+        elif case == "missing_grid_shape":
+            del blk["grid_shape"]
+        elif case == "nan_grid":
+            blk["grids"]["2"][5] = float("nan")
+        else:
+            blk["refs"]["0"].pop()
+        scn.save_scene(scene, sc)
+        capsys.readouterr()
+        rc = main(["gradcheck", "--scene", sc, "--model", "descfield",
+                   "--fd-subset", "8"])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+
     @pytest.mark.parametrize("case", ["missing", "nan"])
     def test_trajectory_errors_are_stage_tagged(self, tmp_path, capsys, case):
         rows = [f"{k}.0 {k} {k * k} 0 0 0 0 1" for k in range(4)]

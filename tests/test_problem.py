@@ -4,10 +4,11 @@ import pytest
 from gradba.geometry import CameraIntrinsics, Pose, project
 from gradba.problem import (DescriptorFieldModel, Problem, ReprojectionFactor,
                             RobustKernel, ScalePrior, StateVector, StaticModel,
-                            TrackBiasModel, residual, robust_terms, total_energy)
+                            TrackBiasModel, robust_terms, total_energy)
 from gradba.solver import linearize
 
 from conftest import build_ba_problem
+from loop_reference import loop_observe, residual
 
 
 def two_view_problem(pixels_by_key, lm=((0.0, 0.0, 2.0),), kernel=None,
@@ -219,7 +220,16 @@ class TestObservationModels:
         trs = [3, 4, 3, 4]
         stacked = m.observe_all(frames, trs, theta)
         for k, (f, t) in enumerate(zip(frames, trs)):
-            np.testing.assert_allclose(stacked[k], m.observe(f, t, theta))
+            np.testing.assert_allclose(stacked[k], loop_observe(m, f, t, theta),
+                                       rtol=1e-12)
+            assert np.array_equal(m.observe(f, t, theta), stacked[k])
+
+    def test_descfield_rejects_grids_of_two_shapes(self):
+        grids = {0: np.zeros((4, 4, 3)), 1: np.zeros((4, 5, 3))}
+        refs = {0: np.ones(3), 1: np.ones(3)}
+        origins = {(0, 0): np.zeros(2), (0, 1): np.zeros(2)}
+        with pytest.raises(ValueError, match="one H x W x C grid shape"):
+            DescriptorFieldModel([0, 1], grids, refs, origins)
 
 
 class TestScalePrior:

@@ -165,7 +165,7 @@ class TestBuildProblem:
         scene["track_bias"] = {"values": {"2": [0.5, -0.25]}}
         prob = build_problem(scene, model="trackbias")
         theta0 = prob.theta0()
-        slot = prob.obs_model.track_slot[2]
+        slot = prob.obs_model.slots([2])[0]
         np.testing.assert_allclose(theta0[2 * slot:2 * slot + 2], [0.5, -0.25])
         assert np.count_nonzero(theta0) == 2
 

@@ -14,12 +14,12 @@ from gradba.solver import (SolverSettings, apply_step, exact_hessian_system,
                            linearize, lm_step, optimize, schur_solve)
 
 from conftest import build_ba_problem
+from loop_reference import residual
 
 
 def dense_reference(problem, state, theta=None):
     """Naive dense J^T W J / J^T W e assembly straight from the factor list."""
     theta = problem.theta0() if theta is None else theta
-    from gradba.problem import residual
     lay_free_p = [i for i in range(state.n_poses) if not state.fixed_poses[i]]
     lay_free_l = [j for j in range(state.n_landmarks) if not state.fixed_landmarks[j]]
     pslot = {i: k for k, i in enumerate(lay_free_p)}
