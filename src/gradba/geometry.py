@@ -149,10 +149,6 @@ class Pose:
     def identity():
         return Pose()
 
-    @staticmethod
-    def from_matrix(R, t):
-        return Pose(quat_from_matrix(R), t)
-
     def rotation_matrix(self):
         return quat_to_matrix(self.q)
 

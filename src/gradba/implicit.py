@@ -136,19 +136,6 @@ def implicit_gradient(request):
 # downstream losses
 # ---------------------------------------------------------------------------
 
-def fd_tangent_gradient(value_fn, state, layout, h=1e-6):
-    """Central-difference gradient of a state loss in tangent coordinates;
-    test oracle only."""
-    g = np.zeros(layout.dim)
-    for k in range(layout.dim):
-        d = np.zeros(layout.dim)
-        d[k] = h
-        up = value_fn(apply_step(state, layout, d))
-        dn = value_fn(apply_step(state, layout, -d))
-        g[k] = (up - dn) / (2.0 * h)
-    return g
-
-
 class LandmarkTargetLoss:
     """L = ||landmark - target||^2 with an analytic tangent gradient."""
 

@@ -373,25 +373,27 @@ class TemporalObservation:
 
 @dataclass
 class TemporalAttachment:
+    """Temporal terms whose chained endpoints the observation model predicts.
+    The keys and the dense items (with their frozen maps) do not depend on
+    theta and are built once; ``build`` swaps in the predicted endpoints."""
+
     terms: temporal.TemporalEnergy
     transitions: list  # list of lists of TemporalObservation
 
-    def observed(self):
-        """(frames, tracks) of every temporal observation, in order."""
+    def __post_init__(self):
         obs = [ob for obs_list in self.transitions for ob in obs_list]
-        return [ob.frame for ob in obs], [ob.track for ob in obs]
+        self.frames = np.array([ob.frame for ob in obs], dtype=np.int64)
+        self.tracks = np.array([ob.track for ob in obs], dtype=np.int64)
+        self._dense = [[temporal.build_dense_item(k, ob.grid, ob.origin, ob.long_endpoint)
+                        for k, ob in enumerate(obs_list) if ob.grid is not None]
+                       for obs_list in self.transitions]
 
     def build(self, obs_model, theta):
-        """Materialize Transition structures with model-predicted endpoints."""
-        recs = iter(obs_model.observe_all(*self.observed(), theta))
-        out = []
-        for obs_list in self.transitions:
-            pairs = [temporal.TrackPair(next(recs), np.asarray(ob.long_endpoint, float))
-                     for ob in obs_list]
-            dense = [temporal.build_dense_item(k, ob.grid, ob.origin, ob.long_endpoint)
-                     for k, ob in enumerate(obs_list) if ob.grid is not None]
-            out.append(temporal.Transition(pairs, dense))
-        return out
+        """Transition structures with the endpoints the model predicts at theta."""
+        recs = iter(obs_model.observe_all(self.frames, self.tracks, theta))
+        return [temporal.Transition([temporal.TrackPair(next(recs), ob.long_endpoint)
+                                     for ob in obs_list], dense)
+                for obs_list, dense in zip(self.transitions, self._dense)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +503,36 @@ def evaluate_residuals(problem, state, theta):
                             cam, rot)
 
 
-def total_energy(problem, state, theta=None):
-    """Robust reprojection energy plus gauge priors plus temporal terms."""
+def temporal_term(problem, theta):
+    """The theta-only temporal term lambda_t * sum phi and its
+    TemporalEnergyResult, or (0.0, None) when the problem has no temporal
+    terms or lambda_t = 0. It does not depend on the state."""
+    att = problem.temporal_terms
+    if att is None or not att.transitions or att.terms.lambda_t == 0.0:
+        return 0.0, None
+    res = temporal.temporal_energy(att.terms, att.build(problem.obs_model, theta))
+    return att.terms.lambda_t * res.value, res
+
+
+def total_energy(problem, state, theta=None, temporal_value=None):
+    """Robust reprojection energy plus gauge priors plus temporal terms;
+    ``temporal_value``, when given, is ``temporal_term`` at theta."""
     theta = problem.theta0() if theta is None else theta
     ev = evaluate_residuals(problem, state, theta)
     total = float(ev.rho[ev.active].sum())
     if problem.scale_prior is not None:
         r = problem.scale_prior.residual(state)
         total += problem.scale_prior.weight * r * r
-    if problem.temporal_terms is not None and problem.temporal_terms.transitions:
-        terms = problem.temporal_terms.terms
-        if terms.lambda_t != 0.0:
-            transitions = problem.temporal_terms.build(problem.obs_model, theta)
-            total += terms.lambda_t * temporal.temporal_energy(terms, transitions).value
-    return total
+    if temporal_value is None:
+        temporal_value = temporal_term(problem, theta)[0]
+    return total + temporal_value
 
 
 def temporal_theta_gradient(problem, theta):
     """d(lambda_t * sum phi)/d theta through the model-predicted endpoints."""
-    att = problem.temporal_terms
-    if att is None or not att.transitions or att.terms.lambda_t == 0.0:
+    _, res = temporal_term(problem, theta)
+    if res is None:
         return np.zeros(problem.obs_model.theta_dim)
-    transitions = att.build(problem.obs_model, theta)
-    res = temporal.temporal_energy(att.terms, transitions)
-    g = problem.obs_model.observe_vjp(*att.observed(), theta,
-                                      np.concatenate(res.grad_endpoints))
-    return att.terms.lambda_t * g
+    att = problem.temporal_terms
+    return att.terms.lambda_t * problem.obs_model.observe_vjp(
+        att.frames, att.tracks, theta, np.concatenate(res.grad_endpoints))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,19 +228,23 @@ def _records(doc, name, keys):
 _JSON_NUMBERS = (int, float)  # the types json gives numbers; bool is not one
 
 
-def _is_finite_number(x):
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+def _finite_numbers(value, n):
+    """``value`` as a float array when it is a list of n finite numbers,
+    otherwise None."""
+    if not (isinstance(value, list) and len(value) == n
+            and set(map(type, value)).issubset(_JSON_NUMBERS)):
+        return None
+    out = np.array(value, dtype=float)
+    return out if np.isfinite(out).all() else None
 
 
 def _finite_vector(item, key, n, where):
-    """``item[key]`` when it is a list of n finite numbers; anything else
-    raises SceneFormatError."""
-    value = item[key]
-    if not (isinstance(value, list) and len(value) == n
-            and all(map(_is_finite_number, value))):
+    """``item[key]`` as a float array when it is a list of n finite numbers;
+    anything else raises SceneFormatError."""
+    value = _finite_numbers(item.get(key), n)
+    if value is None:
         raise SceneFormatError(f"{where}: {key} must be {n} finite numbers, "
-                               f"got {value!r}")
+                               f"got {reprlib.repr(item.get(key))}")
     return value
 
 
@@ -265,7 +271,7 @@ def scene_intrinsics(scene):
     try:
         it = scene["intrinsics"]
         values = [it[k] for k in ("fx", "fy", "cx", "cy")]
-        if not all(map(_is_finite_number, values)):
+        if _finite_numbers(values, 4) is None:
             raise ValueError(f"fx, fy, cx, cy must be finite numbers, got {values!r}")
         intr = CameraIntrinsics(*values)
     except (KeyError, TypeError, ValueError) as exc:
@@ -426,15 +432,12 @@ def _drifting_grid(rng, grid_shape, base, slope):
     H, W, C = grid_shape
     ref = rng.normal(size=C)
     ref /= np.linalg.norm(ref)
-    cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
-    grid = np.empty((H, W, C))
-    for y in range(H):
-        for x in range(W):
-            d = np.hypot(y - cy, x - cx)
-            noise = rng.normal(size=C)
-            noise /= np.linalg.norm(noise)
-            grid[y, x] = ref + (base + slope * d) * noise
-    return ref, grid
+    dist = np.hypot(np.arange(H)[:, None] - (H - 1) / 2.0,
+                    np.arange(W)[None, :] - (W - 1) / 2.0)
+    noise = rng.normal(size=(H, W, C))
+    # vecdot takes one dot product per cell, rounded as a lone cell's norm is
+    noise /= np.sqrt(np.vecdot(noise, noise))[..., None]
+    return ref, ref + (base + slope * dist)[..., None] * noise
 
 
 def attach_descriptor_field(scene, grid_shape=(5, 5, 4), seed=0):
@@ -453,20 +456,28 @@ def attach_descriptor_field(scene, grid_shape=(5, 5, 4), seed=0):
     return scene
 
 
+def _grid_shape(shape, where, min_hw):
+    """``shape`` when it is integers [H, W, C] with H, W >= min_hw and C >= 1;
+    anything else raises SceneFormatError."""
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(n) is int for n in shape)
+            and min(shape[:2]) >= min_hw and shape[2] >= 1):
+        raise SceneFormatError(f"{where}: grid_shape must be integers [H, W, C] with "
+                               f"H, W >= {min_hw} and C >= 1, got {shape!r}")
+    return shape
+
+
 def _track_vectors(blk, name, track_ids, n):
     """(len(track_ids), n) array of the entries ``blk[name][str(track)]``; an
     entry that is missing or not n finite numbers raises SceneFormatError."""
     table = blk.get(name)
     out = np.empty((len(track_ids), n))
     for k, t in enumerate(track_ids):
-        value = table.get(str(t)) if isinstance(table, dict) else None
-        ok = (isinstance(value, list) and len(value) == n
-              and set(map(type, value)).issubset(_JSON_NUMBERS))
-        if ok:
-            out[k] = value
-        if not (ok and np.isfinite(out[k]).all()):
+        value = _finite_numbers(table.get(str(t)) if isinstance(table, dict) else None, n)
+        if value is None:
             raise SceneFormatError(f"descriptor_field: {name} of track {t} "
                                    f"must be a list of {n} finite numbers")
+        out[k] = value
     return out
 
 
@@ -477,11 +488,7 @@ def descriptor_field_model(scene, observations, track_ids):
     blk = scene.get("descriptor_field")
     if not isinstance(blk, dict):
         raise SceneFormatError("scene has no descriptor_field block")
-    shape = blk.get("grid_shape")
-    if not (isinstance(shape, list) and len(shape) == 3
-            and all(type(n) is int and n >= 1 for n in shape)):
-        raise SceneFormatError("descriptor_field: grid_shape must be three "
-                               f"positive integers [H, W, C], got {shape!r}")
+    shape = _grid_shape(blk.get("grid_shape"), "descriptor_field", 1)
     grids = _track_vectors(blk, "grids", track_ids, math.prod(shape)).reshape(-1, *shape)
     refs = _track_vectors(blk, "refs", track_ids, shape[2])
     offsets = dict(zip(track_ids, softargmax(grids, refs)[2]))
@@ -532,56 +539,78 @@ def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
     return scene
 
 
-def temporal_transitions(scene):
-    """Standalone Transition structures from the scene's temporal section."""
-    blk = scene.get("temporal")
-    if blk is None:
-        raise SceneFormatError("scene has no temporal block")
-    out = []
-    for tr in blk["transitions"]:
-        pairs = []
-        dense = []
-        for k, item in enumerate(tr["items"]):
-            pairs.append(TrackPair(np.array(item["recursive"]),
-                                   np.array(item["long"]),
-                                   bool(item.get("valid", True))))
-            if item.get("grid") is not None:
-                H, W, C = item["grid_shape"]
-                grid = np.array(item["grid"]).reshape(H, W, C)
-                dense.append(build_dense_item(k, grid, np.array(item["origin"]),
-                                              np.array(item["long"])))
-        out.append(Transition(pairs, dense))
-    return out
+def _known(value, ids):
+    return isinstance(value, Hashable) and value in ids
 
 
-def temporal_attachment(scene, lm_index, observed=None, terms=None):
-    """Problem attachment: chained endpoints come from the observation model
-    at (frame, track); frozen data comes from the scene section."""
+def _temporal_item(item, tracks, where):
+    """One parsed item of a temporal transition; see ``_temporal_section``."""
+    if not (isinstance(item, dict) and _known(item.get("track"), tracks)):
+        raise SceneFormatError(f"{where}: track must be a landmark id of the scene")
+    valid = item.get("valid", True)
+    if not isinstance(valid, bool):
+        raise SceneFormatError(f"{where}: valid must be true or false")
+    parsed = {"track": item["track"], "valid": valid, "grid": None, "origin": None,
+              "recursive": _finite_vector(item, "recursive", 2, where),
+              "long": _finite_vector(item, "long", 2, where)}
+    if item.get("grid") is not None:
+        shape = _grid_shape(item.get("grid_shape"), where, 2)
+        parsed["grid"] = _finite_vector(item, "grid", math.prod(shape), where).reshape(shape)
+        parsed["origin"] = _finite_vector(item, "origin", 2, where)
+    return parsed
+
+
+def _temporal_section(scene):
+    """The scene's temporal section as one (frame index, items) pair per
+    transition, or None without one. An item is a dict of its track, valid
+    flag, recursive and long endpoints, and patch grid (H x W x C) and origin
+    (both None without a patch). A malformed section raises SceneFormatError."""
     blk = scene.get("temporal")
     if blk is None:
         return None
+    if not (isinstance(blk, dict) and isinstance(blk.get("transitions"), list)):
+        raise SceneFormatError("temporal: transitions must be a list")
     frame_order = {f["id"]: k for k, f in enumerate(scene["frames"])}
-    terms = TemporalEnergy() if terms is None else terms
+    tracks = {l["id"] for l in scene["landmarks"]}
+    out = []
+    for k, tr in enumerate(blk["transitions"]):
+        where = f"temporal: transition {k}"
+        if not (isinstance(tr, dict) and isinstance(tr.get("items"), list)):
+            raise SceneFormatError(f"{where}: needs a frame and a list of items")
+        if not _known(tr.get("frame"), frame_order):
+            raise SceneFormatError(f"{where}: frame {tr.get('frame')!r} is not in the scene")
+        items = [_temporal_item(item, tracks, f"{where}, item {i}")
+                 for i, item in enumerate(tr["items"])]
+        out.append((frame_order[tr["frame"]], items))
+    return out
+
+
+def temporal_transitions(scene):
+    """Standalone Transition structures from the scene's temporal section."""
+    section = _temporal_section(scene)
+    if section is None:
+        raise SceneFormatError("scene has no temporal block")
+    return [Transition([TrackPair(it["recursive"], it["long"], it["valid"]) for it in items],
+                       [build_dense_item(k, it["grid"], it["origin"], it["long"])
+                        for k, it in enumerate(items) if it["grid"] is not None])
+            for _, items in section]
+
+
+def temporal_attachment(scene, lm_index, observed=None):
+    """Problem attachment: chained endpoints come from the observation model
+    at (frame, track); frozen data comes from the scene section. Items of
+    tracks outside ``lm_index``, or of (frame, track) keys outside
+    ``observed``, are left out."""
+    section = _temporal_section(scene)
+    if section is None:
+        return None
     transitions = []
-    for tr in blk["transitions"]:
-        obs_list = []
-        for item in tr["items"]:
-            t = item["track"]
-            fi = frame_order[tr["frame"]]
-            if t not in lm_index:
-                continue
-            if observed is not None and (fi, t) not in observed:
-                continue
-            grid = None
-            origin = None
-            if item.get("grid") is not None:
-                H, W, C = item["grid_shape"]
-                grid = np.array(item["grid"]).reshape(H, W, C)
-                origin = np.array(item["origin"])
-            obs_list.append(TemporalObservation(fi, t, np.array(item["long"]),
-                                                grid, origin))
+    for fi, items in section:
+        obs_list = [TemporalObservation(fi, it["track"], it["long"], it["grid"], it["origin"])
+                    for it in items if it["track"] in lm_index
+                    and (observed is None or (fi, it["track"]) in observed)]
         if obs_list:
             transitions.append(obs_list)
     if not transitions:
         return None
-    return TemporalAttachment(terms, transitions)
+    return TemporalAttachment(TemporalEnergy(), transitions)

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .errors import Diverged, SingularSystem
 from .geometry import se3_retract, so3_hat
-from .problem import evaluate_residuals, total_energy
+from .problem import evaluate_residuals, temporal_term, total_energy
 
 DAMPING_FLOOR = 1e-6  # lower bound on the diagonal scaling D
 ENERGY_RESOLUTION = 1e-12  # relative rounding resolution of the summed energy
@@ -113,7 +113,7 @@ class LinearizedSystem:
         self.rec_rot = np.zeros((0, 3, 3))     # world-from-camera rotation
         self.residuals = np.zeros((0, 2))
         self.weights = np.zeros(0)             # IRLS weights rho'
-        self.rec_curvature = np.zeros(0)       # rho
+        self.rec_curvature = np.zeros(0)       # rho''
 
     # -- dense views -------------------------------------------------------
 
@@ -488,7 +488,8 @@ def optimize(problem, x0, theta=None, settings=None):
     settings = SolverSettings() if settings is None else settings
     state = x0.copy()
     sys_ = linearize(problem, state, theta)
-    energy = _finite(total_energy(problem, state, theta), "energy at the start")
+    temporal_value = temporal_term(problem, theta)[0]  # theta alone: once per solve
+    energy = _finite(total_energy(problem, state, theta, temporal_value), "energy at the start")
     energies = [energy]
     grad_norm = _finite(sys_.gradient_inf_norm(), "gradient at the start")
 
@@ -515,7 +516,7 @@ def optimize(problem, x0, theta=None, settings=None):
             reason = "converged_step"
             break
         trial = apply_step(state, sys_.layout, delta)
-        trial_energy = total_energy(problem, trial, theta)
+        trial_energy = total_energy(problem, trial, theta, temporal_value)
         lowest = energies[-1]
         resolution = ENERGY_RESOLUTION * lowest
         if trial_energy < lowest - resolution:

@@ -116,93 +116,56 @@ class MrpResult:
     value: float
     retained: np.ndarray  # boolean mask over the input pairs
     empty: bool           # no pair survived the gate
+    grad: np.ndarray      # (n_pairs, 2) d value / d recursive endpoints
 
 
 def loss_mrp(pairs, tau):
-    """Mean endpoint discrepancy over pairs that are valid and closer than tau."""
+    """Mean endpoint discrepancy over pairs that are valid and closer than
+    tau, and its gradient with respect to the recursive endpoints."""
     n = len(pairs)
     retained = np.zeros(n, dtype=bool)
     dists = np.zeros(n)
+    diffs = np.zeros((n, 2))
     for i, pr in enumerate(pairs):
         if not pr.valid:
             continue
-        d = float(np.linalg.norm(np.asarray(pr.recursive, float) - np.asarray(pr.long, float)))
-        dists[i] = d
-        retained[i] = d < tau
+        diffs[i] = np.asarray(pr.recursive, float) - np.asarray(pr.long, float)
+        dists[i] = float(np.linalg.norm(diffs[i]))
+        retained[i] = dists[i] < tau
+    grad = np.zeros((n, 2))
     if not retained.any():
-        return MrpResult(0.0, retained, True)
-    return MrpResult(float(dists[retained].mean()), retained, False)
+        return MrpResult(0.0, retained, True, grad)
+    moving = retained & (dists > 0)
+    grad[moving] = diffs[moving] / (dists[moving, None] * int(retained.sum()))
+    return MrpResult(float(dists[retained].mean()), retained, False, grad)
 
 
-def loss_mrp_gradient(pairs, tau):
-    """d(loss_mrp)/d(recursive endpoints), one 2-vector per pair."""
-    res = loss_mrp(pairs, tau)
-    grad = np.zeros((len(pairs), 2))
-    if res.empty:
-        return res, grad
-    m = int(res.retained.sum())
-    for i, pr in enumerate(pairs):
-        if not res.retained[i]:
-            continue
-        diff = np.asarray(pr.recursive, float) - np.asarray(pr.long, float)
-        d = np.linalg.norm(diff)
-        if d > 0:
-            grad[i] = diff / (d * m)
-    return res, grad
-
-
-def _masked_sq_mean(a, b, threshold):
-    diff = a - b
-    mask = np.abs(diff) <= threshold
+def masked_square_loss(c_rec, target, mask_threshold):
+    """(value, dL/dc_rec) of the mean squared difference between a similarity
+    map and a constant target map, over the cells where they differ by at most
+    ``mask_threshold``; no gradient flows into the target."""
+    c_rec = np.asarray(c_rec, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if c_rec.shape != target.shape:
+        raise DimensionMismatch(f"{c_rec.shape} vs {target.shape}")
+    diff = c_rec - target
+    mask = np.abs(diff) <= mask_threshold
     m = int(mask.sum())
+    grad = np.zeros_like(c_rec)
     if m == 0:
-        return 0.0, mask, 0
-    return float(np.mean(diff[mask] ** 2)), mask, m
+        return 0.0, grad
+    grad[mask] = 2.0 * diff[mask] / m
+    return float(np.mean(diff[mask] ** 2)), grad
 
 
 def loss_sim(c_rec, c_long_frozen, mask_threshold):
     """Masked mean squared map difference; the reference map is frozen."""
-    c_rec = np.asarray(c_rec, dtype=float)
-    c_long_frozen = np.asarray(c_long_frozen, dtype=float)
-    if c_rec.shape != c_long_frozen.shape:
-        raise DimensionMismatch(f"{c_rec.shape} vs {c_long_frozen.shape}")
-    value, _, _ = _masked_sq_mean(c_rec, c_long_frozen, mask_threshold)
-    return value
-
-
-def loss_sim_gradient(c_rec, c_long_frozen, mask_threshold):
-    """(value, dL/dc_rec, dL/dc_long). The frozen branch gradient is zero."""
-    c_rec = np.asarray(c_rec, dtype=float)
-    c_long_frozen = np.asarray(c_long_frozen, dtype=float)
-    if c_rec.shape != c_long_frozen.shape:
-        raise DimensionMismatch(f"{c_rec.shape} vs {c_long_frozen.shape}")
-    value, mask, m = _masked_sq_mean(c_rec, c_long_frozen, mask_threshold)
-    g = np.zeros_like(c_rec)
-    if m:
-        g[mask] = 2.0 * (c_rec[mask] - c_long_frozen[mask]) / m
-    return value, g, np.zeros_like(c_long_frozen)
+    return masked_square_loss(c_rec, c_long_frozen, mask_threshold)[0]
 
 
 def loss_hot(c_rec, g, mask_threshold):
     """Masked mean squared difference to the Gaussian unimodality target."""
-    c_rec = np.asarray(c_rec, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if c_rec.shape != g.shape:
-        raise DimensionMismatch(f"{c_rec.shape} vs {g.shape}")
-    value, _, _ = _masked_sq_mean(c_rec, g, mask_threshold)
-    return value
-
-
-def loss_hot_gradient(c_rec, g, mask_threshold):
-    c_rec = np.asarray(c_rec, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if c_rec.shape != g.shape:
-        raise DimensionMismatch(f"{c_rec.shape} vs {g.shape}")
-    value, mask, m = _masked_sq_mean(c_rec, g, mask_threshold)
-    grad = np.zeros_like(c_rec)
-    if m:
-        grad[mask] = 2.0 * (c_rec[mask] - g[mask]) / m
-    return value, grad
+    return masked_square_loss(c_rec, g, mask_threshold)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +245,10 @@ def _dense_item_terms(item, pair, terms):
     safe_r = np.where(r > 1e-12, r, 1.0)
     unit = np.where(r[..., None] > 1e-12, diff / safe_r[..., None], 0.0)
 
-    v_sim, a_sim, _ = loss_sim_gradient(c_rec, item.frozen_long_sim, terms.mask_threshold)
+    v_sim, a_sim = masked_square_loss(c_rec, item.frozen_long_sim, terms.mask_threshold)
     local_long = np.asarray(pair.long, float) - item.origin
     g_target = gaussian_target(local_long, terms.sigma, H, W)
-    v_hot, a_hot = loss_hot_gradient(c_rec, g_target, terms.mask_threshold)
+    v_hot, a_hot = masked_square_loss(c_rec, g_target, terms.mask_threshold)
 
     a = a_sim + a_hot                         # dL/dC_rec
     ac = (a * c_rec)[..., None] * unit        # dL/d d_rec contributions per cell, and -dL/dD direct
@@ -308,8 +271,8 @@ def temporal_energy(terms, transitions):
     all_mrp, all_sim, all_hot, all_empty = [], [], [], []
     all_gep, all_ggrid = [], []
     for tr in transitions:
-        mrp_res, mrp_grad = loss_mrp_gradient(tr.pairs, terms.tau)
-        gep = terms.alpha * mrp_grad
+        mrp_res = loss_mrp(tr.pairs, terms.tau)
+        gep = terms.alpha * mrp_res.grad
         ggrid = {}
         sim_v = hot_v = 0.0
         if tr.dense:

@@ -5,6 +5,9 @@ the factor-by-factor block assembly and exact-Hessian correction, and the
 jacobian-row contractions of the theta gradients that ``gradba.solver``,
 ``gradba.problem`` and ``gradba.implicit`` used before they became array
 code. ``test_batched_kernel`` compares the library against them.
+``fd_tangent_gradient`` is the central-difference oracle of the analytic
+state-loss gradients, and ``loop_drifting_grid`` the cell-by-cell draw of a
+synthetic descriptor grid.
 """
 
 import copy
@@ -15,7 +18,7 @@ from gradba import temporal
 from gradba.geometry import DEPTH_EPS, project, quat_to_matrix
 from gradba.problem import DescriptorFieldModel, TrackBiasModel
 from gradba.solver import (LinearizedSystem, SystemLayout, _so3_hat_many,
-                           _translation_curvature)
+                           _translation_curvature, apply_step)
 
 
 def loop_observe(model, frame, track, theta):
@@ -309,3 +312,31 @@ def loop_temporal_theta_gradient(problem, theta):
             J = problem.obs_model.observe_jacobian(ob.frame, ob.track, theta)
             g += gep[k] @ J
     return att.terms.lambda_t * g
+
+
+def fd_tangent_gradient(value_fn, state, layout, h=1e-6):
+    """Central-difference gradient of a state loss in tangent coordinates."""
+    g = np.zeros(layout.dim)
+    for k in range(layout.dim):
+        d = np.zeros(layout.dim)
+        d[k] = h
+        up = value_fn(apply_step(state, layout, d))
+        dn = value_fn(apply_step(state, layout, -d))
+        g[k] = (up - dn) / (2.0 * h)
+    return g
+
+
+def loop_drifting_grid(rng, grid_shape, base, slope):
+    """``gradba.scene._drifting_grid`` drawn and normalized one cell at a time."""
+    H, W, C = grid_shape
+    ref = rng.normal(size=C)
+    ref /= np.linalg.norm(ref)
+    cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
+    grid = np.empty((H, W, C))
+    for y in range(H):
+        for x in range(W):
+            d = np.hypot(y - cy, x - cx)
+            noise = rng.normal(size=C)
+            noise /= np.linalg.norm(noise)
+            grid[y, x] = ref + (base + slope * d) * noise
+    return ref, grid

@@ -273,6 +273,46 @@ class TestFailureContract:
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
 
+    @pytest.mark.parametrize("case", ["missing_long", "short_grid",
+                                      "transitions_not_a_list", "unknown_frame",
+                                      "unknown_track", "nan_long", "inf_origin",
+                                      "two_entry_grid_shape", "one_row_grid_shape"])
+    @pytest.mark.parametrize("command", ["temporal-loss", "gradcheck"])
+    def test_temporal_errors_are_stage_tagged(self, workdir, capsys, command, case):
+        tmp_path, cfg = workdir
+        sc = str(tmp_path / "scene.json")
+        assert main(["synth", "--config", cfg, "--out", sc]) == 0
+        scene = scn.load_scene(sc)
+        scn.attach_temporal(scene, grid_shape=(5, 5, 3), seed=5)
+        blk = scene["temporal"]
+        item = blk["transitions"][0]["items"][0]
+        if case == "missing_long":
+            del item["long"]
+        elif case == "short_grid":
+            item["grid"].pop()
+        elif case == "transitions_not_a_list":
+            blk["transitions"] = "x"
+        elif case == "unknown_frame":
+            blk["transitions"][0]["frame"] = 99
+        elif case == "unknown_track":
+            item["track"] = 9999
+        elif case == "nan_long":
+            item["long"][0] = float("nan")
+        elif case == "inf_origin":
+            item["origin"][1] = float("inf")
+        elif case == "two_entry_grid_shape":
+            item["grid_shape"] = [5, 15]
+        else:
+            item["grid_shape"] = [1, 25, 3]
+        scn.save_scene(scene, sc)
+        capsys.readouterr()
+        args = {"temporal-loss": [],
+                "gradcheck": ["--model", "trackbias", "--fd-subset", "8"]}[command]
+        rc = main([command, "--scene", sc, *args])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+
     @pytest.mark.parametrize("case", ["missing", "nan"])
     def test_trajectory_errors_are_stage_tagged(self, tmp_path, capsys, case):
         rows = [f"{k}.0 {k} {k * k} 0 0 0 0 1" for k in range(4)]

@@ -7,14 +7,15 @@ from gradba import scene as scn
 from gradba.errors import NonUniqueAlignment, NotAtOptimum
 from gradba.geometry import CameraIntrinsics, Pose, project, projection_jacobians
 from gradba.implicit import (ImplicitGradRequest, LandmarkTargetLoss,
-                             PoseErrorLoss, fd_gradient, fd_tangent_gradient,
-                             implicit_gradient, max_rel_error,
-                             optimality_residual, unrolled_gradient_oracle)
+                             PoseErrorLoss, fd_gradient, implicit_gradient,
+                             max_rel_error, optimality_residual,
+                             unrolled_gradient_oracle)
 from gradba.problem import (Problem, ReprojectionFactor, StateVector,
                             StaticModel, TrackBiasModel)
 from gradba.solver import SolverSettings, SystemLayout, linearize, optimize
 
 from conftest import build_ba_problem
+from loop_reference import fd_tangent_gradient
 
 TIGHT = SolverSettings(gradient_tolerance=1e-11, max_iterations=300)
 

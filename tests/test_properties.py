@@ -1,5 +1,6 @@
 """Property tests: the analytic pose-loss gradient and the batched
-vector-jacobian products against their references on generated inputs.
+vector-jacobian products against their references on generated inputs, and
+the scene file round trip with descriptor-field and temporal sections.
 
 Examples are derandomized and bounded in number, so a run does the same work
 every time. Tolerances were fixed before the code under test was written.
@@ -11,14 +12,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from gradba import scene as scn  # noqa: E402
 from gradba.geometry import Pose, se3_exp, se3_retract  # noqa: E402
-from gradba.implicit import (PoseErrorLoss, fd_tangent_gradient,  # noqa: E402
-                             max_rel_error)
+from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
 from gradba.problem import (DescriptorFieldModel, StateVector,  # noqa: E402
                             StaticModel, TrackBiasModel)
 from gradba.solver import SystemLayout  # noqa: E402
 
-from loop_reference import loop_observe_vjp  # noqa: E402
+from loop_reference import (fd_tangent_gradient, loop_drifting_grid,  # noqa: E402
+                            loop_observe_vjp)
 
 GRAD_RTOL = 1e-6
 VJP_RTOL = 1e-12
@@ -80,3 +82,48 @@ def test_observe_vjp_matches_jacobian_rows(pairs, seed):
         assert got.shape == (model.theta_dim,)
         assert max_rel_error(got, loop_observe_vjp(model, frames, tracks, theta, v)) \
             < VJP_RTOL
+
+
+@PROPERTY
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 12)),
+       seed=st.integers(0, 2 ** 32 - 1), base=st.floats(0.0, 1.0),
+       slope=st.floats(0.0, 1.0))
+def test_drifting_grid_matches_cell_loop(shape, seed, base, slope):
+    """The whole-grid draw is the cell-by-cell draw, bit for bit."""
+    def draw(fn):
+        return fn(np.random.Generator(np.random.Philox(key=seed)), shape, base, slope)
+
+    for got, ref in zip(draw(scn._drifting_grid), draw(loop_drifting_grid)):
+        np.testing.assert_array_equal(got, ref)
+
+
+@PROPERTY
+@given(n_cameras=st.integers(3, 7), n_landmarks=st.integers(8, 24),
+       trajectory=st.sampled_from(["arc", "orbit"]), seed=st.integers(0, 2 ** 16),
+       field_shape=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(1, 4)),
+       patch_shape=st.tuples(st.integers(5, 9), st.integers(5, 9), st.integers(1, 8)),
+       n_transitions=st.integers(1, 4), tracks_per_transition=st.integers(1, 5))
+def test_scene_round_trip_with_sections(tmp_path_factory, n_cameras, n_landmarks,
+                                        trajectory, seed, field_shape, patch_shape,
+                                        n_transitions, tracks_per_transition):
+    """write -> read -> write is byte-identical, and the temporal section read
+    back parses to the endpoints written."""
+    sc = scn.generate_scene(scn.SyntheticSceneConfig(
+        n_cameras=n_cameras, n_landmarks=n_landmarks, trajectory=trajectory,
+        pixel_sigma=0.5, seed=seed))
+    scn.attach_descriptor_field(sc, grid_shape=field_shape, seed=seed + 1)
+    scn.attach_temporal(sc, n_transitions=n_transitions,
+                        tracks_per_transition=tracks_per_transition,
+                        grid_shape=patch_shape, seed=seed + 2)
+    first = tmp_path_factory.mktemp("round_trip") / "scene.json"
+    scn.save_scene(sc, first)
+    loaded = scn.load_scene(first)
+    assert scn.dumps_scene(loaded) == first.read_text()
+    transitions = scn.temporal_transitions(loaded)
+    for tr, written in zip(transitions, sc["temporal"]["transitions"], strict=True):
+        assert [p.long.tolist() for p in tr.pairs] == [it["long"] for it in written["items"]]
+        assert [p.recursive.tolist() for p in tr.pairs] == \
+            [it["recursive"] for it in written["items"]]
+        assert len(tr.dense) == len(written["items"])
+    prob = scn.build_problem(loaded, model="descfield")
+    assert len(prob.temporal_terms.frames) == sum(len(tr.pairs) for tr in transitions)

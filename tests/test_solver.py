@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import gradba.solver as solver_mod
+from gradba import scene as scn
+from gradba import temporal
 from gradba.alignment import align, apply_alignment
 from gradba.errors import Diverged, SingularSystem
 from gradba.geometry import (CameraIntrinsics, Pose, projection_jacobians,
@@ -255,6 +257,30 @@ class TestOptimize:
         monkeypatch.setattr(solver_mod, "schur_solve", always_singular)
         with pytest.raises(Diverged):
             solver_mod.optimize(prob, x0)
+
+    def test_temporal_term_evaluated_once_per_solve(self, monkeypatch):
+        # the temporal term depends on theta alone, so a solve evaluates it
+        # once and adds it to every trial total
+        sc = scn.generate_scene(scn.SyntheticSceneConfig(
+            n_cameras=6, n_landmarks=30, trajectory="orbit", pixel_sigma=0.5,
+            seed=14))
+        scn.attach_descriptor_field(sc, seed=16)
+        scn.attach_temporal(sc, seed=17)
+        prob = scn.build_problem(sc, model="descfield")
+        theta = prob.theta0()
+        assert all(tr.dense for tr in prob.temporal_terms.build(prob.obs_model, theta))
+        x0 = StateVector([p if fixed else se3_retract(p, np.full(6, 0.004))
+                          for p, fixed in zip(prob.state.poses, prob.state.fixed_poses)],
+                         prob.state.landmarks + 0.01, prob.state.fixed_poses)
+        evaluate = temporal.temporal_energy
+        calls = []
+        monkeypatch.setattr(temporal, "temporal_energy",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        xs, rep = optimize(prob, x0, theta,
+                           SolverSettings(gradient_tolerance=1e-11, max_iterations=300))
+        assert len(calls) == 1
+        assert rep.iterations > 2 and rep.termination.startswith("converged_")
+        assert rep.final_energy == total_energy(prob, xs, theta)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
