@@ -14,8 +14,8 @@ Subpackages by responsibility:
 
 from .errors import GradbaError
 from .geometry import CameraIntrinsics, Pose, project, projection_jacobians, se3_retract
-from .problem import (Problem, ReprojectionFactor, RobustKernel, ScalePrior,
-                      StateVector, robust_terms, total_energy)
+from .problem import (Problem, RobustKernel, ScalePrior, StateVector,
+                      robust_terms, total_energy)
 from .solver import SolverSettings, SolveReport, linearize, lm_step, optimize, schur_solve
 from .implicit import (ImplicitGradRequest, ImplicitGradReport,
                        implicit_gradient, optimality_residual,
@@ -23,8 +23,8 @@ from .implicit import (ImplicitGradRequest, ImplicitGradReport,
 
 __all__ = [
     "GradbaError", "CameraIntrinsics", "Pose", "project",
-    "projection_jacobians", "se3_retract", "Problem", "ReprojectionFactor",
-    "RobustKernel", "ScalePrior", "StateVector", "robust_terms",
+    "projection_jacobians", "se3_retract", "Problem", "RobustKernel",
+    "ScalePrior", "StateVector", "robust_terms",
     "total_energy", "SolverSettings", "SolveReport", "linearize", "lm_step",
     "optimize", "schur_solve", "ImplicitGradRequest", "ImplicitGradReport",
     "implicit_gradient", "optimality_residual", "unrolled_gradient_oracle",

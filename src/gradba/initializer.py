@@ -23,7 +23,7 @@ from .errors import (DegenerateGeometry, Diverged, InitializationFailed,
 from .geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project,
                        quat_from_matrix, quat_to_rotvec, quat_mul, quat_conj,
                        so3_hat)
-from .problem import Problem, ReprojectionFactor, StateVector, StaticModel
+from .problem import Problem, StateVector, StaticModel
 from .solver import SolverSettings, optimize
 
 RAY_PARALLEL_EPS = 1e-6  # rad
@@ -343,9 +343,8 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
     n = len(landmarks)
     state = StateVector([pose_init], landmarks,
                         fixed_poses=[False], fixed_landmarks=[True] * n)
-    obs = {(0, k): pixels[k] for k in range(n)}
-    factors = [ReprojectionFactor(0, k, k) for k in range(n)]
-    prob = Problem(state, intr, factors, StaticModel(obs))
+    frames, rows = np.zeros(n, dtype=int), np.arange(n)
+    prob = Problem(state, intr, frames, rows, rows, StaticModel(frames, rows, pixels))
     if settings is None:
         settings = SolverSettings(max_iterations=50)
     try:

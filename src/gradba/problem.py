@@ -1,4 +1,5 @@
-"""Factor-graph data model: states, reprojection factors, observation models.
+"""Factor-graph data model: states, observation models, and a Problem that
+holds its reprojection factors as one table row per observation.
 
 The residual convention is ``e = observe(frame, track) - project(pose, point)``:
 the parameterized observation model predicts where a track is seen, and the
@@ -20,7 +21,7 @@ reproducible and distinct problems can be evaluated concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,26 +97,8 @@ class StateVector:
 
 
 # ---------------------------------------------------------------------------
-# factors and priors
+# priors
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ReprojectionFactor:
-    frame: int
-    track: int
-    landmark: int
-    cov: np.ndarray = None          # 2x2 observation covariance, pixels^2
-    kernel: RobustKernel = field(default_factory=RobustKernel)
-
-    def __post_init__(self):
-        self.cov = np.eye(2) if self.cov is None else np.asarray(self.cov, dtype=float)
-        if self.cov.shape != (2, 2) or np.abs(self.cov - self.cov.T).max() > 1e-12:
-            raise ValueError("covariance must be 2x2 symmetric")
-        w = np.linalg.eigvalsh(self.cov)
-        if w.min() <= 0:
-            raise ValueError("covariance must be positive definite")
-        self.info = np.linalg.inv(self.cov)
-
 
 @dataclass
 class ScalePrior:
@@ -170,8 +153,10 @@ class ObservationModel:
     """Differentiable map (frame, track, theta) -> predicted pixel: the
     stored pixel of a (frame, track) key plus an offset of its track.
 
-    theta holds one block per track, in ``track_ids`` order (by default the
-    table's sorted tracks). The pixels are stacked in one array sorted by the
+    The table is given as parallel arrays of frames, tracks and pixels, one
+    row per key; a repeated key raises ValueError. theta holds one block per
+    track, in ``track_ids`` order (by default the table's sorted tracks).
+    The rows are kept as ``frames``, ``tracks`` and ``pixels``, sorted by the
     integer code of their key, so a lookup is a binary search and a gather;
     the table must not change after construction. Here the offsets are zero
     and theta is empty; a model with parameters defines ``track_offsets``
@@ -180,16 +165,22 @@ class ObservationModel:
 
     theta_dim = 0
 
-    def __init__(self, observations, track_ids=None):
-        self.observations = {k: np.asarray(v, dtype=float) for k, v in observations.items()}
-        keys = np.array(list(self.observations), dtype=np.int64).reshape(-1, 2)
-        self._track_range = ((int(keys[:, 1].min()), int(keys[:, 1].max()))
-                             if len(keys) else (0, -1))
-        codes = self._codes(keys[:, 0], keys[:, 1])
+    def __init__(self, frames, tracks, pixels, track_ids=None):
+        frames, tracks = (np.asarray(a, dtype=np.int64).ravel() for a in (frames, tracks))
+        pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+        if not len(frames) == len(tracks) == len(pixels):
+            raise ValueError("need one frame, track and pixel per observation")
+        self._track_range = (int(tracks.min()), int(tracks.max())) if len(tracks) else (0, -1)
+        codes = self._codes(frames, tracks)
         order = np.argsort(codes, kind="stable")
         self._sorted_codes = codes[order]
-        self._pixels = np.array(list(self.observations.values())).reshape(-1, 2)[order]
-        self.track_ids = np.unique(keys[:, 1]).tolist() if track_ids is None else list(track_ids)
+        self.frames, self.tracks, self.pixels = frames[order], tracks[order], pixels[order]
+        repeated = np.flatnonzero(self._sorted_codes[1:] == self._sorted_codes[:-1])
+        if len(repeated):
+            k = repeated[0]
+            raise ValueError(f"observation (frame, track) = ({self.frames[k]}, "
+                             f"{self.tracks[k]}) is repeated")
+        self.track_ids = np.unique(tracks).tolist() if track_ids is None else list(track_ids)
         ids = np.array(self.track_ids, dtype=np.int64)
         self._slot_order = np.argsort(ids, kind="stable")
         self._sorted_ids = ids[self._slot_order]
@@ -221,7 +212,7 @@ class ObservationModel:
 
     def observe_all(self, frames, tracks, theta=None):
         """Stacked predictions for parallel (frame, track) arrays."""
-        pixels = self._pixels[self._rows(frames, tracks)]
+        pixels = self.pixels[self._rows(frames, tracks)]
         if not self.theta_dim:
             return pixels
         return pixels + self.track_offsets(theta)[self.slots(tracks)]
@@ -250,8 +241,8 @@ class StaticModel(ObservationModel):
 class TrackBiasModel(ObservationModel):
     """Stored pixels plus one learned 2-vector bias per track."""
 
-    def __init__(self, observations, track_ids, theta_init=None):
-        super().__init__(observations, track_ids)
+    def __init__(self, frames, tracks, pixels, track_ids, theta_init=None):
+        super().__init__(frames, tracks, pixels, track_ids)
         self.theta_dim = 2 * len(self.track_ids)
         self._theta0 = (np.zeros(self.theta_dim) if theta_init is None
                         else np.asarray(theta_init, dtype=float).copy())
@@ -306,19 +297,20 @@ class DescriptorFieldModel(ObservationModel):
     shape. The stored pixel of a (frame, track) key is the origin of its
     patch, and the track's offset is the similarity-weighted mean cell
     coordinate; the similarity map compares the grid against a fixed
-    reference descriptor per track. Temperature is fixed at one: the
+    reference descriptor per track. ``grids`` (n, H, W, C) and ``refs``
+    (n, C) are given in ``track_ids`` order. Temperature is fixed at one: the
     similarity map is already exponential. A non-finite grid raises
     DimensionMismatch.
     """
 
-    def __init__(self, track_ids, grids, refs, origins):
-        super().__init__(origins, track_ids)
-        shapes = {np.shape(grids[t]) for t in self.track_ids}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 3:
+    def __init__(self, frames, tracks, origins, track_ids, grids, refs):
+        super().__init__(frames, tracks, origins, track_ids)
+        shapes = {np.shape(g) for g in grids}
+        if len(grids) != len(self.track_ids) or len(shapes) != 1 or len(next(iter(shapes))) != 3:
             raise ValueError(f"need one H x W x C grid shape for all tracks, got {shapes}")
         (self.grid_shape,) = shapes
-        self._grids0 = np.array([grids[t] for t in self.track_ids], dtype=float)
-        self.refs = np.array([refs[t] for t in self.track_ids], dtype=float)
+        self._grids0 = np.array(grids, dtype=float)
+        self.refs = np.array(refs, dtype=float)
         if self.refs.shape != (len(self.track_ids), self.grid_shape[2]):
             raise ValueError("need one reference descriptor of length C per track")
         self.theta_dim = self._grids0.size
@@ -369,6 +361,7 @@ class TemporalObservation:
     long_endpoint: np.ndarray
     grid: np.ndarray = None     # optional H x W x C patch for the dense losses
     origin: np.ndarray = None   # image pixel of grid cell (0, 0)
+    valid: bool = True          # False leaves the pair out of the MRP loss
 
 
 @dataclass
@@ -391,7 +384,7 @@ class TemporalAttachment:
     def build(self, obs_model, theta):
         """Transition structures with the endpoints the model predicts at theta."""
         recs = iter(obs_model.observe_all(self.frames, self.tracks, theta))
-        return [temporal.Transition([temporal.TrackPair(next(recs), ob.long_endpoint)
+        return [temporal.Transition([temporal.TrackPair(next(recs), ob.long_endpoint, ob.valid)
                                      for ob in obs_list], dense)
                 for obs_list, dense in zip(self.transitions, self._dense)]
 
@@ -401,56 +394,68 @@ class TemporalAttachment:
 # ---------------------------------------------------------------------------
 
 class Problem:
-    """A reprojection factor graph with optional temporal terms."""
+    """A reprojection factor graph with optional temporal terms, held as one
+    row per observation: parallel frame, track and landmark indices, an
+    optional (k, 2, 2) stack of pixel covariances (identity without one),
+    and one robust kernel for every factor (None for the plain quadratic
+    cost). The rows must not change after construction."""
 
-    def __init__(self, state, intrinsics, factors, obs_model,
-                 temporal_terms=None, scale_prior=None):
+    def __init__(self, state, intrinsics, frames, tracks, landmarks, obs_model,
+                 covs=None, kernel=None, temporal_terms=None, scale_prior=None):
         self.state = state
         if isinstance(intrinsics, CameraIntrinsics):
             intrinsics = [intrinsics] * state.n_poses
         self.intrinsics = list(intrinsics)
-        self.factors = list(factors)
+        self.frame_idx, self.track_idx, self.lm_idx = (
+            np.array(a, dtype=int).ravel() for a in (frames, tracks, landmarks))
+        nf = len(self.frame_idx)
+        if not len(self.track_idx) == len(self.lm_idx) == nf:
+            raise ValueError("need one frame, track and landmark per factor")
+        self.info_stack = _information(covs, nf)
+        self.kernel = kernel
+        # Huber threshold per factor; inf selects the plain quadratic cost
+        huber = kernel is not None and kernel.kind == "huber"
+        self.huber_delta = np.full(nf, kernel.delta if huber else np.inf, dtype=float)
         self.obs_model = obs_model
         self.temporal_terms = temporal_terms
         self.scale_prior = scale_prior
         self.validate()
+        # fx, fy, cx, cy of every camera
+        self.intrinsics_table = np.array([[c.fx, c.fy, c.cx, c.cy]
+                                          for c in self.intrinsics]).reshape(-1, 4)
 
     def validate(self):
         n, m = self.state.n_poses, self.state.n_landmarks
         if len(self.intrinsics) != n:
             raise ValueError("need one intrinsics entry per pose")
-        per_track = {}
-        free_track = {}
-        for f in self.factors:
-            if not (0 <= f.frame < n and 0 <= f.landmark < m):
-                raise ValueError(f"factor indices out of range: {f.frame}, {f.landmark}")
-            per_track.setdefault(f.track, set()).add(f.frame)
-            free_track[f.track] = not self.state.fixed_landmarks[f.landmark]
-        for track, frames in per_track.items():
-            # single-frame tracks are fine when the landmark is held fixed
-            # (pose-only problems); a free landmark needs two views
-            if free_track[track] and len(frames) < 2:
-                raise ValueError(f"track {track} observed in fewer than 2 frames")
-        self._build_cache()
-
-    def _build_cache(self):
-        """Per-factor arrays; the factor list is immutable after validation."""
-        nf = len(self.factors)
-        self.frame_idx = np.array([f.frame for f in self.factors], dtype=int)
-        self.track_idx = np.array([f.track for f in self.factors], dtype=int)
-        self.lm_idx = np.array([f.landmark for f in self.factors], dtype=int)
-        self.info_stack = (np.stack([f.info for f in self.factors])
-                           if nf else np.zeros((0, 2, 2)))
-        # Huber threshold per factor; inf selects the plain quadratic cost
-        self.huber_delta = np.array(
-            [f.kernel.delta if (f.kernel is not None and f.kernel.kind == "huber") else np.inf
-             for f in self.factors])
-        # fx, fy, cx, cy of every camera
-        self.intrinsics_table = np.array([[c.fx, c.fy, c.cx, c.cy]
-                                          for c in self.intrinsics]).reshape(-1, 4)
+        frames, tracks, lms = self.frame_idx, self.track_idx, self.lm_idx
+        bad = (frames < 0) | (frames >= n) | (lms < 0) | (lms >= m)
+        if bad.any():
+            k = np.argmax(bad)
+            raise ValueError(f"factor indices out of range: {frames[k]}, {lms[k]}")
+        # single-frame tracks are fine when the landmark is held fixed
+        # (pose-only problems); a free landmark needs two views
+        ids, slot = np.unique(tracks, return_inverse=True)
+        views = np.bincount(np.unique(slot * n + frames) // n, minlength=len(ids))
+        short = (views < 2)[slot] & ~self.state.fixed_landmarks[lms]
+        if short.any():
+            raise ValueError(f"track {tracks[np.argmax(short)]} observed in fewer than 2 frames")
 
     def theta0(self):
         return self.obs_model.theta0()
+
+
+def _information(covs, nf):
+    """Inverses of a (nf, 2, 2) stack of symmetric positive-definite pixel
+    covariances; identities for None."""
+    if covs is None:
+        return np.tile(np.eye(2), (nf, 1, 1))
+    covs = np.asarray(covs, dtype=float)
+    if covs.shape != (nf, 2, 2) or np.abs(covs - covs.swapaxes(1, 2)).max(initial=0.0) > 1e-12:
+        raise ValueError("covariance must be 2x2 symmetric")
+    if (np.linalg.eigvalsh(covs).min(axis=1, initial=np.inf) <= 0).any():
+        raise ValueError("covariance must be positive definite")
+    return np.linalg.inv(covs)
 
 
 def project_factors(problem, state):

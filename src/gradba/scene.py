@@ -24,10 +24,9 @@ import numpy as np
 from .errors import InfeasibleConfig, SceneFormatError
 from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, project,
                        quat_from_matrix)
-from .problem import (DescriptorFieldModel, Problem, ReprojectionFactor,
-                      RobustKernel, ScalePrior, StateVector, StaticModel,
-                      TemporalAttachment, TemporalObservation, TrackBiasModel,
-                      softargmax)
+from .problem import (DescriptorFieldModel, Problem, ScalePrior, StateVector,
+                      StaticModel, TemporalAttachment, TemporalObservation,
+                      TrackBiasModel, softargmax)
 from .temporal import TemporalEnergy, TrackPair, Transition, build_dense_item
 
 SCENE_VERSION = 1
@@ -248,20 +247,35 @@ def _finite_vector(item, key, n, where):
     return value
 
 
+def _is_sigma(value):
+    """True for a finite number > 0 whose square is a positive finite float."""
+    try:
+        return type(value) in _JSON_NUMBERS and value > 0 and 0.0 < float(value) ** 2 < math.inf
+    except OverflowError:
+        return False
+
+
 def load_scene(path):
-    """The scene in a file. Observation pixels must be numbers; a NaN pixel
-    is left for the solver to reject."""
+    """The scene in a file. Observation pixels must be numbers, each (frame,
+    track) pair is observed once, and a ``sigma`` is absent, null or a
+    finite number > 0; a NaN pixel is left for the solver to reject."""
     scene = read_json(path, "scene")
     if "version" not in scene:
         raise SceneFormatError(f"{path}: missing version field")
     ids = {f["id"] for f in _records(scene, "frames", ("id", "timestamp"))}
     tracks = {l["id"] for l in _records(scene, "landmarks", ("id",))}
+    seen = set()
     for o in _records(scene, "observations", ("frame", "track", "u", "v")):
         if o["frame"] not in ids or o["track"] not in tracks:
             raise SceneFormatError(
                 f"observation references unknown frame/track: {o}")
         if type(o["u"]) not in _JSON_NUMBERS or type(o["v"]) not in _JSON_NUMBERS:
             raise SceneFormatError(f"observation pixel must be numbers: {o}")
+        if o.get("sigma") is not None and not _is_sigma(o["sigma"]):
+            raise SceneFormatError(f"observation sigma must be a finite number > 0: {o}")
+        if (o["frame"], o["track"]) in seen:
+            raise SceneFormatError(f"observation of a (frame, track) pair is repeated: {o}")
+        seen.add((o["frame"], o["track"]))
     return scene
 
 
@@ -289,20 +303,13 @@ def scene_window(scene):
 
 
 def gt_state(scene, fix_first=True):
-    poses = []
-    for f in scene["frames"]:
-        if f.get("pose_gt") is None:
-            raise SceneFormatError("scene has no ground-truth poses")
-        poses.append(Pose(f["pose_gt"]["q_wxyz"], f["pose_gt"]["t"]))
-    lms = []
-    for l in scene["landmarks"]:
-        if l.get("position_gt") is None:
-            raise SceneFormatError("scene has no ground-truth landmarks")
-        lms.append(l["position_gt"])
-    fixed = [False] * len(poses)
-    if fix_first:
-        fixed[0] = True
-    return StateVector(poses, np.array(lms), fixed_poses=fixed)
+    if any(f.get("pose_gt") is None for f in scene["frames"]):
+        raise SceneFormatError("scene has no ground-truth poses")
+    if any(l.get("position_gt") is None for l in scene["landmarks"]):
+        raise SceneFormatError("scene has no ground-truth landmarks")
+    lms = np.array([l["position_gt"] for l in scene["landmarks"]])
+    fixed = [fix_first and k == 0 for k in range(len(scene["frames"]))]
+    return StateVector(gt_poses(scene), lms, fixed_poses=fixed)
 
 
 def gt_poses(scene):
@@ -356,11 +363,6 @@ def load_state(path):
 # problem assembly
 # ---------------------------------------------------------------------------
 
-def _check_model_kind(kind):
-    if kind not in ("static", "trackbias", "descfield"):
-        raise ValueError(f"unknown observation model {kind!r}")
-
-
 def build_problem(scene, model="static", kernel=None, state=None,
                   track_ids=None, temporal_terms=None, scale_prior=True):
     """Factor-graph problem over a scene's observations.
@@ -370,7 +372,8 @@ def build_problem(scene, model="static", kernel=None, state=None,
     onto the right landmark rows; observations of dropped tracks are skipped.
     ``kernel``: None for the plain quadratic cost or a RobustKernel.
     """
-    _check_model_kind(model)
+    if model not in ("static", "trackbias", "descfield"):
+        raise ValueError(f"unknown observation model {model!r}")
     intr, _ = scene_intrinsics(scene)
     frame_order = {f["id"]: k for k, f in enumerate(scene["frames"])}
     if state is None:
@@ -380,33 +383,28 @@ def build_problem(scene, model="static", kernel=None, state=None,
         raise ValueError("track_ids required with an explicit state")
     lm_index = {t: k for k, t in enumerate(track_ids)}
 
-    observations = {}
-    factors = []
-    for o in scene["observations"]:
-        t = o["track"]
-        if t not in lm_index:
-            continue
-        fi = frame_order[o["frame"]]
-        observations[(fi, t)] = np.array([o["u"], o["v"]])
-        cov = None
-        if o.get("sigma") is not None:
-            cov = (o["sigma"] ** 2) * np.eye(2)
-        factors.append(ReprojectionFactor(fi, t, lm_index[t], cov=cov,
-                                          kernel=kernel or RobustKernel("none")))
+    kept = [o for o in scene["observations"] if o["track"] in lm_index]
+    frames = np.array([frame_order[o["frame"]] for o in kept], dtype=int)
+    tracks = np.array([o["track"] for o in kept], dtype=int)
+    landmarks = np.array([lm_index[o["track"]] for o in kept], dtype=int)
+    pixels = np.array([[o["u"], o["v"]] for o in kept], dtype=float).reshape(-1, 2)
+    # sigma ** 2 by Python per observation, rounded as a lone covariance's
+    var = [1.0 if o.get("sigma") is None else o["sigma"] ** 2 for o in kept]
+    covs = np.array(var, dtype=float)[:, None, None] * np.eye(2) if set(var) - {1.0} else None
 
+    ids = sorted(lm_index)
     if model == "static":
-        obs_model = StaticModel(observations)
+        obs_model = StaticModel(frames, tracks, pixels)
     elif model == "trackbias":
-        tracks = sorted(lm_index)
         theta_init = None
         blk = scene.get("track_bias")
         if blk is not None:
             theta_init = np.concatenate(
                 [np.asarray(blk["values"].get(str(t), [0.0, 0.0]), dtype=float)
-                 for t in tracks])
-        obs_model = TrackBiasModel(observations, tracks, theta_init)
+                 for t in ids])
+        obs_model = TrackBiasModel(frames, tracks, pixels, ids, theta_init)
     else:
-        obs_model = descriptor_field_model(scene, observations, sorted(lm_index))
+        obs_model = descriptor_field_model(scene, frames, tracks, pixels, ids)
 
     prior = None
     if scale_prior and state.n_poses >= 2 and not state.fixed_poses[1]:
@@ -415,10 +413,9 @@ def build_problem(scene, model="static", kernel=None, state=None,
 
     attachment = temporal_terms
     if attachment is None and "temporal" in scene:
-        attachment = temporal_attachment(scene, lm_index,
-                                         observed=set(observations))
-    return Problem(state, intr, factors, obs_model,
-                   temporal_terms=attachment, scale_prior=prior)
+        attachment = temporal_attachment(scene, set(zip(frames.tolist(), tracks.tolist())))
+    return Problem(state, intr, frames, tracks, landmarks, obs_model, covs=covs,
+                   kernel=kernel, temporal_terms=attachment, scale_prior=prior)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +478,10 @@ def _track_vectors(blk, name, track_ids, n):
     return out
 
 
-def descriptor_field_model(scene, observations, track_ids):
-    """The scene's descriptor-field model, each observation's patch placed so
-    the prediction at the stored grids equals its pixel. A missing or
+def descriptor_field_model(scene, frames, tracks, pixels, track_ids):
+    """The scene's descriptor-field model over parallel frame, track and
+    pixel arrays, each observation's patch placed so the prediction at the
+    stored grids equals its pixel. ``track_ids`` is ascending. A missing or
     malformed ``descriptor_field`` block raises SceneFormatError."""
     blk = scene.get("descriptor_field")
     if not isinstance(blk, dict):
@@ -491,10 +489,8 @@ def descriptor_field_model(scene, observations, track_ids):
     shape = _grid_shape(blk.get("grid_shape"), "descriptor_field", 1)
     grids = _track_vectors(blk, "grids", track_ids, math.prod(shape)).reshape(-1, *shape)
     refs = _track_vectors(blk, "refs", track_ids, shape[2])
-    offsets = dict(zip(track_ids, softargmax(grids, refs)[2]))
-    origins = {k: p - offsets[k[1]] for k, p in observations.items()}
-    return DescriptorFieldModel(track_ids, dict(zip(track_ids, grids)),
-                                dict(zip(track_ids, refs)), origins)
+    offsets = softargmax(grids, refs)[2][np.searchsorted(track_ids, tracks)]
+    return DescriptorFieldModel(frames, tracks, pixels - offsets, track_ids, grids, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +592,18 @@ def temporal_transitions(scene):
             for _, items in section]
 
 
-def temporal_attachment(scene, lm_index, observed=None):
+def temporal_attachment(scene, observed):
     """Problem attachment: chained endpoints come from the observation model
-    at (frame, track); frozen data comes from the scene section. Items of
-    tracks outside ``lm_index``, or of (frame, track) keys outside
-    ``observed``, are left out."""
+    at (frame, track); frozen data comes from the scene section. Items whose
+    (frame index, track) key is not in ``observed`` are left out."""
     section = _temporal_section(scene)
     if section is None:
         return None
     transitions = []
     for fi, items in section:
-        obs_list = [TemporalObservation(fi, it["track"], it["long"], it["grid"], it["origin"])
-                    for it in items if it["track"] in lm_index
-                    and (observed is None or (fi, it["track"]) in observed)]
+        obs_list = [TemporalObservation(fi, it["track"], it["long"], it["grid"], it["origin"],
+                                        it["valid"])
+                    for it in items if (fi, it["track"]) in observed]
         if obs_list:
             transitions.append(obs_list)
     if not transitions:

@@ -5,8 +5,8 @@ import pytest
 
 from gradba.geometry import (CameraIntrinsics, Pose, project,
                              quat_from_matrix, se3_retract)
-from gradba.problem import (Problem, ReprojectionFactor, ScalePrior,
-                            StateVector, StaticModel, TrackBiasModel)
+from gradba.problem import (Problem, ScalePrior, StateVector, StaticModel,
+                            TrackBiasModel)
 
 
 def look_at(eye, target, up=(0.0, 1.0, 0.0)):
@@ -37,8 +37,7 @@ def build_ba_problem(seed, n_cams=5, n_lms=20, sigma=0.5, model="trackbias",
     intr = CameraIntrinsics(f, f, 0.0, 0.0)
     poses_gt = orbit_poses(n_cams)
     lms_gt = rng.uniform(-1.0, 1.0, size=(n_lms, 3))
-    obs = {}
-    factors = []
+    pixels = []
     outliers = {}
     for i, P in enumerate(poses_gt):
         for j in range(n_lms):
@@ -47,25 +46,39 @@ def build_ba_problem(seed, n_cams=5, n_lms=20, sigma=0.5, model="trackbias",
             if is_out:
                 ang = rng.uniform(0.0, 2.0 * np.pi)
                 px = px + outlier_px * np.array([np.cos(ang), np.sin(ang)])
-            obs[(i, j)] = px
+            pixels.append(px)
             outliers[(i, j)] = is_out
-            factors.append(ReprojectionFactor(i, j, j, kernel=kernel))
+    # one factor per (frame, landmark), frame-major; track j is landmark j
+    frames = np.repeat(np.arange(n_cams), n_lms)
+    tracks = np.tile(np.arange(n_lms), n_cams)
     state_gt = StateVector(poses_gt, lms_gt,
                            fixed_poses=[True] + [False] * (n_cams - 1))
     if model == "static":
-        obs_model = StaticModel(obs)
+        obs_model = StaticModel(frames, tracks, pixels)
     elif model == "trackbias":
-        obs_model = TrackBiasModel(obs, list(range(n_lms)))
+        obs_model = TrackBiasModel(frames, tracks, pixels, list(range(n_lms)))
     else:
         raise ValueError(model)
     prior = ScalePrior(0, 1, float(np.linalg.norm(
         poses_gt[1].t - poses_gt[0].t)))
-    problem = Problem(state_gt, intr, factors, obs_model, scale_prior=prior)
+    problem = Problem(state_gt, intr, frames, tracks, tracks, obs_model,
+                      kernel=kernel, scale_prior=prior)
     poses0 = [poses_gt[0]] + [se3_retract(P, rng.normal(scale=pose_noise, size=6))
                               for P in poses_gt[1:]]
     lms0 = lms_gt + rng.normal(scale=lm_noise, size=lms_gt.shape)
     x0 = StateVector(poses0, lms0, fixed_poses=state_gt.fixed_poses)
     return problem, x0, poses_gt, lms_gt, outliers
+
+
+def problem_like(prob, rows=slice(None), **changes):
+    """A Problem over the factors ``rows`` of ``prob`` (all by default) with
+    its kernel and identity covariances. ``changes`` replace any other
+    Problem argument (state, intrinsics, obs_model, covs, kernel); the scale
+    prior and temporal terms are left out unless given."""
+    args = dict(state=prob.state, intrinsics=prob.intrinsics, frames=prob.frame_idx[rows],
+                tracks=prob.track_idx[rows], landmarks=prob.lm_idx[rows],
+                obs_model=prob.obs_model, kernel=prob.kernel)
+    return Problem(**{**args, **changes})
 
 
 def build_window(seed, n_frames=8, n_tracks=60, sigma=0.0, outlier_ratio=0.0,

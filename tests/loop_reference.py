@@ -1,10 +1,12 @@
 """Per-factor loop versions of the batched factor kernel, kept as references.
 
-These are the per-row observation predictor, the frame-by-frame projection,
-the factor-by-factor block assembly and exact-Hessian correction, and the
-jacobian-row contractions of the theta gradients that ``gradba.solver``,
+These are the per-observation problem assembly, the per-row observation
+predictor, the frame-by-frame projection, the factor-by-factor block
+assembly and exact-Hessian correction, and the jacobian-row contractions of
+the theta gradients that ``gradba.scene``, ``gradba.solver``,
 ``gradba.problem`` and ``gradba.implicit`` used before they became array
-code. ``test_batched_kernel`` compares the library against them.
+code. ``test_batched_kernel`` and ``test_properties`` compare the library
+against them.
 ``fd_tangent_gradient`` is the central-difference oracle of the analytic
 state-loss gradients, and ``loop_drifting_grid`` the cell-by-cell draw of a
 synthetic descriptor grid.
@@ -16,16 +18,17 @@ import numpy as np
 
 from gradba import temporal
 from gradba.geometry import DEPTH_EPS, project, quat_to_matrix
-from gradba.problem import DescriptorFieldModel, TrackBiasModel
+from gradba.problem import DescriptorFieldModel, TrackBiasModel, softargmax
 from gradba.solver import (LinearizedSystem, SystemLayout, _so3_hat_many,
                            _translation_curvature, apply_step)
 
 
 def loop_observe(model, frame, track, theta):
-    """One prediction: a dict lookup of the stored pixel plus the track's
-    offset, the descriptor field's from one soft-argmax of that track's grid
-    alone."""
-    pixel = model.observations[(frame, track)]
+    """One prediction: a scan of the table for the stored pixel plus the
+    track's offset, the descriptor field's from one soft-argmax of that
+    track's grid alone."""
+    (row,) = np.flatnonzero((model.frames == frame) & (model.tracks == track))
+    pixel = model.pixels[row]
     if isinstance(model, TrackBiasModel):
         s = model.track_ids.index(track)
         return pixel + theta[2 * s:2 * s + 2]
@@ -41,18 +44,81 @@ def loop_observe(model, frame, track, theta):
     return pixel.copy()
 
 
+def loop_factor_info(cov):
+    """Information matrix of one factor's pixel covariance (identity for
+    None), checked and inverted as a lone 2x2."""
+    cov = np.eye(2) if cov is None else np.asarray(cov, dtype=float)
+    if cov.shape != (2, 2) or np.abs(cov - cov.T).max() > 1e-12:
+        raise ValueError("covariance must be 2x2 symmetric")
+    if np.linalg.eigvalsh(cov).min() <= 0:
+        raise ValueError("covariance must be positive definite")
+    return np.linalg.inv(cov)
+
+
+def loop_problem_table(scene, model, kernel=None, track_ids=None):
+    """What ``gradba.scene.build_problem`` makes of a scene, assembled one
+    observation at a time through a (frame, track) -> pixel dict: a dict of
+    the factor rows ``frame_idx``, ``track_idx``, ``lm_idx``, their
+    ``info_stack`` and ``huber_delta``, and the ``predictions`` of the
+    observation model at its theta0. ``track_ids`` lists the landmark rows
+    of the state, all of the scene's landmarks by default."""
+    frame_order = {f["id"]: k for k, f in enumerate(scene["frames"])}
+    if track_ids is None:
+        track_ids = [l["id"] for l in scene["landmarks"]]
+    lm_index = {t: k for k, t in enumerate(track_ids)}
+    observations = {}
+    rows, infos = [], []
+    for o in scene["observations"]:
+        t = o["track"]
+        if t not in lm_index:
+            continue
+        fi = frame_order[o["frame"]]
+        observations[(fi, t)] = np.array([o["u"], o["v"]])
+        cov = None if o.get("sigma") is None else (o["sigma"] ** 2) * np.eye(2)
+        rows.append((fi, t, lm_index[t]))
+        infos.append(loop_factor_info(cov))
+
+    tracks = sorted(lm_index)
+    slot = {t: k for k, t in enumerate(tracks)}
+    offsets = np.zeros((len(tracks), 2))
+    if model == "trackbias" and "track_bias" in scene:
+        values = scene["track_bias"]["values"]
+        offsets = np.array([values.get(str(t), [0.0, 0.0]) for t in tracks], dtype=float)
+    if model == "descfield":
+        blk = scene["descriptor_field"]
+        grids = np.array([blk["grids"][str(t)] for t in tracks],
+                         dtype=float).reshape(-1, *blk["grid_shape"])
+        refs = np.array([blk["refs"][str(t)] for t in tracks], dtype=float)
+        offsets = softargmax(grids, refs)[2]
+        for (f, t), pixel in observations.items():
+            observations[(f, t)] = pixel - offsets[slot[t]]  # the patch origin
+    predictions = [observations[(f, t)].astype(float) for f, t, _ in rows]
+    if model != "static":
+        predictions = [p + offsets[slot[t]] for p, (_, t, _) in zip(predictions, rows)]
+
+    huber = kernel is not None and kernel.kind == "huber"
+    return {"frame_idx": np.array([r[0] for r in rows], dtype=int),
+            "track_idx": np.array([r[1] for r in rows], dtype=int),
+            "lm_idx": np.array([r[2] for r in rows], dtype=int),
+            "info_stack": np.array(infos).reshape(-1, 2, 2),
+            "huber_delta": np.array([kernel.delta if huber else np.inf for _ in rows]),
+            "predictions": np.array(predictions).reshape(-1, 2)}
+
+
 def loop_predictions(problem, theta):
     return np.array([loop_observe(problem.obs_model, f, t, theta)
                      for f, t in zip(problem.frame_idx, problem.track_idx)]).reshape(-1, 2)
 
 
-def residual(factor, state, intr, obs_model, theta):
-    """e = predicted observation - projection, in pixels.
+def residual(problem, k, state, theta):
+    """e = predicted observation - projection of factor ``k``, in pixels.
 
     Raises CheiralityViolation when the landmark is behind the camera.
     """
-    pred = loop_observe(obs_model, factor.frame, factor.track, theta)
-    proj = project(state.poses[factor.frame], intr, state.landmarks[factor.landmark])
+    frame = int(problem.frame_idx[k])
+    pred = loop_observe(problem.obs_model, frame, problem.track_idx[k], theta)
+    proj = project(state.poses[frame], problem.intrinsics[frame],
+                   state.landmarks[problem.lm_idx[k]])
     return pred - proj
 
 
@@ -67,10 +133,11 @@ def _project_frame(pose, intr, points):
 
 
 def huber_deltas(problem):
-    """Huber threshold per factor from the factors' own kernels; inf for the
+    """Huber threshold per factor from the problem's kernel; inf for the
     plain quadratic cost."""
-    return np.array([f.kernel.delta if f.kernel is not None and f.kernel.kind == "huber"
-                     else np.inf for f in problem.factors])
+    k = problem.kernel
+    delta = k.delta if k is not None and k.kind == "huber" else np.inf
+    return np.array([delta for _ in problem.frame_idx], dtype=float)
 
 
 def _by_frame(problem):
@@ -80,7 +147,7 @@ def _by_frame(problem):
 
 def loop_residuals(problem, state, theta):
     """(e, s, active) with one projection per camera."""
-    nf = len(problem.factors)
+    nf = len(problem.frame_idx)
     preds = loop_predictions(problem, theta)
     e = np.zeros((nf, 2))
     active = np.zeros(nf, dtype=bool)
@@ -125,7 +192,7 @@ def loop_linearize(problem, state, theta):
     layout = SystemLayout(state)
     pslot, lslot = slot_maps(state)
     sys_ = LinearizedSystem(layout)
-    nf = len(problem.factors)
+    nf = len(problem.frame_idx)
     preds = loop_predictions(problem, theta)
 
     e_all = np.zeros((nf, 2))

@@ -19,14 +19,14 @@ from gradba.implicit import (ImplicitGradRequest, LandmarkTargetLoss,
 from gradba.initializer import (InverseDepthEstimate, RansacConfig,
                                 estimate_relative_pose, fuse_inverse_depth,
                                 normalize_bearings, run_initialization)
-from gradba.problem import (DescriptorFieldModel, Problem, ReprojectionFactor,
-                            RobustKernel, StateVector, TrackBiasModel,
-                            TemporalAttachment, TemporalObservation)
+from gradba.problem import (DescriptorFieldModel, Problem, RobustKernel,
+                            StateVector, TrackBiasModel, TemporalAttachment,
+                            TemporalObservation)
 from gradba.solver import SolverSettings, linearize, lm_step, optimize, schur_solve
 from gradba.temporal import (TemporalEnergy, TrackPair, gaussian_target,
                              loss_hot, loss_mrp, loss_sim, temporal_energy)
 
-from conftest import build_ba_problem, build_window
+from conftest import build_ba_problem, build_window, problem_like
 from test_temporal import random_transition
 
 TIGHT = SolverSettings(gradient_tolerance=1e-11, max_iterations=300)
@@ -85,11 +85,10 @@ def test_02_closed_form_small_system():
     intr = CameraIntrinsics(300.0, 300.0, 0.0, 0.0)
     pose0, pose1 = Pose(t=[-0.5, 0, 0]), Pose(t=[0.5, 0, 0])
     lm = np.array([[0.1, 0.2, 3.0]])
-    obs = {(0, 7): project(pose0, intr, lm[0]),
-           (1, 7): project(pose1, intr, lm[0])}
-    factors = [ReprojectionFactor(0, 7, 0), ReprojectionFactor(1, 7, 0)]
+    pixels = [project(pose0, intr, lm[0]), project(pose1, intr, lm[0])]
     state = StateVector([pose0, pose1], lm, fixed_poses=[True, True])
-    prob = Problem(state, intr, factors, TrackBiasModel(obs, [7]))
+    prob = Problem(state, intr, [0, 1], [7, 7], [0, 0],
+                   TrackBiasModel([0, 1], [7, 7], pixels, [7]))
     theta = prob.theta0()
     xs, _ = optimize(prob, state, theta, TIGHT)
     target = np.array([0.0, 0.0, 3.1])
@@ -146,11 +145,8 @@ def test_05_robustness_ordering():
         prob_h, x0, gt_poses, *_ = build_ba_problem(
             seed, n_cams=6, n_lms=40, sigma=0.5, outlier_ratio=0.10,
             outlier_px=20.0, kernel=RobustKernel("huber", 2.0))
-        prob_n = Problem(prob_h.state, prob_h.intrinsics,
-                         [ReprojectionFactor(f.frame, f.track, f.landmark,
-                                             kernel=RobustKernel("none"))
-                          for f in prob_h.factors],
-                         prob_h.obs_model, scale_prior=prob_h.scale_prior)
+        prob_n = problem_like(prob_h, kernel=RobustKernel("none"),
+                              scale_prior=prob_h.scale_prior)
         xh, _ = optimize(prob_h, x0)
         xn, _ = optimize(prob_n, x0)
         if sim_ate(xh.poses, gt_poses) < sim_ate(xn.poses, gt_poses):
@@ -289,12 +285,11 @@ def test_09_temporal_energy_correctness():
 
     # zero-weight attachment leaves optimize() bit-identical
     prob, x0, *_ = build_ba_problem(42, sigma=0.6)
-    obs_list = [TemporalObservation(1, t, prob.obs_model.observations[(1, t)])
+    obs_list = [TemporalObservation(1, t, prob.obs_model.observe(1, t, prob.theta0()))
                 for t in (0, 1, 2)]
     attach = TemporalAttachment(TemporalEnergy(alpha=0.0, beta=0.0,
                                                lambda_t=0.0), [obs_list])
-    prob2 = Problem(prob.state, prob.intrinsics, prob.factors, prob.obs_model,
-                    temporal_terms=attach, scale_prior=prob.scale_prior)
+    prob2 = problem_like(prob, temporal_terms=attach, scale_prior=prob.scale_prior)
     xa, ra = optimize(prob, x0)
     xb, rb = optimize(prob2, x0)
     bit_identical = (ra.energies == rb.energies
@@ -339,8 +334,7 @@ def test_10_jacobian_suite():
     worst_obs = 0.0
     for trial in range(60):
         r = np.random.default_rng(3000 + trial)
-        obs = {(0, t): r.normal(size=2) for t in range(4)}
-        mb = TrackBiasModel(obs, list(range(4)))
+        mb = TrackBiasModel(np.zeros(4), np.arange(4), r.normal(size=(4, 2)), list(range(4)))
         theta = r.normal(size=mb.theta_dim)
         t = int(r.integers(4))
         J = mb.observe_jacobian(0, t, theta)
@@ -349,9 +343,9 @@ def test_10_jacobian_suite():
             d[k] = 1e-6
             fd = (mb.observe(0, t, theta + d) - mb.observe(0, t, theta - d)) / 2e-6
             worst_obs = max(worst_obs, np.abs(J[:, k] - fd).max())
-        grids = {0: r.normal(size=(4, 4, 3)) * 0.4}
-        md = DescriptorFieldModel([0], grids, {0: r.normal(size=3)},
-                                  {(0, 0): np.zeros(2)})
+        grids = r.normal(size=(1, 4, 4, 3)) * 0.4
+        md = DescriptorFieldModel([0], [0], np.zeros((1, 2)), [0], grids,
+                                  r.normal(size=(1, 3)))
         th = md.theta0()
         J = md.observe_jacobian(0, 0, th)
         for _ in range(6):

@@ -16,14 +16,14 @@ from gradba import scene as scn
 from gradba.geometry import quat_to_matrix
 from gradba.implicit import (ImplicitGradRequest, PoseErrorLoss,
                              implicit_gradient)
-from gradba.problem import (DescriptorFieldModel, Problem, RobustKernel,
-                            StateVector, StaticModel, evaluate_residuals,
+from gradba.problem import (DescriptorFieldModel, RobustKernel, StateVector,
+                            StaticModel, evaluate_residuals,
                             temporal_theta_gradient)
 from gradba.solver import (LinearizedSystem, SolverSettings,
                            exact_hessian_system, linearize, optimize,
                            scatter_blocks)
 
-from conftest import build_ba_problem
+from conftest import build_ba_problem, problem_like
 from loop_reference import (loop_assemble, loop_exact_hessian, loop_linearize,
                             loop_observe, loop_observe_vjp, loop_residuals,
                             loop_temporal_theta_gradient)
@@ -51,9 +51,8 @@ def edge_case_problem(seed):
     fixed_lm[FIXED_LM] = True
     state = StateVector(prob.state.poses, prob.state.landmarks,
                         prob.state.fixed_poses, fixed_lm)
-    factors = list(prob.factors) + [prob.factors[DUPLICATE]]
-    prob = Problem(state, prob.intrinsics, factors, prob.obs_model,
-                   scale_prior=prob.scale_prior)
+    rows = np.append(np.arange(len(prob.frame_idx)), DUPLICATE)
+    prob = problem_like(prob, rows, state=state, scale_prior=prob.scale_prior)
     lms = x0.landmarks.copy()
     cam = x0.poses[BEHIND_CAM]
     lms[BEHIND_LM] = cam.t - 2.0 * quat_to_matrix(cam.q)[:, 2]
@@ -77,10 +76,10 @@ def test_case_covers_the_edge_cases(case):
     assert sys_.layout.pose_slot[0] == -1
     assert sys_.layout.lm_slot[FIXED_LM] == -1
     assert (sys_.rec_lm_slot == -1).any() and (sys_.rec_pose_slot == -1).any()
-    dup = prob.factors[DUPLICATE]
-    assert sum(f is dup for f in prob.factors) == 2
-    assert sys_.layout.pose_slot[dup.frame] >= 0
-    assert sys_.layout.lm_slot[dup.landmark] >= 0
+    rows = np.column_stack([prob.frame_idx, prob.track_idx, prob.lm_idx])
+    assert (rows == rows[DUPLICATE]).all(axis=1).sum() == 2
+    assert sys_.layout.pose_slot[prob.frame_idx[DUPLICATE]] >= 0
+    assert sys_.layout.lm_slot[prob.lm_idx[DUPLICATE]] >= 0
 
 
 @pytest.mark.parametrize("start", ["zero", "nonzero"])
@@ -142,11 +141,11 @@ def all_models(prob, theta):
     """(model, theta) of the three observation models over the table of
     ``prob``, whose own model is the track-bias one."""
     r = np.random.default_rng(5)
-    tracks = prob.obs_model.track_ids
-    field = DescriptorFieldModel(tracks, {t: r.normal(size=(3, 4, 2)) for t in tracks},
-                                 {t: r.normal(size=2) for t in tracks},
-                                 prob.obs_model.observations)
-    return [(prob.obs_model, theta), (StaticModel(prob.obs_model.observations), None),
+    m = prob.obs_model
+    n = len(m.track_ids)
+    field = DescriptorFieldModel(m.frames, m.tracks, m.pixels, m.track_ids,
+                                 r.normal(size=(n, 3, 4, 2)), r.normal(size=(n, 2)))
+    return [(m, theta), (StaticModel(m.frames, m.tracks, m.pixels), None),
             (field, field.theta0() + 0.1 * r.normal(size=field.theta_dim))]
 
 
@@ -164,7 +163,7 @@ def test_observe_all_matches_observe(case):
 
 def test_observe_all_rejects_unknown_pairs(case):
     prob, _, theta = case
-    last = max(t for _, t in prob.obs_model.observations)
+    last = int(prob.obs_model.tracks.max())
     for model, th in all_models(prob, theta):
         # (0, last + 1) would alias (1, first track) if track ids were not range-checked
         for frames, tracks in (([0], [last + 1]), ([99], [0]), ([1, 0], [0, -5])):

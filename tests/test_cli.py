@@ -187,7 +187,9 @@ class TestFailureContract:
 
     @pytest.mark.parametrize("case", ["frame", "track", "u", "v", "missing",
                                       "malformed", "frame_id", "negative_fx",
-                                      "u_not_a_number", "nan_cx"])
+                                      "u_not_a_number", "nan_cx", "repeated_observation",
+                                      "sigma_zero", "sigma_string", "sigma_negative",
+                                      "sigma_nan"])
     def test_scene_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc = tmp_path / "scene.json"
@@ -206,6 +208,13 @@ class TestFailureContract:
                 scene["observations"][0]["u"] = "abc"
             elif case == "nan_cx":
                 scene["intrinsics"]["cx"] = float("nan")
+            elif case == "repeated_observation":
+                first = scene["observations"][0]
+                scene["observations"].append(dict(first, u=first["u"] + 50.0))
+            elif case.startswith("sigma_"):
+                scene["observations"][0]["sigma"] = {
+                    "sigma_zero": 0, "sigma_string": "x", "sigma_negative": -1,
+                    "sigma_nan": float("nan")}[case]
             else:
                 del scene["observations"][0][case]
             sc.write_text(json.dumps(scene))

@@ -10,11 +10,10 @@ from gradba.implicit import (ImplicitGradRequest, LandmarkTargetLoss,
                              PoseErrorLoss, fd_gradient, implicit_gradient,
                              max_rel_error, optimality_residual,
                              unrolled_gradient_oracle)
-from gradba.problem import (Problem, ReprojectionFactor, StateVector,
-                            StaticModel, TrackBiasModel)
+from gradba.problem import Problem, StateVector, TrackBiasModel
 from gradba.solver import SolverSettings, SystemLayout, linearize, optimize
 
-from conftest import build_ba_problem
+from conftest import build_ba_problem, problem_like
 from loop_reference import fd_tangent_gradient
 
 TIGHT = SolverSettings(gradient_tolerance=1e-11, max_iterations=300)
@@ -54,12 +53,10 @@ def closed_form_problem():
     intr = CameraIntrinsics(300.0, 300.0, 0.0, 0.0)
     pose0, pose1 = Pose(t=[-0.5, 0, 0]), Pose(t=[0.5, 0, 0])
     lm = np.array([[0.1, 0.2, 3.0]])
-    obs = {(0, 7): project(pose0, intr, lm[0]),
-           (1, 7): project(pose1, intr, lm[0])}
-    factors = [ReprojectionFactor(0, 7, 0), ReprojectionFactor(1, 7, 0)]
+    pixels = [project(pose0, intr, lm[0]), project(pose1, intr, lm[0])]
     state = StateVector([pose0, pose1], lm, fixed_poses=[True, True])
-    model = TrackBiasModel(obs, [7])
-    return Problem(state, intr, factors, model), state
+    model = TrackBiasModel([0, 1], [7, 7], pixels, [7])
+    return Problem(state, intr, [0, 1], [7, 7], [0, 0], model), state
 
 
 class TestPoseErrorLoss:
@@ -120,10 +117,9 @@ class TestImplicitGradient:
         prob, x0, gt_poses, *_ = build_ba_problem(3, n_cams=4, n_lms=10,
                                                   sigma=0.4)
         # a bias model with one extra track no factor reads
-        model = TrackBiasModel(prob.obs_model.observations,
-                               list(range(10)) + [99])
-        prob2 = Problem(prob.state, prob.intrinsics, prob.factors, model,
-                        scale_prior=prob.scale_prior)
+        m = prob.obs_model
+        model = TrackBiasModel(m.frames, m.tracks, m.pixels, list(range(10)) + [99])
+        prob2 = problem_like(prob, obs_model=model, scale_prior=prob.scale_prior)
         loss = PoseErrorLoss(gt_poses)
         xs, rep = solve_and_grad(prob2, x0, loss)
         np.testing.assert_array_equal(rep.dldtheta[-2:], [0.0, 0.0])
@@ -203,18 +199,13 @@ class TestWeightedCovariances:
     def test_fd_agreement_with_anisotropic_covariances_and_huber(self):
         # the mixed-Hessian chain with W = IRLS weight * Sigma^-1 must track
         # the oracle when covariances vary per factor and the kernel is robust
-        from gradba.problem import ReprojectionFactor, RobustKernel
+        from gradba.problem import RobustKernel
         rng = np.random.default_rng(77)
         prob, x0, gt_poses, *_ = build_ba_problem(14, sigma=0.5)
-        factors = []
-        for f in prob.factors:
-            A = rng.normal(size=(2, 2))
-            cov = A @ A.T + 0.3 * np.eye(2)
-            factors.append(ReprojectionFactor(f.frame, f.track, f.landmark,
-                                              cov=cov,
-                                              kernel=RobustKernel("huber", 3.0)))
-        prob2 = Problem(prob.state, prob.intrinsics, factors, prob.obs_model,
-                        scale_prior=prob.scale_prior)
+        covs = [A @ A.T + 0.3 * np.eye(2)
+                for A in rng.normal(size=(len(prob.frame_idx), 2, 2))]
+        prob2 = problem_like(prob, covs=covs, kernel=RobustKernel("huber", 3.0),
+                             scale_prior=prob.scale_prior)
         loss = PoseErrorLoss(gt_poses)
         theta = prob2.theta0()
         xs, rep = solve_and_grad(prob2, x0, loss)
@@ -247,16 +238,10 @@ class TestWeightedCovariances:
         assert np.all(np.isfinite(rep.dldtheta))
 
     def test_energy_scales_with_information(self):
-        from gradba.problem import ReprojectionFactor, total_energy
+        from gradba.problem import total_energy
         prob, x0, *_ = build_ba_problem(15, sigma=0.8)
-        scaled = [ReprojectionFactor(f.frame, f.track, f.landmark,
-                                     cov=4.0 * np.eye(2), kernel=f.kernel)
-                  for f in prob.factors]
-        prob2 = Problem(prob.state, prob.intrinsics, scaled, prob.obs_model)
-        prob1 = Problem(prob.state, prob.intrinsics,
-                        [ReprojectionFactor(f.frame, f.track, f.landmark,
-                                            kernel=f.kernel)
-                         for f in prob.factors], prob.obs_model)
+        prob2 = problem_like(prob, covs=np.tile(4.0 * np.eye(2), (len(prob.frame_idx), 1, 1)))
+        prob1 = problem_like(prob)
         e1 = total_energy(prob1, x0)
         e2 = total_energy(prob2, x0)
         assert e2 == pytest.approx(e1 / 4.0, rel=1e-12)
@@ -271,7 +256,8 @@ class TestWithTemporalTerms:
         for frame in (1, 2):
             obs_list = []
             for t in (0, 1, 2):
-                long = prob.obs_model.observations[(frame, t)] + rng.normal(scale=0.3, size=2)
+                pixel = prob.obs_model.observe(frame, t, prob.theta0())
+                long = pixel + rng.normal(scale=0.3, size=2)
                 grid = origin = None
                 if beta:
                     grid = rng.normal(size=(9, 9, 4)) * 0.3
@@ -283,9 +269,8 @@ class TestWithTemporalTerms:
 
     def test_fd_agreement_with_temporal_terms(self):
         prob, x0, gt_poses, *_ = build_ba_problem(8, sigma=0.4)
-        prob2 = Problem(prob.state, prob.intrinsics, prob.factors,
-                        prob.obs_model, temporal_terms=self._attach(prob, 8),
-                        scale_prior=prob.scale_prior)
+        prob2 = problem_like(prob, temporal_terms=self._attach(prob, 8),
+                             scale_prior=prob.scale_prior)
         loss = PoseErrorLoss(gt_poses)
         theta = prob2.theta0()
         xs, rep = solve_and_grad(prob2, x0, loss)
@@ -294,10 +279,8 @@ class TestWithTemporalTerms:
 
     def test_fd_agreement_with_dense_temporal_terms(self):
         prob, x0, gt_poses, *_ = build_ba_problem(9, sigma=0.4)
-        prob2 = Problem(prob.state, prob.intrinsics, prob.factors,
-                        prob.obs_model,
-                        temporal_terms=self._attach(prob, 9, beta=1.0),
-                        scale_prior=prob.scale_prior)
+        prob2 = problem_like(prob, temporal_terms=self._attach(prob, 9, beta=1.0),
+                             scale_prior=prob.scale_prior)
         loss = PoseErrorLoss(gt_poses)
         theta = prob2.theta0()
         xs, rep = solve_and_grad(prob2, x0, loss)
@@ -309,10 +292,8 @@ class TestWithTemporalTerms:
         # temporal part of the total energy
         from gradba.problem import temporal_theta_gradient, total_energy
         prob, x0, *_ = build_ba_problem(10, sigma=0.4)
-        prob2 = Problem(prob.state, prob.intrinsics, prob.factors,
-                        prob.obs_model,
-                        temporal_terms=self._attach(prob, 10, beta=1.0),
-                        scale_prior=prob.scale_prior)
+        prob2 = problem_like(prob, temporal_terms=self._attach(prob, 10, beta=1.0),
+                             scale_prior=prob.scale_prior)
         theta = prob2.theta0()
         g = temporal_theta_gradient(prob2, theta)
         h = 1e-6

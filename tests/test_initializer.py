@@ -351,16 +351,16 @@ class TestRunInitialization:
         res = run_initialization(window, K)
         # assemble a problem over the initializer's tracks and observations
         from gradba.geometry import CameraIntrinsics
-        from gradba.problem import (Problem, ReprojectionFactor, ScalePrior,
-                                    StateVector, StaticModel)
+        from gradba.problem import Problem, ScalePrior, StaticModel
         intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
         lm_index = {t: k for k, t in enumerate(res.track_ids)}
-        factors = [ReprojectionFactor(f, t, lm_index[t])
-                   for (f, t) in sorted(res.observations)]
-        model = StaticModel(res.observations)
+        keys = sorted(res.observations)
+        frames, tracks = [f for f, _ in keys], [t for _, t in keys]
+        model = StaticModel(frames, tracks, [res.observations[k] for k in keys])
         prior = ScalePrior(0, 1, float(np.linalg.norm(
             res.state.poses[1].t - res.state.poses[0].t)))
-        prob = Problem(res.state, intr, factors, model, scale_prior=prior)
+        prob = Problem(res.state, intr, frames, tracks, [lm_index[t] for t in tracks],
+                       model, scale_prior=prior)
         e0 = total_energy(prob, res.state)
         xs, rep = optimize(prob, res.state)
         assert rep.final_energy < e0

@@ -2,24 +2,25 @@ import numpy as np
 import pytest
 
 from gradba.geometry import CameraIntrinsics, Pose, project
-from gradba.problem import (DescriptorFieldModel, Problem, ReprojectionFactor,
-                            RobustKernel, ScalePrior, StateVector, StaticModel,
+from gradba.problem import (DescriptorFieldModel, Problem, RobustKernel,
+                            ScalePrior, StateVector, StaticModel,
                             TrackBiasModel, robust_terms, total_energy)
 from gradba.solver import linearize
 
-from conftest import build_ba_problem
+from gradba.scene import SyntheticSceneConfig, build_problem, generate_scene
+
+from conftest import build_ba_problem, problem_like
 from loop_reference import loop_observe, residual
 
 
-def two_view_problem(pixels_by_key, lm=((0.0, 0.0, 2.0),), kernel=None,
-                     model_cls=StaticModel, intr=None):
-    intr = intr or CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+def two_view_problem(pixels, kernel=None):
+    """Frames 0 and 1 each seeing track 0 (landmark 0) at ``pixels``."""
+    intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
     poses = [Pose(t=[-0.5, 0, 0]), Pose(t=[0.5, 0, 0])]
-    state = StateVector(poses, np.array(lm), fixed_poses=[True, True])
-    factors = [ReprojectionFactor(f, t, 0, kernel=kernel)
-               for (f, t) in pixels_by_key]
-    model = model_cls(pixels_by_key) if model_cls is StaticModel else None
-    return Problem(state, intr, factors, model), state
+    state = StateVector(poses, np.array([[0.0, 0.0, 2.0]]), fixed_poses=[True, True])
+    frames, tracks = [0, 1], [0, 0]
+    return Problem(state, intr, frames, tracks, tracks,
+                   StaticModel(frames, tracks, pixels), kernel=kernel), state
 
 
 class TestResidual:
@@ -27,11 +28,11 @@ class TestResidual:
         intr = CameraIntrinsics(100.0, 100.0, 10.0, 20.0)
         pose = Pose(t=[0.2, -0.1, 0.0])
         lm = np.array([[0.3, 0.2, 4.0]])
-        obs = {(0, 0): project(pose, intr, lm[0]), (1, 0): project(pose, intr, lm[0])}
+        pixels = [project(pose, intr, lm[0]), project(pose, intr, lm[0])]
         state = StateVector([pose, pose.copy()], lm, fixed_poses=[True, True])
-        factors = [ReprojectionFactor(0, 0, 0), ReprojectionFactor(1, 0, 0)]
-        prob = Problem(state, intr, factors, StaticModel(obs))
-        e = residual(factors[0], state, intr, prob.obs_model, prob.theta0())
+        prob = Problem(state, intr, [0, 1], [0, 0], [0, 0],
+                       StaticModel([0, 1], [0, 0], pixels))
+        e = residual(prob, 0, state, prob.theta0())
         np.testing.assert_allclose(e, [0.0, 0.0], atol=1e-12)
 
     def test_static_subtraction(self):
@@ -40,10 +41,9 @@ class TestResidual:
         pose = Pose()
         lm = np.array([[1.0, 1.0, 1.0]])  # projects to (8, 9)
         state = StateVector([pose, pose.copy()], lm, fixed_poses=[True, True])
-        factors = [ReprojectionFactor(0, 5, 0), ReprojectionFactor(1, 5, 0)]
-        model = StaticModel({(0, 5): [10.0, 10.0], (1, 5): [10.0, 10.0]})
-        prob = Problem(state, intr, factors, model)
-        e = residual(factors[0], state, intr, model, prob.theta0())
+        model = StaticModel([0, 1], [5, 5], [[10.0, 10.0], [10.0, 10.0]])
+        prob = Problem(state, intr, [0, 1], [5, 5], [0, 0], model)
+        e = residual(prob, 0, state, prob.theta0())
         np.testing.assert_allclose(e, [2.0, 1.0])
 
     def test_trackbias_shifts_residual(self):
@@ -51,11 +51,10 @@ class TestResidual:
         pose = Pose()
         lm = np.array([[1.0, 1.0, 1.0]])
         state = StateVector([pose, pose.copy()], lm, fixed_poses=[True, True])
-        factors = [ReprojectionFactor(0, 5, 0), ReprojectionFactor(1, 5, 0)]
-        model = TrackBiasModel({(0, 5): [10.0, 10.0], (1, 5): [10.0, 10.0]}, [5])
-        Problem(state, intr, factors, model)
+        model = TrackBiasModel([0, 1], [5, 5], [[10.0, 10.0], [10.0, 10.0]], [5])
+        prob = Problem(state, intr, [0, 1], [5, 5], [0, 0], model)
         theta = np.array([1.0, 0.0])
-        e = residual(factors[0], state, intr, model, theta)
+        e = residual(prob, 0, state, theta)
         np.testing.assert_allclose(e, [3.0, 1.0])
 
 
@@ -69,8 +68,7 @@ class TestRobustKernel:
     def test_none_kernel(self):
         # kind "none" and no kernel at all both give the quadratic cost
         for kernel in (RobustKernel("none"), None):
-            prob, _ = two_view_problem({(0, 0): [0.0, 0.0], (1, 0): [0.0, 0.0]},
-                                       kernel=kernel)
+            prob, _ = two_view_problem([[0.0, 0.0], [0.0, 0.0]], kernel=kernel)
             rho, weight, curvature = robust_terms(np.full(2, 123.0),
                                                   prob.huber_delta)
             assert rho.tolist() == [123.0, 123.0]
@@ -115,15 +113,14 @@ class TestTotalEnergy:
         n = len(offsets)
         lms = np.tile([0.0, 0.0, 1.0], (n, 1))
         state = StateVector([pose, pose.copy()], lms, fixed_poses=[True, True])
-        obs = {}
-        factors = []
+        pixels = []
         for j, off in enumerate(offsets):
             base = project(pose, intr, lms[j])
-            obs[(0, j)] = base + np.asarray(off, dtype=float)
-            obs[(1, j)] = base
-            factors.append(ReprojectionFactor(0, j, j, kernel=kernel))
-            factors.append(ReprojectionFactor(1, j, j, kernel=kernel))
-        return Problem(state, intr, factors, StaticModel(obs))
+            pixels += [base + np.asarray(off, dtype=float), base]
+        frames = np.tile([0, 1], n)
+        tracks = np.repeat(np.arange(n), 2)
+        return Problem(state, intr, frames, tracks, tracks,
+                       StaticModel(frames, tracks, pixels), kernel=kernel)
 
     def test_zero_residuals(self):
         prob = self._problem_with_offsets([(0.0, 0.0)])
@@ -142,9 +139,7 @@ class TestTotalEnergy:
     def test_reorder_invariance(self):
         prob, x0, *_ = build_ba_problem(3, sigma=1.0)
         e1 = total_energy(prob, x0)
-        factors = list(prob.factors)[::-1]
-        prob2 = Problem(prob.state, prob.intrinsics, factors, prob.obs_model,
-                        scale_prior=prob.scale_prior)
+        prob2 = problem_like(prob, slice(None, None, -1), scale_prior=prob.scale_prior)
         e2 = total_energy(prob2, x0)
         assert abs(e1 - e2) <= 1e-12 * max(abs(e1), 1.0)
 
@@ -152,9 +147,9 @@ class TestTotalEnergy:
         prob, x0, *_ = build_ba_problem(4, sigma=1.0, kernel=None)
         theta = prob.theta0()
         naive = 0.0
-        for f in prob.factors:
-            e = residual(f, x0, prob.intrinsics[f.frame], prob.obs_model, theta)
-            naive += float(e @ f.info @ e)
+        for k, info in enumerate(prob.info_stack):
+            e = residual(prob, k, x0, theta)
+            naive += float(e @ info @ e)
         naive += prob.scale_prior.weight * prob.scale_prior.residual(x0) ** 2
         assert total_energy(prob, x0, theta) == pytest.approx(naive, rel=1e-12)
 
@@ -169,7 +164,7 @@ class TestTotalEnergy:
 
 class TestObservationModels:
     def test_static_jacobian_empty(self):
-        m = StaticModel({(0, 0): [1.0, 2.0]})
+        m = StaticModel([0], [0], [[1.0, 2.0]])
         assert m.observe_jacobian(0, 0, m.theta0()).shape == (2, 0)
         assert m.theta_dim == 0
 
@@ -185,8 +180,8 @@ class TestObservationModels:
     def test_trackbias_jacobian_fd(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            obs = {(0, t): rng.normal(size=2) for t in range(n)}
-            m = TrackBiasModel(obs, list(range(n)))
+            m = TrackBiasModel(np.zeros(n), np.arange(n), rng.normal(size=(n, 2)),
+                               list(range(n)))
             theta = rng.normal(size=m.theta_dim)
             t = int(rng.integers(n))
             J = m.observe_jacobian(0, t, theta)
@@ -197,10 +192,10 @@ class TestObservationModels:
         for trial in range(100):
             r = np.random.default_rng(500 + trial)
             tracks = [0, 1]
-            grids = {t: r.normal(size=(4, 4, 3)) * 0.4 for t in tracks}
-            refs = {t: r.normal(size=3) for t in tracks}
-            origins = {(0, t): r.normal(size=2) * 5 for t in tracks}
-            m = DescriptorFieldModel(tracks, grids, refs, origins)
+            grids = r.normal(size=(2, 4, 4, 3)) * 0.4
+            refs = r.normal(size=(2, 3))
+            origins = r.normal(size=(2, 2)) * 5
+            m = DescriptorFieldModel([0, 0], tracks, origins, tracks, grids, refs)
             theta = m.theta0() + 0.01 * r.normal(size=m.theta_dim)
             t = int(r.integers(2))
             J = m.observe_jacobian(0, t, theta)
@@ -211,10 +206,10 @@ class TestObservationModels:
     def test_descfield_observe_all_matches_observe(self, rng):
         r = np.random.default_rng(9)
         tracks = [3, 4]
-        grids = {t: r.normal(size=(4, 4, 3)) for t in tracks}
-        refs = {t: r.normal(size=3) for t in tracks}
-        origins = {(f, t): r.normal(size=2) for f in (0, 1) for t in tracks}
-        m = DescriptorFieldModel(tracks, grids, refs, origins)
+        grids = r.normal(size=(2, 4, 4, 3))
+        refs = r.normal(size=(2, 3))
+        origins = r.normal(size=(4, 2))
+        m = DescriptorFieldModel([0, 0, 1, 1], tracks * 2, origins, tracks, grids, refs)
         theta = m.theta0()
         frames = np.array([0, 0, 1, 1])
         trs = [3, 4, 3, 4]
@@ -225,11 +220,10 @@ class TestObservationModels:
             assert np.array_equal(m.observe(f, t, theta), stacked[k])
 
     def test_descfield_rejects_grids_of_two_shapes(self):
-        grids = {0: np.zeros((4, 4, 3)), 1: np.zeros((4, 5, 3))}
-        refs = {0: np.ones(3), 1: np.ones(3)}
-        origins = {(0, 0): np.zeros(2), (0, 1): np.zeros(2)}
+        grids = [np.zeros((4, 4, 3)), np.zeros((4, 5, 3))]
         with pytest.raises(ValueError, match="one H x W x C grid shape"):
-            DescriptorFieldModel([0, 1], grids, refs, origins)
+            DescriptorFieldModel([0, 0], [0, 1], np.zeros((2, 2)), [0, 1], grids,
+                                 np.ones((2, 3)))
 
 
 class TestScalePrior:
@@ -261,18 +255,53 @@ class TestValidation:
         state = StateVector([Pose(), Pose(t=[1, 0, 0])],
                             np.array([[0.0, 0.0, 2.0]]),
                             fixed_poses=[True, True])
-        factors = [ReprojectionFactor(0, 0, 0)]
         with pytest.raises(ValueError, match="fewer than 2 frames"):
-            Problem(state, intr, factors, StaticModel({(0, 0): [0.0, 0.0]}))
+            Problem(state, intr, [0], [0], [0], StaticModel([0], [0], [[0.0, 0.0]]))
 
     def test_covariance_must_be_spd(self):
-        with pytest.raises(ValueError):
-            ReprojectionFactor(0, 0, 0, cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
+        prob, _ = two_view_problem([[0.0, 0.0], [0.0, 0.0]])
+        for cov, match in (([[1.0, 0.0], [0.0, -1.0]], "positive definite"),
+                           ([[1.0, 0.5], [0.0, 1.0]], "symmetric")):
+            with pytest.raises(ValueError, match=match):
+                problem_like(prob, covs=[np.eye(2), cov])
+        with pytest.raises(ValueError, match="symmetric"):
+            problem_like(prob, covs=[np.eye(2)])  # one covariance for two factors
 
     def test_bad_indices(self):
         intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
         state = StateVector([Pose(), Pose()], np.array([[0.0, 0.0, 2.0]]),
                             fixed_poses=[True, True])
-        factors = [ReprojectionFactor(5, 0, 0), ReprojectionFactor(1, 0, 0)]
-        with pytest.raises(ValueError, match="out of range"):
-            Problem(state, intr, factors, StaticModel({(5, 0): [0, 0], (1, 0): [0, 0]}))
+        with pytest.raises(ValueError, match="out of range: 5, 0"):
+            Problem(state, intr, [5, 1], [0, 0], [0, 0],
+                    StaticModel([5, 1], [0, 0], [[0, 0], [0, 0]]))
+
+    def test_first_short_track_named(self):
+        # tracks 4 and 2 each have one view; track 4 comes first
+        intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+        state = StateVector([Pose(), Pose(t=[1, 0, 0])], np.tile([0.0, 0.0, 2.0], (3, 1)),
+                            fixed_poses=[True, True])
+        frames, tracks, lms = [0, 0, 1, 1], [9, 4, 9, 2], [0, 1, 0, 2]
+        model = StaticModel(frames, tracks, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="track 4 observed"):
+            Problem(state, intr, frames, tracks, lms, model)
+        # a held-fixed landmark may be seen once
+        fixed = StateVector(state.poses, state.landmarks, [True, True], [False, True, True])
+        Problem(fixed, intr, frames, tracks, lms, model)
+
+    def test_repeated_observation_key_rejected(self):
+        frames, tracks = [0, 1, 0], [7, 7, 7]
+        pixels = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        for make in (lambda: StaticModel(frames, tracks, pixels),
+                     lambda: TrackBiasModel(frames, tracks, pixels, [7]),
+                     lambda: DescriptorFieldModel(frames, tracks, pixels, [7],
+                                                  np.zeros((1, 2, 2, 1)), np.ones((1, 1)))):
+            with pytest.raises(ValueError, match=r"\(0, 7\) is repeated"):
+                make()
+
+    def test_build_problem_rejects_a_repeated_observation(self):
+        # both factors of a repeated key would read the later pixel
+        scene = generate_scene(SyntheticSceneConfig(n_cameras=6, trajectory="arc", seed=3))
+        first = scene["observations"][0]
+        scene["observations"].append(dict(first, u=first["u"] + 50.0))
+        with pytest.raises(ValueError, match="is repeated"):
+            build_problem(scene)

@@ -1,6 +1,7 @@
-"""Property tests: the analytic pose-loss gradient and the batched
-vector-jacobian products against their references on generated inputs, and
-the scene file round trip with descriptor-field and temporal sections.
+"""Property tests: the analytic pose-loss gradient, the batched
+vector-jacobian products, the problem table of ``build_problem`` and the
+Schur solve against their references on generated inputs, and the scene
+file round trip with descriptor-field and temporal sections.
 
 Examples are derandomized and bounded in number, so a run does the same work
 every time. Tolerances were fixed before the code under test was written.
@@ -15,15 +16,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gradba import scene as scn  # noqa: E402
 from gradba.geometry import Pose, se3_exp, se3_retract  # noqa: E402
 from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
-from gradba.problem import (DescriptorFieldModel, StateVector,  # noqa: E402
-                            StaticModel, TrackBiasModel)
-from gradba.solver import SystemLayout  # noqa: E402
+from gradba.problem import (DescriptorFieldModel, RobustKernel,  # noqa: E402
+                            StateVector, StaticModel, TrackBiasModel)
+from gradba.solver import (LinearizedSystem, SystemLayout, lm_step,  # noqa: E402
+                           schur_solve_rhs)
 
 from loop_reference import (fd_tangent_gradient, loop_drifting_grid,  # noqa: E402
-                            loop_observe_vjp)
+                            loop_observe_vjp, loop_problem_table)
 
 GRAD_RTOL = 1e-6
 VJP_RTOL = 1e-12
+SCHUR_RTOL = 1e-9
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None,
                     database=None)
 
@@ -56,14 +59,15 @@ N_FRAMES, N_TRACKS = 4, 5
 
 
 def models(rng):
-    obs = {(f, t): rng.normal(size=2) for f in range(N_FRAMES)
-           for t in range(N_TRACKS)}
-    tracks = list(range(N_TRACKS))
-    grids = {t: rng.normal(size=(3, 4, 2)) for t in tracks}
-    refs = {t: rng.normal(size=2) for t in tracks}
-    field = DescriptorFieldModel(tracks, grids, refs, obs)
-    return [(StaticModel(obs), None),
-            (TrackBiasModel(obs, tracks), rng.normal(size=2 * N_TRACKS)),
+    frames = np.repeat(np.arange(N_FRAMES), N_TRACKS)
+    tracks = np.tile(np.arange(N_TRACKS), N_FRAMES)
+    pixels = rng.normal(size=(len(frames), 2))
+    ids = list(range(N_TRACKS))
+    field = DescriptorFieldModel(frames, tracks, pixels, ids,
+                                 rng.normal(size=(N_TRACKS, 3, 4, 2)),
+                                 rng.normal(size=(N_TRACKS, 2)))
+    return [(StaticModel(frames, tracks, pixels), None),
+            (TrackBiasModel(frames, tracks, pixels, ids), rng.normal(size=2 * N_TRACKS)),
             (field, field.theta0() + 0.1 * rng.normal(size=field.theta_dim))]
 
 
@@ -127,3 +131,87 @@ def test_scene_round_trip_with_sections(tmp_path_factory, n_cameras, n_landmarks
         assert len(tr.dense) == len(written["items"])
     prob = scn.build_problem(loaded, model="descfield")
     assert len(prob.temporal_terms.frames) == sum(len(tr.pairs) for tr in transitions)
+
+
+def assert_bits(actual, reference):
+    assert actual.dtype == reference.dtype and actual.shape == reference.shape
+    assert actual.tobytes() == reference.tobytes()
+
+
+@PROPERTY
+@given(n_cameras=st.integers(3, 6), n_landmarks=st.integers(8, 16),
+       trajectory=st.sampled_from(["arc", "orbit"]), seed=st.integers(0, 2 ** 16),
+       sigma_share=st.floats(0.0, 1.0), track_share=st.floats(0.2, 1.0),
+       huber=st.booleans())
+def test_problem_table_matches_per_observation_assembly(n_cameras, n_landmarks, trajectory,
+                                                        seed, sigma_share, track_share,
+                                                        huber):
+    """``build_problem``'s factor rows, information matrices, Huber thresholds
+    and predictions at theta0 equal the observation-by-observation assembly
+    bit for bit, for all three models, with ``sigma`` (float or int) on a
+    random subset of the observations and a state over a shuffled subset of
+    the tracks."""
+    sc = scn.generate_scene(scn.SyntheticSceneConfig(
+        n_cameras=n_cameras, n_landmarks=n_landmarks, trajectory=trajectory,
+        pixel_sigma=0.5, seed=seed))
+    rng = np.random.default_rng(seed)
+    # random grids: attach_descriptor_field's are symmetric about the patch
+    # centre, so every track would have the same soft-argmax offset
+    sc["descriptor_field"] = {
+        "grid_shape": [3, 3, 2],
+        "grids": {str(t): rng.normal(size=18).tolist() for t in range(n_landmarks)},
+        "refs": {str(t): rng.normal(size=2).tolist() for t in range(n_landmarks)}}
+    for o in sc["observations"]:
+        if rng.uniform() < sigma_share:
+            o["sigma"] = int(rng.integers(1, 4)) if rng.uniform() < 0.3 \
+                else float(rng.uniform(0.2, 4.0))
+    sc["track_bias"] = {"values": {str(t): rng.normal(size=2).tolist()
+                                   for t in range(0, n_landmarks, 2)}}
+    gt = scn.gt_state(sc)
+    keep = rng.permutation(n_landmarks)[:max(1, round(track_share * n_landmarks))].tolist()
+    state = StateVector(gt.poses, gt.landmarks[keep], gt.fixed_poses)
+    kernel = RobustKernel("huber", 1.5) if huber else None
+    for model in ("static", "trackbias", "descfield"):
+        prob = scn.build_problem(sc, model=model, kernel=kernel, state=state, track_ids=keep)
+        ref = loop_problem_table(sc, model, kernel, keep)
+        for name in ("frame_idx", "track_idx", "lm_idx", "info_stack", "huber_delta"):
+            assert_bits(getattr(prob, name), ref[name])
+        assert_bits(prob.obs_model.observe_all(prob.frame_idx, prob.track_idx, prob.theta0()),
+                    ref["predictions"])
+
+
+@PROPERTY
+@given(n_free_poses=st.integers(0, 4), n_fixed_poses=st.integers(0, 2),
+       n_free_lms=st.integers(0, 6), n_fixed_lms=st.integers(0, 2),
+       n_obs=st.integers(0, 30), ridge=st.floats(1e-2, 1.0),
+       lam=st.sampled_from([0.0, 1e-4, 1.0, 1e3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_schur_solve_matches_dense_lm_step(n_free_poses, n_fixed_poses, n_free_lms,
+                                          n_fixed_lms, n_obs, ridge, lam, seed):
+    """Landmark elimination solves the damped system of the dense reference
+    solve, on random SPD systems whose landmark-landmark coupling is block
+    diagonal, as a bundle adjustment's is: each observation row touches one
+    free pose and one free landmark."""
+    hypothesis.assume(n_free_poses + n_free_lms > 0)
+    rng = np.random.default_rng(seed)
+    state = StateVector([Pose()] * (n_free_poses + n_fixed_poses),
+                        np.zeros((n_free_lms + n_fixed_lms, 3)),
+                        [False] * n_free_poses + [True] * n_fixed_poses,
+                        [False] * n_free_lms + [True] * n_fixed_lms)
+    layout = SystemLayout(state)
+    np_, dim = layout.n_pose_params, layout.dim
+    H = ridge * np.eye(dim)
+    for _ in range(n_obs):
+        J = np.zeros((2, dim))
+        if n_free_poses:
+            a = 6 * int(rng.integers(n_free_poses))
+            J[:, a:a + 6] = rng.normal(size=(2, 6))
+        if n_free_lms:
+            o = layout.lm_offset(int(rng.integers(n_free_lms)))
+            J[:, o:o + 3] = rng.normal(size=(2, 3))
+        H += J.T @ J
+    sys_ = LinearizedSystem(layout)
+    sys_.Hpp, sys_.Hpl = H[:np_, :np_], H[:np_, np_:]
+    sys_.Hll = np.array([H[o:o + 3, o:o + 3] for o in range(np_, dim, 3)]).reshape(-1, 3, 3)
+    sys_.g = rng.normal(size=dim)
+    assert np.array_equal(sys_.dense_hessian(), H)
+    assert max_rel_error(schur_solve_rhs(sys_, lam, -sys_.g), lm_step(sys_, lam)) < SCHUR_RTOL

@@ -12,6 +12,8 @@ from gradba.scene import (SyntheticSceneConfig, attach_descriptor_field,
                           load_scene, load_state, save_scene, save_state,
                           scene_intrinsics, scene_window, temporal_transitions)
 
+from loop_reference import loop_problem_table
+
 
 class TestGenerateScene:
     def test_deterministic_bytes(self):
@@ -119,6 +121,23 @@ class TestSerialization:
         with pytest.raises(SceneFormatError):
             load_scene(p)
 
+    @pytest.mark.parametrize("sigma, ok", [(None, True), (2, True), (0.5, True),
+                                           (0, False), (-1, False), (True, False),
+                                           ("x", False), (float("nan"), False),
+                                           (float("inf"), False), (1e200, False),
+                                           (1e-200, False)])
+    def test_sigma_rule(self, tmp_path, sigma, ok):
+        # a positive finite number whose square is a positive finite variance
+        scene = generate_scene(SyntheticSceneConfig(seed=13))
+        scene["observations"][0]["sigma"] = sigma
+        p = tmp_path / "scene.json"
+        save_scene(scene, p)
+        if ok:
+            load_scene(p)
+        else:
+            with pytest.raises(SceneFormatError, match="sigma"):
+                load_scene(p)
+
     def test_state_round_trip(self, tmp_path):
         scene = generate_scene(SyntheticSceneConfig(seed=14))
         state = gt_state(scene)
@@ -139,8 +158,21 @@ class TestBuildProblem:
         scene = generate_scene(SyntheticSceneConfig(seed=15))
         scene["observations"][0]["sigma"] = 2.0
         prob = build_problem(scene, kernel=RobustKernel("huber", 2.0))
-        np.testing.assert_allclose(prob.factors[0].cov, 4.0 * np.eye(2))
-        np.testing.assert_allclose(prob.factors[1].cov, np.eye(2))
+        # the information matrices of covariances 4 I and I
+        np.testing.assert_allclose(prob.info_stack[0], 0.25 * np.eye(2))
+        np.testing.assert_allclose(prob.info_stack[1], np.eye(2))
+
+    def test_sigma_is_squared_per_observation(self):
+        # sigma ** 2 in Python; NumPy's array squaring rounds some of these
+        # draws one ulp apart, which would move their information matrices
+        scene = generate_scene(SyntheticSceneConfig(n_cameras=4, n_landmarks=30, seed=17))
+        pool = np.random.default_rng(0).uniform(0.2, 4.0, 20000)
+        apart = pool[pool ** 2 != np.array([s ** 2 for s in pool.tolist()])]
+        sigmas = np.concatenate([apart, pool])[:len(scene["observations"])]
+        for o, sigma in zip(scene["observations"], sigmas.tolist()):
+            o["sigma"] = sigma
+        ref = loop_problem_table(scene, "static")["info_stack"]
+        assert build_problem(scene).info_stack.tobytes() == ref.tobytes()
 
     def test_window_matches_observations(self):
         scene = generate_scene(SyntheticSceneConfig(seed=16))

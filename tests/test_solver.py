@@ -10,17 +10,17 @@ from gradba.alignment import align, apply_alignment
 from gradba.errors import Diverged, SingularSystem
 from gradba.geometry import (CameraIntrinsics, Pose, projection_jacobians,
                              se3_exp, se3_retract)
-from gradba.problem import (Problem, ReprojectionFactor, RobustKernel,
-                            StateVector, StaticModel, total_energy)
+from gradba.problem import (Problem, RobustKernel, StateVector, StaticModel,
+                            total_energy)
 from gradba.solver import (SolverSettings, apply_step, exact_hessian_system,
                            linearize, lm_step, optimize, schur_solve)
 
-from conftest import build_ba_problem
+from conftest import build_ba_problem, problem_like
 from loop_reference import residual
 
 
 def dense_reference(problem, state, theta=None):
-    """Naive dense J^T W J / J^T W e assembly straight from the factor list."""
+    """Naive dense J^T W J / J^T W e assembly, one factor row at a time."""
     theta = problem.theta0() if theta is None else theta
     lay_free_p = [i for i in range(state.n_poses) if not state.fixed_poses[i]]
     lay_free_l = [j for j in range(state.n_landmarks) if not state.fixed_landmarks[j]]
@@ -29,21 +29,22 @@ def dense_reference(problem, state, theta=None):
     dim = 6 * len(lay_free_p) + 3 * len(lay_free_l)
     H = np.zeros((dim, dim))
     g = np.zeros(dim)
-    for f in problem.factors:
-        e = residual(f, state, problem.intrinsics[f.frame], problem.obs_model, theta)
-        Jp, Jx = projection_jacobians(state.poses[f.frame],
-                                      problem.intrinsics[f.frame],
-                                      state.landmarks[f.landmark])
+    kernel = problem.kernel
+    for k, info in enumerate(problem.info_stack):
+        frame, landmark = int(problem.frame_idx[k]), int(problem.lm_idx[k])
+        e = residual(problem, k, state, theta)
+        Jp, Jx = projection_jacobians(state.poses[frame], problem.intrinsics[frame],
+                                      state.landmarks[landmark])
         # Huber IRLS weight, written out independently of gradba.problem
-        root = np.sqrt(float(e @ f.info @ e))
-        huber = f.kernel is not None and f.kernel.kind == "huber"
-        w = f.kernel.delta / root if huber and root > f.kernel.delta else 1.0
-        W = w * f.info
+        root = np.sqrt(float(e @ info @ e))
+        huber = kernel is not None and kernel.kind == "huber"
+        w = kernel.delta / root if huber and root > kernel.delta else 1.0
+        W = w * info
         J = np.zeros((2, dim))
-        if f.frame in pslot:
-            J[:, 6 * pslot[f.frame]:6 * pslot[f.frame] + 6] = -Jp
-        if f.landmark in lslot:
-            o = 6 * len(lay_free_p) + 3 * lslot[f.landmark]
+        if frame in pslot:
+            J[:, 6 * pslot[frame]:6 * pslot[frame] + 6] = -Jp
+        if landmark in lslot:
+            o = 6 * len(lay_free_p) + 3 * lslot[landmark]
             J[:, o:o + 3] = -Jx
         H += J.T @ W @ J
         g += J.T @ W @ e
@@ -79,10 +80,8 @@ class TestLinearize:
 
     def test_duplicated_factor_doubles_contribution(self):
         prob, x0, *_ = build_ba_problem(2, n_cams=3, n_lms=8, sigma=0.5)
-        f = prob.factors[5]
-        prob2 = Problem(prob.state, prob.intrinsics,
-                        list(prob.factors) + [f], prob.obs_model,
-                        scale_prior=prob.scale_prior)
+        rows = np.append(np.arange(len(prob.frame_idx)), 5)
+        prob2 = problem_like(prob, rows, scale_prior=prob.scale_prior)
         H1, g1 = dense_reference(prob, x0)
         H2, g2 = dense_reference(prob2, x0)
         sys2 = linearize(prob2, x0)
@@ -165,12 +164,11 @@ class TestSchur:
         pa, pb = Pose(t=[-0.4, 0, 0]), Pose(t=[0.4, 0.1, 0])
         lm = np.array([[0.05, -0.1, 2.5]])
         from gradba.geometry import project
-        obs = {(0, 0): project(pa, intr, lm[0]) + [0.4, -0.2],
-               (1, 0): project(pb, intr, lm[0]) + [-0.1, 0.3]}
+        pixels = [project(pa, intr, lm[0]) + [0.4, -0.2],
+                  project(pb, intr, lm[0]) + [-0.1, 0.3]]
         state = StateVector([pa, pb], lm)
-        prob = Problem(state, intr,
-                       [ReprojectionFactor(0, 0, 0), ReprojectionFactor(1, 0, 0)],
-                       StaticModel(obs))
+        prob = Problem(state, intr, [0, 1], [0, 0], [0, 0],
+                       StaticModel([0, 1], [0, 0], pixels))
         sys_ = linearize(prob, state)
         assert sys_.layout.dim == 15
         np.testing.assert_allclose(schur_solve(sys_, 0.5), lm_step(sys_, 0.5),
@@ -239,8 +237,7 @@ class TestOptimize:
         state_t = StateVector(poses_t, lms_t, fixed_poses=prob.state.fixed_poses)
         # same pixel observations: the projections are invariant under a
         # global transform applied to both cameras and points
-        prob_t = Problem(state_t, prob.intrinsics, prob.factors, prob.obs_model,
-                         scale_prior=prob.scale_prior)
+        prob_t = problem_like(prob, state=state_t, scale_prior=prob.scale_prior)
         poses0_t = [g.compose(p) for p in x0.poses]
         lms0_t = np.array([g.apply(p) for p in x0.landmarks])
         x0_t = StateVector(poses0_t, lms0_t, fixed_poses=x0.fixed_poses)

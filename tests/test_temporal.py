@@ -271,21 +271,35 @@ class TestTemporalEnergy:
                                                       1e-3 * scale) < 1e-5
 
 
+class TestAttachmentValidFlag:
+    def test_invalid_items_leave_the_mrp_loss(self):
+        from gradba.problem import temporal_term
+        from gradba.scene import (SyntheticSceneConfig, attach_temporal,
+                                  build_problem, generate_scene)
+        scene = attach_temporal(generate_scene(SyntheticSceneConfig(seed=8)), seed=9)
+        prob = build_problem(scene)
+        _, res = temporal_term(prob, prob.theta0())
+        assert max(res.l_mrp) > 0 and not any(res.mrp_empty)
+        for tr in scene["temporal"]["transitions"]:
+            for item in tr["items"]:
+                item["valid"] = False
+        prob = build_problem(scene)
+        _, res = temporal_term(prob, prob.theta0())
+        assert res.l_mrp == [0.0] * len(res.l_mrp) and all(res.mrp_empty)
+
+
 class TestZeroWeightAttachmentBitIdentical:
     def test_optimize_unchanged(self):
-        from conftest import build_ba_problem
-        from gradba.problem import (Problem, TemporalAttachment,
-                                    TemporalObservation)
+        from conftest import build_ba_problem, problem_like
+        from gradba.problem import TemporalAttachment, TemporalObservation
         from gradba.solver import optimize
 
         prob, x0, *_ = build_ba_problem(13, sigma=0.6)
-        obs_list = [TemporalObservation(1, t, prob.obs_model.observations[(1, t)])
+        obs_list = [TemporalObservation(1, t, prob.obs_model.observe(1, t, prob.theta0()))
                     for t in (0, 1)]
         attach = TemporalAttachment(TemporalEnergy(alpha=0.0, beta=0.0,
                                                    lambda_t=0.0), [obs_list])
-        prob2 = Problem(prob.state, prob.intrinsics, prob.factors,
-                        prob.obs_model, temporal_terms=attach,
-                        scale_prior=prob.scale_prior)
+        prob2 = problem_like(prob, temporal_terms=attach, scale_prior=prob.scale_prior)
         xa, ra = optimize(prob, x0)
         xb, rb = optimize(prob2, x0)
         assert ra.final_energy == rb.final_energy
@@ -313,9 +327,8 @@ class TestDescriptorFieldEquivariance:
                 grid[3 + dy, 3 + dx] = ref + 0.1 * rng.normal(size=C)
         shifted = np.roll(grid, 1, axis=1)  # rolled-in column equals background
         shifted[:, 0] = far
-        m = DescriptorFieldModel([0, 1], {0: grid, 1: shifted},
-                                 {0: ref, 1: ref},
-                                 {(0, 0): np.zeros(2), (0, 1): np.zeros(2)})
+        m = DescriptorFieldModel([0, 0], [0, 1], np.zeros((2, 2)), [0, 1],
+                                 [grid, shifted], [ref, ref])
         theta = m.theta0()
         p0 = m.observe(0, 0, theta)
         p1 = m.observe(0, 1, theta)
