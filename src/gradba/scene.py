@@ -276,7 +276,23 @@ def load_scene(path):
         if (o["frame"], o["track"]) in seen:
             raise SceneFormatError(f"observation of a (frame, track) pair is repeated: {o}")
         seen.add((o["frame"], o["track"]))
+    track_bias_values(scene)
     return scene
+
+
+def track_bias_values(scene):
+    """The scene's ``track_bias`` offsets as a dict of track id (a string)
+    to 2-vector, or None without the block. A block that is not a ``values``
+    map of finite 2-vectors keyed by track ids of the scene raises
+    SceneFormatError."""
+    blk = scene.get("track_bias")
+    if blk is None:
+        return None
+    values = blk.get("values") if isinstance(blk, dict) else None
+    tracks = {str(l["id"]) for l in scene["landmarks"]}
+    if not (isinstance(values, dict) and set(values) <= tracks):
+        raise SceneFormatError("track_bias: values must map track ids of the scene to offsets")
+    return {t: _finite_vector(values, t, 2, "track_bias") for t in values}
 
 
 def scene_intrinsics(scene):
@@ -396,12 +412,9 @@ def build_problem(scene, model="static", kernel=None, state=None,
     if model == "static":
         obs_model = StaticModel(frames, tracks, pixels)
     elif model == "trackbias":
-        theta_init = None
-        blk = scene.get("track_bias")
-        if blk is not None:
-            theta_init = np.concatenate(
-                [np.asarray(blk["values"].get(str(t), [0.0, 0.0]), dtype=float)
-                 for t in ids])
+        values = track_bias_values(scene)
+        theta_init = None if values is None else np.concatenate(
+            [values.get(str(t), np.zeros(2)) for t in ids])
         obs_model = TrackBiasModel(frames, tracks, pixels, ids, theta_init)
     else:
         obs_model = descriptor_field_model(scene, frames, tracks, pixels, ids)

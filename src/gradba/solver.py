@@ -10,12 +10,12 @@ minus sign of e = observation - projection), the stored gradient is
 g = J^T W e, and steps solve (H + lambda D^2) dx = -g. The true energy
 gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 
-Factor evaluation and block assembly are vectorized over factors: one
-evaluation (``problem.evaluate_residuals``) gives the residuals, camera
-points and robust-kernel terms that the jacobians are built from, and
-``scatter_blocks`` adds the per-factor blocks of ``linearize`` and of
-``exact_hessian_system`` with ``np.add.at``. Summation order is fixed by the
-factor list, so results are bitwise reproducible.
+``linearize`` forms one 3x3 block M = A^T W A and one 3-vector b = A^T W e
+per active factor, where A = dh/dc R^T is the factor's d pixel / d world
+point; every pose and landmark block follows from them in closed form.
+``segment_sum`` adds the blocks of ``linearize`` and ``exact_hessian_system``
+in factor order, so results are the same from run to run. The reduced camera
+system S = Hpp - Hpl C^-1 Hpl^T is one matrix product.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ DAMPING_FLOOR = 1e-6  # lower bound on the diagonal scaling D
 ENERGY_RESOLUTION = 1e-12  # relative rounding resolution of the summed energy
 STEP_RESOLUTION = 1e-13    # float resolution of the state coordinates
 GRADIENT_DECREASE = 1e-3   # least relative gradient fall of a gradient-ranked step
+_UPPER = np.array([0, 1, 2, 4, 5, 8])          # upper triangle of a raveled 3x3
+_SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # that triangle back to a 3x3
+# per-pose sums [upper -PMP, PM, upper M] to the 6x6 block [[-PMP, PM], [(PM)^T, M]]
+_POSE_BLOCK = np.block([[_SYMMETRIC.reshape(3, 3), 6 + np.arange(9).reshape(3, 3)],
+                        [6 + np.arange(9).reshape(3, 3).T, 15 + _SYMMETRIC.reshape(3, 3)]]).ravel()
 
 
 @dataclass
@@ -88,9 +93,9 @@ class SystemLayout:
 class LinearizedSystem:
     """H = J^T W J and g = J^T W e in block form over the free variables.
 
-    Per-factor record arrays (residual jacobian blocks, robust-kernel terms,
-    residuals) are kept for the exact Hessian and the adjoint solve of the
-    implicit-gradient module.
+    Per-factor records of the active factors (residual jacobians, built from
+    A = dh/dc R^T and P = [p]x, robust-kernel terms, residuals) are kept for
+    the exact Hessian and the adjoint solve of the implicit-gradient module.
     """
 
     def __init__(self, layout):
@@ -118,21 +123,15 @@ class LinearizedSystem:
     # -- dense views -------------------------------------------------------
 
     def dense_hessian(self):
-        lay = self.layout
-        H = np.zeros((lay.dim, lay.dim))
-        np_ = lay.n_pose_params
-        H[:np_, :np_] = self.Hpp
-        for s in range(len(lay.free_lm_ids)):
-            o = lay.lm_offset(s)
-            H[o:o + 3, o:o + 3] = self.Hll[s]
+        H = scipy.linalg.block_diag(self.Hpp, *self.Hll)
+        np_ = self.layout.n_pose_params
         H[:np_, np_:] = self.Hpl
         H[np_:, :np_] = self.Hpl.T
         return H
 
     def matvec(self, y):
         """H y computed blockwise (no dense assembly)."""
-        lay = self.layout
-        np_ = lay.n_pose_params
+        np_ = self.layout.n_pose_params
         out = np.zeros_like(y)
         yl = y[np_:].reshape(-1, 3)
         out[:np_] = self.Hpp @ y[:np_] + self.Hpl @ y[np_:]
@@ -151,15 +150,16 @@ class LinearizedSystem:
         return 2.0 * float(np.abs(self.g).max()) if self.layout.dim else 0.0
 
 
+def _hat_times(p, X):
+    """[p]x X, p crossed with every column of X, for factor-last p (3, k) and X (3, m, k)."""
+    return np.stack([p[1] * X[2] - p[2] * X[1], p[2] * X[0] - p[0] * X[2],
+                     p[0] * X[1] - p[1] * X[0]])
+
+
 def _so3_hat_many(p):
-    out = np.zeros((len(p), 3, 3))
-    out[:, 0, 1] = -p[:, 2]
-    out[:, 0, 2] = p[:, 1]
-    out[:, 1, 0] = p[:, 2]
-    out[:, 1, 2] = -p[:, 0]
-    out[:, 2, 0] = -p[:, 1]
-    out[:, 2, 1] = p[:, 0]
-    return out
+    """The hat matrices [p]x of stacked p (k, 3), (k, 3, 3)."""
+    eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, len(p)))
+    return _hat_times(p.T, eye).transpose(2, 0, 1)
 
 
 def _matvec(A, x):
@@ -167,51 +167,54 @@ def _matvec(A, x):
     return (A @ x[:, :, None])[:, :, 0]
 
 
-def _projection_jacobian(focal, c):
-    """d pixel / d camera point, (k, 2, 3), at camera-frame points c."""
-    iz = 1.0 / c[:, 2]
-    out = np.zeros((len(c), 2, 3))
-    out[:, 0, 0] = focal[:, 0] * iz
-    out[:, 0, 2] = -focal[:, 0] * c[:, 0] * iz * iz
-    out[:, 1, 1] = focal[:, 1] * iz
-    out[:, 1, 2] = -focal[:, 1] * c[:, 1] * iz * iz
-    return out
+def segment_sum(slots, values, start):
+    """``start`` (n, ...) plus the rows of ``values`` (k, ...) summed by slot.
 
-
-def scatter_blocks(sys_, pose_slot, lm_slot, bpp, bll, bpl, gp=None, gl=None):
-    """Add per-factor blocks into the system, in factor order.
-
-    ``bpp`` (k, 6, 6) goes to the diagonal pose blocks of ``Hpp``, ``bll``
-    (k, 3, 3) to ``Hll``, ``bpl`` (k, 6, 3) to ``Hpl`` and the optional
-    ``gp`` (k, 6) / ``gl`` (k, 3) to ``g``. A slot of -1 marks a fixed
-    variable, whose blocks are dropped. ``np.add.at`` accumulates repeated
-    slots one factor at a time, so the sums are those of a loop over factors.
+    Row r is added to ``start[slots[r]]``; a slot of -1 drops it. Each sum
+    begins at its start value and adds its rows in row order, as a loop over
+    rows does: ``np.bincount`` accumulates its input sequentially.
     """
-    lay = sys_.layout
-    np_ = lay.n_pose_params
-    n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
-    has_p = _rows(pose_slot >= 0)
-    has_l = _rows(lm_slot >= 0)
+    n, m = len(start), math.prod(start.shape[1:])
+    bins = np.concatenate([np.arange(n), np.where(slots < 0, n, slots)])
+    cols = np.concatenate([start.reshape(n, m).T, values.reshape(len(slots), m).T], axis=1)
+    sums = np.array([np.bincount(bins, col, minlength=n + 1) for col in cols])
+    return sums[:, :n].T.reshape(start.shape)
+
+
+def add_blocks(sys_, pose_slot, lm_slot, bpp, bll, bpl):
+    """Add per-factor blocks into the system, each sum in factor order:
+    ``bpp`` (k, 6, 6) to the diagonal pose blocks of ``Hpp``, ``bll``
+    (k, 3, 3) to ``Hll`` and ``bpl`` (k, 6, 3) to ``Hpl``. A slot of -1
+    marks a fixed variable, whose blocks are dropped."""
+    n_p = len(sys_.layout.free_pose_ids)
+    d = np.arange(n_p)
+    Hpp = sys_.Hpp.reshape(n_p, 6, n_p, 6)
+    Hpp[d, :, d, :] = segment_sum(pose_slot, bpp, Hpp[d, :, d, :])
+    sys_.Hll = segment_sum(lm_slot, bll, sys_.Hll)
+    _add_pair_blocks(sys_.Hpl, pose_slot, lm_slot, bpl)
+
+
+def _add_pair_blocks(Hpl, pose_slot, lm_slot, blocks):
+    """Add (k, 6, 3) blocks to ``Hpl`` at their (pose slot, landmark slot)
+    pairs, dropping those with a fixed side. A pair holds one block, added in
+    place, unless the problem repeats a row; repeated pairs are summed in
+    factor order."""
+    n_l = Hpl.shape[1] // 3
     both = _rows((pose_slot >= 0) & (lm_slot >= 0))
-    ps, ls = pose_slot[has_p], lm_slot[has_l]
-    pair_ps, pair_ls = pose_slot[both], lm_slot[both]
-    if len(ps):
-        Hpp = sys_.Hpp.reshape(n_p, 6, n_p, 6)
-        np.add.at(Hpp, (ps, slice(None), ps, slice(None)), bpp[has_p])
-        if gp is not None:
-            np.add.at(sys_.g[:np_].reshape(-1, 6), ps, gp[has_p])
-    if len(ls):
-        np.add.at(sys_.Hll, ls, bll[has_l])
-        if gl is not None:
-            np.add.at(sys_.g[np_:].reshape(-1, 3), ls, gl[has_l])
-    if len(pair_ps):
-        Hpl = sys_.Hpl.reshape(n_p, 6, n_l, 3)
-        np.add.at(Hpl, (pair_ps, slice(None), pair_ls, slice(None)), bpl[both])
+    ps, ls, blocks = pose_slot[both], lm_slot[both], blocks[both]
+    flat = Hpl.reshape(-1)
+    idx = ((18 * n_l) * ps + 3 * ls)[:, None, None] + (3 * n_l * np.arange(6)[:, None]
+                                                       + np.arange(3))
+    pairs = ps * n_l + ls
+    if len(pairs) and np.bincount(pairs).max() > 1:
+        _, first, order = np.unique(pairs, return_index=True, return_inverse=True)
+        flat[idx[first]] = segment_sum(order, blocks, flat[idx[first]])
+    else:
+        flat[idx] += blocks
 
 
 def _rows(mask):
-    """Index of the true rows; a slice, which copies nothing, when they are one
-    contiguous run (factors are usually grouped by frame)."""
+    """Index of the true rows; a slice, which copies nothing, when they are contiguous."""
     idx = np.flatnonzero(mask)
     if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
         return slice(idx[0], idx[-1] + 1)
@@ -231,47 +234,51 @@ def linearize(problem, state, theta=None):
 
     sel = np.flatnonzero(ev.active)
     sys_.inactive_count = int(len(ev.active) - len(sel))
-    frames = problem.frame_idx[sel]
-    e = ev.e[sel]
-    c = ev.campoint[sel]
-    rot = ev.rot[sel]
-    p = state.landmarks[problem.lm_idx[sel]]
-    # d pixel / d world point = dh/dc R^T; residual jacobians carry the minus
-    # sign of e = obs - projection
-    dh_dc = _projection_jacobian(problem.intrinsics_table[frames, :2], c)
-    dh_dc_Rt = dh_dc @ np.swapaxes(rot, 1, 2)
-    Jl = -dh_dc_Rt
-    Jp = np.empty((len(sel), 2, 6))
-    Jp[:, :, :3] = -np.einsum("kab,kbc->kac", dh_dc_Rt, _so3_hat_many(p))
-    Jp[:, :, 3:] = dh_dc_Rt
-
-    w = ev.weight[sel]
+    frames, lms = problem.frame_idx[sel], problem.lm_idx[sel]
+    e, c, rot, w = ev.e[sel], ev.campoint[sel], ev.rot[sel], ev.weight[sel]
+    p = state.landmarks[lms]
+    pose_slot, lm_slot = layout.pose_slot[frames], layout.lm_slot[lms]
     W = w[:, None, None] * problem.info_stack[sel]
 
-    pose_slot = layout.pose_slot[frames]
-    lm_slot = layout.lm_slot[problem.lm_idx[sel]]
-    WJp = np.einsum("kab,kbc->kac", W, Jp)
-    WJl = np.einsum("kab,kbc->kac", W, Jl)
-    scatter_blocks(sys_, pose_slot, lm_slot,
-                   np.einsum("kba,kbc->kac", Jp, WJp),
-                   np.einsum("kba,kbc->kac", Jl, WJl),
-                   np.einsum("kba,kbc->kac", Jp, WJl),
-                   np.einsum("kab,ka->kb", WJp, e),
-                   np.einsum("kab,ka->kb", WJl, e))
+    # Factor-last copies (k on the last axis), so that every array operation
+    # below runs along the factors. A = dh/dc R^T is d pixel / d world point:
+    # At[r, i] = A[i, r] = f_i / z (R[r, i] - c_i / z R[r, 2]). With P = [p]x
+    # the residual jacobians, which carry the minus sign of e = obs -
+    # projection, are Jl = -A and Jp = [-A P, A], so every block of J^T W J
+    # and J^T W e follows from M = A^T W A and b = A^T W e.
+    R = np.ascontiguousarray(rot.transpose(1, 2, 0))
+    Wt = np.ascontiguousarray(W.transpose(1, 2, 0))
+    et, pt, ct = e.T, p.T, c.T
+    iz = 1.0 / ct[2]
+    At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (problem.intrinsics_table[frames, :2].T * iz)
+    WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
+    M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
+    b = WA[0] * et[0] + WA[1] * et[1]
+    # P M, P b and P A^T in one product
+    PX = _hat_times(pt, np.concatenate([M, b[:, None], At], axis=1))
+    PM, Pb, PAt = PX[:, :3], PX[:, 3], PX[:, 4:]
 
-    sys_.rec_factor = sel
-    sys_.rec_frame = frames
-    sys_.rec_pose_slot = pose_slot
-    sys_.rec_lm_slot = lm_slot
-    sys_.rec_Jp = Jp
-    sys_.rec_Jl = Jl
-    sys_.rec_W = W
-    sys_.rec_point = p
-    sys_.rec_campoint = c
-    sys_.rec_rot = rot
-    sys_.residuals = e
-    sys_.weights = w
-    sys_.rec_curvature = ev.curvature[sel]
+    # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose; the
+    # symmetric -PMP and M are summed by their upper triangles
+    n_p, n_l = len(layout.free_pose_ids), len(layout.free_lm_ids)
+    M6 = M.reshape(9, -1)[_UPPER]
+    per_pose = segment_sum(pose_slot, np.concatenate(
+        [_hat_times(pt, PM.swapaxes(0, 1)).reshape(9, -1)[_UPPER], PM.reshape(9, -1),
+         M6, Pb, b]).T, np.zeros((n_p, 27)))
+    d = np.arange(n_p)
+    sys_.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] = per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
+    sys_.g[:layout.n_pose_params] = per_pose[:, 21:].ravel()
+    # Hll = M and gl = -b per landmark; Hpl = [-PM; -M] per pair
+    per_lm = segment_sum(lm_slot, np.concatenate([M6, -b]).T, np.zeros((n_l, 9)))
+    sys_.Hll = per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
+    sys_.g[layout.n_pose_params:] = per_lm[:, 6:].ravel()
+    _add_pair_blocks(sys_.Hpl, pose_slot, lm_slot, -np.concatenate([PM, M]).transpose(2, 0, 1))
+
+    vars(sys_).update(
+        rec_factor=sel, rec_frame=frames, rec_pose_slot=pose_slot, rec_lm_slot=lm_slot,
+        rec_Jp=np.concatenate([PAt, At]).T, rec_Jl=-At.T, rec_W=W, rec_point=p,
+        rec_campoint=c, rec_rot=rot, residuals=e, weights=w,
+        rec_curvature=ev.curvature[sel])
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior
@@ -292,18 +299,16 @@ def exact_hessian_system(problem, state, theta, sys_):
 
     The Gauss-Newton H drops the residual-curvature term
     rho' * sum_c (Sigma^-1 e)_c * grad^2 e_c and, on the Huber outlier branch,
-    the rho'' rank-one term; both read the records of ``sys_``. Both vanish with the residuals, but at noisy
-    optima they shift the sensitivity dX*/dtheta well above the oracle
-    tolerance, so the implicit-gradient adjoint solve uses this corrected H.
-    All corrections are factor-local 9x9 blocks over (pose, landmark) and
-    preserve the Schur block sparsity. The scale prior contributes its own
-    r * grad^2 r curvature.
+    the rho'' rank-one term; both read the records of ``sys_``. Both vanish
+    with the residuals, but at noisy optima they shift the sensitivity
+    dX*/dtheta well above the oracle tolerance, so the implicit-gradient
+    adjoint solve uses this corrected H. All corrections are factor-local 9x9
+    blocks over (pose, landmark) and preserve the Schur block sparsity. The
+    scale prior contributes its own r * grad^2 r curvature.
     """
     out = copy.copy(sys_)
     out.Hpp = sys_.Hpp.copy()
-    out.Hll = sys_.Hll.copy()
     out.Hpl = sys_.Hpl.copy()
-    lay = sys_.layout
 
     # stacked matmuls round like the per-factor matrix products they replace
     rec = sys_.rec_factor
@@ -313,10 +318,8 @@ def exact_hessian_system(problem, state, theta, sys_):
     c = sys_.rec_campoint
     p = sys_.rec_point
     focal = problem.intrinsics_table[sys_.rec_frame, :2]
-    R = sys_.rec_rot
-    Rt = np.swapaxes(R, 1, 2)
+    Rt = np.swapaxes(sys_.rec_rot, 1, 2)
     iz = 1.0 / c[:, 2]
-    dh_dc = _projection_jacobian(focal, c)
     # second derivative of the pinhole map, contracted with kappa
     G = np.zeros((len(rec), 3, 3))
     G[:, 0, 2] = G[:, 2, 0] = -focal[:, 0] * kap[:, 0] * iz * iz
@@ -326,8 +329,9 @@ def exact_hessian_system(problem, state, theta, sys_):
     # d cam-point / d (w, v, p)
     Dc = np.concatenate([Rt @ _so3_hat_many(p), -Rt, Rt], axis=2)
     T = np.swapaxes(Dc, 1, 2) @ G @ Dc
-    # second derivative of the camera point, contracted with psi = R dh^T kappa
-    psi = _matvec(R, _matvec(np.swapaxes(dh_dc, 1, 2), kap))
+    # second derivative of the camera point, contracted with
+    # psi = R dh^T kappa = -Jl^T kappa
+    psi = -_matvec(np.swapaxes(sys_.rec_Jl, 1, 2), kap)
     hat_psi = _so3_hat_many(psi)
     outer = psi[:, :, None] * p[:, None, :]
     T2 = np.zeros((len(rec), 9, 9))
@@ -341,18 +345,16 @@ def exact_hessian_system(problem, state, theta, sys_):
     # rho'' rank-one term on the Huber outlier branch
     outl = np.flatnonzero(sys_.rec_curvature)
     if len(outl):
-        u9 = np.concatenate([_matvec(np.swapaxes(sys_.rec_Jp[outl], 1, 2), ie[outl]),
-                             _matvec(np.swapaxes(sys_.rec_Jl[outl], 1, 2), ie[outl])],
-                            axis=1)
+        J = np.concatenate([sys_.rec_Jp[outl], sys_.rec_Jl[outl]], axis=2)
+        u9 = _matvec(np.swapaxes(J, 1, 2), ie[outl])
         C9[outl] += ((2.0 * sys_.rec_curvature[outl])[:, None, None]
                      * (u9[:, :, None] * u9[:, None, :]))
-    scatter_blocks(out, sys_.rec_pose_slot, sys_.rec_lm_slot,
-                   C9[:, :6, :6], C9[:, 6:, 6:], C9[:, :6, 6:])
+    add_blocks(out, sys_.rec_pose_slot, sys_.rec_lm_slot,
+               C9[:, :6, :6], C9[:, 6:, 6:], C9[:, :6, 6:])
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior
-        ti = state.poses[sp.i].t
-        tj = state.poses[sp.j].t
+        ti, tj = state.poses[sp.i].t, state.poses[sp.j].t
         d = tj - ti
         n = float(np.linalg.norm(d))
         u = d / n
@@ -360,13 +362,11 @@ def exact_hessian_system(problem, state, theta, sys_):
         r = n - sp.target
         Dti = np.hstack([-so3_hat(ti), np.eye(3)])  # d world-translation / d tangent
         Dtj = np.hstack([-so3_hat(tj), np.eye(3)])
-        blocks = {}
-        blocks[(sp.i, sp.i)] = Dti.T @ P @ Dti + _translation_curvature(-u, ti)
-        blocks[(sp.j, sp.j)] = Dtj.T @ P @ Dtj + _translation_curvature(u, tj)
-        blocks[(sp.i, sp.j)] = -Dti.T @ P @ Dtj
-        blocks[(sp.j, sp.i)] = -Dtj.T @ P @ Dti
+        blocks = {(sp.i, sp.i): Dti.T @ P @ Dti + _translation_curvature(-u, ti),
+                  (sp.j, sp.j): Dtj.T @ P @ Dtj + _translation_curvature(u, tj),
+                  (sp.i, sp.j): -Dti.T @ P @ Dtj, (sp.j, sp.i): -Dtj.T @ P @ Dti}
         for (a, b), blk in blocks.items():
-            sa, sb = lay.pose_slot[a], lay.pose_slot[b]
+            sa, sb = sys_.layout.pose_slot[a], sys_.layout.pose_slot[b]
             if sa >= 0 and sb >= 0:
                 out.Hpp[6 * sa:6 * sa + 6, 6 * sb:6 * sb + 6] += sp.weight * r * blk
     return out
@@ -415,16 +415,9 @@ def schur_solve_rhs(system, lam, b):
     A = system.Hpp + lam * np.diag(d2[:np_])
     bp = b[:np_]
     if nl == 0:
-        x = np.zeros(lay.dim)
-        if np_:
-            x[:np_] = _chol_solve(A, bp)
-        return x
+        return _chol_solve(A, bp) if np_ else np.zeros(0)
 
-    C = system.Hll.copy()
-    dl = (lam * d2[np_:]).reshape(nl, 3)
-    C[:, 0, 0] += dl[:, 0]
-    C[:, 1, 1] += dl[:, 1]
-    C[:, 2, 2] += dl[:, 2]
+    C = system.Hll + (lam * d2[np_:]).reshape(nl, 3)[:, :, None] * np.eye(3)
     try:
         np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
@@ -432,20 +425,15 @@ def schur_solve_rhs(system, lam, b):
     Cinv = np.linalg.inv(C)
     bl = b[np_:].reshape(nl, 3)
 
-    x = np.zeros(lay.dim)
     if np_ == 0:
-        x[np_:] = np.einsum("lab,lb->la", Cinv, bl).ravel()
-        return x
+        return np.einsum("lab,lb->la", Cinv, bl).ravel()
 
-    Br = system.Hpl.reshape(np_, nl, 3)
-    T = np.einsum("alc,lcd->ald", Br, Cinv)
-    S = A - np.einsum("ald,bld->ab", T, Br)
-    rhs = bp - np.einsum("ald,ld->a", T, bl)
-    xp = _chol_solve(S, rhs)
-    xl = np.einsum("lcd,ld->lc", Cinv, bl - np.einsum("alc,a->lc", Br, xp))
-    x[:np_] = xp
-    x[np_:] = xl.ravel()
-    return x
+    # T = Hpl C^-1, one 3x3 product per landmark; S = A - T Hpl^T is one GEMM
+    Br = system.Hpl.reshape(np_, nl, 3).swapaxes(0, 1)
+    T = (Br @ Cinv).swapaxes(0, 1).reshape(np_, -1)
+    xp = _chol_solve(A - T @ system.Hpl.T, bp - T @ b[np_:])
+    xl = np.einsum("lcd,ld->lc", Cinv, bl - (system.Hpl.T @ xp).reshape(nl, 3))
+    return np.concatenate([xp, xl.ravel()])
 
 
 def apply_step(state, layout, delta):
@@ -453,9 +441,8 @@ def apply_step(state, layout, delta):
     new = state.copy()
     for slot, i in enumerate(layout.free_pose_ids):
         new.poses[i] = se3_retract(state.poses[i], delta[6 * slot:6 * slot + 6])
-    for slot, j in enumerate(layout.free_lm_ids):
-        o = layout.lm_offset(slot)
-        new.landmarks[j] = state.landmarks[j] + delta[o:o + 3]
+    lms = layout.free_lm_ids
+    new.landmarks[lms] = state.landmarks[lms] + delta[layout.n_pose_params:].reshape(-1, 3)
     return new
 
 

@@ -189,7 +189,7 @@ class TestFailureContract:
                                       "malformed", "frame_id", "negative_fx",
                                       "u_not_a_number", "nan_cx", "repeated_observation",
                                       "sigma_zero", "sigma_string", "sigma_negative",
-                                      "sigma_nan"])
+                                      "sigma_nan", "track_bias_empty", "track_bias_short"])
     def test_scene_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc = tmp_path / "scene.json"
@@ -211,6 +211,10 @@ class TestFailureContract:
             elif case == "repeated_observation":
                 first = scene["observations"][0]
                 scene["observations"].append(dict(first, u=first["u"] + 50.0))
+            elif case == "track_bias_empty":
+                scene["track_bias"] = {}
+            elif case == "track_bias_short":
+                scene["track_bias"] = {"values": {"0": [1.0]}}
             elif case.startswith("sigma_"):
                 scene["observations"][0]["sigma"] = {
                     "sigma_zero": 0, "sigma_string": "x", "sigma_negative": -1,

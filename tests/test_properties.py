@@ -1,7 +1,8 @@
 """Property tests: the analytic pose-loss gradient, the batched
-vector-jacobian products, the problem table of ``build_problem`` and the
-Schur solve against their references on generated inputs, and the scene
-file round trip with descriptor-field and temporal sections.
+vector-jacobian products, the problem table of ``build_problem``, the
+solver's segment sums and the Schur solve against their references on
+generated inputs, and the scene file round trip with descriptor-field and
+temporal sections.
 
 Examples are derandomized and bounded in number, so a run does the same work
 every time. Tolerances were fixed before the code under test was written.
@@ -19,7 +20,7 @@ from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
 from gradba.problem import (DescriptorFieldModel, RobustKernel,  # noqa: E402
                             StateVector, StaticModel, TrackBiasModel)
 from gradba.solver import (LinearizedSystem, SystemLayout, lm_step,  # noqa: E402
-                           schur_solve_rhs)
+                           schur_solve_rhs, segment_sum)
 
 from loop_reference import (fd_tangent_gradient, loop_drifting_grid,  # noqa: E402
                             loop_observe_vjp, loop_problem_table)
@@ -178,6 +179,26 @@ def test_problem_table_matches_per_observation_assembly(n_cameras, n_landmarks, 
             assert_bits(getattr(prob, name), ref[name])
         assert_bits(prob.obs_model.observe_all(prob.frame_idx, prob.track_idx, prob.theta0()),
                     ref["predictions"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(0, 4), k=st.integers(0, 12),
+       shape=st.sampled_from([(), (2,), (2, 3)]))
+def test_segment_sum_matches_add_at(data, n, k, shape):
+    """Bit for bit the sums of ``np.add.at``, which adds one row at a time
+    onto the start: repeated slots, dropped slots of -1, no rows at all, and
+    values of mixed magnitude, whose sums depend on the order of addition."""
+    m = int(np.prod(shape))
+    numbers = st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)
+    slots = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=k, max_size=k)),
+                     dtype=int)
+    values = np.array(data.draw(st.lists(numbers, min_size=k * m, max_size=k * m)),
+                      dtype=float).reshape(k, *shape)
+    start = np.array(data.draw(st.lists(numbers, min_size=n * m, max_size=n * m)),
+                     dtype=float).reshape(n, *shape)
+    expected = start.copy()
+    np.add.at(expected, slots[slots >= 0], values[slots >= 0])
+    assert np.array_equal(segment_sum(slots, values, start), expected)
 
 
 @PROPERTY
