@@ -55,18 +55,6 @@ class DegenerateGeometry(GradbaError):
     stage = "init"
 
 
-class LowParallax(GradbaError):
-    """Triangulation rays are (near) parallel."""
-
-    stage = "init"
-
-
-class NegativeDepth(GradbaError):
-    """Triangulated point lies behind a camera."""
-
-    stage = "init"
-
-
 class NoValidTerminal(GradbaError):
     """No candidate frame passed the terminal-selection gates."""
 

@@ -56,6 +56,13 @@ def quat_rotate(q, v):
     return v + 2.0 * (q[0] * uv + _cross3(u, uv))
 
 
+def quat_rotate_many(q, v):
+    """Rows of v (N, 3) rotated by the rows of (N, 4) quaternions, with the
+    arithmetic of ``quat_rotate`` (``np.cross`` rounds as ``_cross3``)."""
+    uv = np.cross(q[:, 1:], v)
+    return v + 2.0 * (q[:, :1] * uv + np.cross(q[:, 1:], uv))
+
+
 def quat_to_matrix(q):
     w, x, y, z = q
     return np.array([

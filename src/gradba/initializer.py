@@ -6,6 +6,10 @@ triangulation with a median-depth gate, Bayesian inverse-depth fusion, PnP
 for the remaining frames with a constant-velocity fallback, and a per-frame
 re-triangulation / fusion sweep against the anchor frame.
 
+``triangulate`` and ``sigma_obs_from_reproj`` take every pixel pair of one
+pose pair at once and flag failed pairs instead of raising: one call per
+candidate frame, one for the anchor-terminal pair and one per PnP frame.
+
 The resulting state is gauge-normalized: the anchor pose is the identity and
 the anchor-to-terminal baseline has unit length.
 """
@@ -13,16 +17,15 @@ the anchor-to-terminal baseline has unit length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from . import fivepoint
 from .errors import (DegenerateGeometry, Diverged, InitializationFailed,
-                     LowParallax, NegativeDepth, NoValidTerminal,
-                     TooFewCorrespondences, TooFewPoints)
-from .geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project,
-                       quat_from_matrix, quat_to_rotvec, quat_mul, quat_conj,
-                       so3_hat)
+                     NoValidTerminal, TooFewCorrespondences, TooFewPoints)
+from .geometry import (DEPTH_EPS, CameraIntrinsics, Pose, quat_from_matrix,
+                       quat_to_rotvec, quat_mul, quat_conj)
 from .problem import Problem, StateVector, StaticModel
 from .solver import SolverSettings, optimize
 
@@ -129,14 +132,19 @@ def _eight_point(q_a, q_b):
 
 
 def _cheirality_depths(R, t, q_a, q_b):
-    """Per-pair depths (z_a, z_b) for X_b = R X_a + t via two-ray least squares."""
+    """Per-pair depths (z_a, z_b) for X_b = R X_a + t: the least-squares
+    solution of z_a R q_a - z_b q_b = -t, a closed-form 2x2 solve of
+    determinant |R q_a x q_b|^2. Below lstsq's rank cutoff (det <= (6 eps)^2)
+    the rays are parallel and the pair gets (0, 0): not in front, as lstsq's
+    minimum-norm solution of opposite signs was."""
     ra = q_a @ R.T                      # rotated anchor rays, rows
-    za = np.empty(len(q_a))
-    zb = np.empty(len(q_a))
-    for k in range(len(q_a)):
-        A = np.column_stack([ra[k], -q_b[k]])
-        sol, *_ = np.linalg.lstsq(A, -t, rcond=None)
-        za[k], zb[k] = sol[0], sol[1]
+    c = np.vecdot(ra, q_b)
+    det = np.sum(np.cross(ra, q_b) ** 2, axis=1)
+    r_a, r_b = -(ra @ t), q_b @ t
+    inv = np.divide(1.0, det, out=np.zeros_like(det),
+                    where=det > (6.0 * np.finfo(float).eps) ** 2)
+    za = (np.vecdot(q_b, q_b) * r_a + c * r_b) * inv
+    zb = (c * r_a + np.vecdot(ra, ra) * r_b) * inv
     return za, zb
 
 
@@ -219,34 +227,32 @@ def estimate_relative_pose(bearings_anchor, bearings_terminal, cfg,
     return R, t / np.linalg.norm(t), best_mask
 
 
-def _world_to_cam(pose):
-    R = pose.rotation_matrix().T
-    return R, -R @ pose.t
+def _depth(pose, points):
+    """Depth of world points in the camera of ``pose``."""
+    return (points - pose.t) @ pose.rotation_matrix()[:, 2]
 
 
 def triangulate(p0, p1, pose0, pose1, K):
-    """Linear least squares on the stacked ray cross-product constraints.
+    """Linear two-view triangulation of n pixel pairs (n, 2) from one pose
+    pair, in one batch: a ray of world direction d from camera centre c adds
+    (I - d d^T)(X - c) = 0, the normal equations of the cross-product
+    constraints [q]x (R X + t) = 0 (Hartley & Zisserman, Multiple View
+    Geometry, 12.2), and the 3x3 sums are solved as one stack.
 
-    Requires rays separated by more than RAY_PARALLEL_EPS and positive depth
-    in both views.
+    Returns (X (n, 3), ok (n,)); ok is False, and X meaningless, where X has
+    non-positive depth in either view or the rays are within
+    RAY_PARALLEL_EPS of parallel or anti-parallel (singular equations).
     """
-    q0 = normalize_bearings(p0, K)[0]
-    q1 = normalize_bearings(p1, K)[0]
-    d0 = pose0.rotate(q0)
-    d1 = pose1.rotate(q1)
-    cosang = np.clip(d0 @ d1, -1.0, 1.0)
-    if np.arccos(cosang) < RAY_PARALLEL_EPS:
-        raise LowParallax("rays are (near) parallel")
-    R0, t0 = _world_to_cam(pose0)
-    R1, t1 = _world_to_cam(pose1)
-    A = np.vstack([so3_hat(q0) @ R0, so3_hat(q1) @ R1])
-    b = -np.concatenate([so3_hat(q0) @ t0, so3_hat(q1) @ t1])
-    X, *_ = np.linalg.lstsq(A, b, rcond=None)
-    z0 = (R0 @ X + t0)[2]
-    z1 = (R1 @ X + t1)[2]
-    if z0 <= 0 or z1 <= 0:
-        raise NegativeDepth(f"depths ({z0:.3g}, {z1:.3g})")
-    return X
+    d0 = normalize_bearings(np.reshape(p0, (-1, 2)), K) @ pose0.rotation_matrix().T
+    d1 = normalize_bearings(np.reshape(p1, (-1, 2)), K) @ pose1.rotation_matrix().T
+    ok = np.linalg.norm(np.cross(d0, d1), axis=1) >= np.sin(RAY_PARALLEL_EPS)
+    P0 = np.eye(3) - d0[:, :, None] * d0[:, None, :]
+    P1 = np.eye(3) - d1[:, :, None] * d1[:, None, :]
+    A = P0 + P1
+    A[~ok] = np.eye(3)  # parallel rays: a stand-in keeps the stack regular
+    X = np.linalg.solve(A, (P0 @ pose0.t + P1 @ pose1.t)[:, :, None])[:, :, 0]
+    ok &= (_depth(pose0, X) > 0) & (_depth(pose1, X) > 0)
+    return X, ok
 
 
 def depth_gate(points, z_values):
@@ -274,34 +280,41 @@ def fuse_inverse_depth(prior, rho_obs, var_obs, stability_factor=0.05):
 
 
 def sigma_obs_from_reproj(p0, p1, pose0, pose1, K, sigma_pix):
-    """Inverse-depth observation variance from a one-pixel-disparity probe.
+    """Inverse-depth observation variances of n pixel pairs from a
+    one-pixel-disparity probe: each second-view pixel is perturbed by
+    +-sigma_pix along its epipolar direction and re-triangulated, and the
+    half-spread of the two inverse depths is the observation sigma.
 
-    The second-view pixel is perturbed by +-sigma_pix along the epipolar
-    direction, each perturbation is re-triangulated, and the half-spread of
-    the resulting inverse depths is the observation sigma.
+    Returns (var (n,), X (n, 3), ok (n,)), X and ok as ``triangulate``'s; ok
+    is also False where the probe fails (no epipolar direction, a probe point
+    behind the second camera, a perturbed pair not triangulated). var is 0
+    where not ok, and everywhere for sigma_pix 0.
     """
+    p0 = np.reshape(p0, (-1, 2)).astype(float)
+    p1 = np.reshape(p1, (-1, 2)).astype(float)
+    X, ok = triangulate(p0, p1, pose0, pose1, K)
+    var = np.zeros(len(X))
     if sigma_pix == 0:
-        return 0.0
-    X = triangulate(p0, p1, pose0, pose1, K)
-    R0, t0 = _world_to_cam(pose0)
-    z0 = (R0 @ X + t0)[2]
-    q0 = normalize_bearings(p0, K)[0]
-    ray_pt = lambda z: pose0.apply(q0 / q0[2] * z)
+        return var, X, ok
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
-    u_near = project(pose1, intr, ray_pt(0.95 * z0))
-    u_far = project(pose1, intr, ray_pt(1.05 * z0))
+    q0 = normalize_bearings(p0, K)
+    unit, z0 = q0 / q0[:, 2:], _depth(pose0, X)
+    R0 = pose0.rotation_matrix()
+    u_near, near = _pixels(pose1, (unit * (0.95 * z0)[:, None]) @ R0.T + pose0.t, intr)
+    u_far, far = _pixels(pose1, (unit * (1.05 * z0)[:, None]) @ R0.T + pose0.t, intr)
     d = u_far - u_near
-    nd = np.linalg.norm(d)
-    if nd < 1e-12:
-        raise LowParallax("epipolar direction undefined")
-    d = d / nd
-    rhos = []
-    for sgn in (+1.0, -1.0):
-        Xp = triangulate(p0, np.asarray(p1, float) + sgn * sigma_pix * d,
-                         pose0, pose1, K)
-        rhos.append(1.0 / (R0 @ Xp + t0)[2])
-    sigma = 0.5 * abs(rhos[0] - rhos[1])
-    return sigma * sigma
+    nd = np.linalg.norm(d, axis=1)
+    ok &= near & far & (nd >= 1e-12)
+    d = np.where(ok[:, None], d, 0.0) / np.where(ok, nd, 1.0)[:, None]
+    Xp, okp = triangulate(np.vstack([p0, p0]),
+                          np.vstack([p1 + sigma_pix * d, p1 - sigma_pix * d]),
+                          pose0, pose1, K)
+    n = len(X)
+    ok &= okp[:n] & okp[n:]
+    rho = 1.0 / np.where(okp, _depth(pose0, Xp), 1.0)
+    sigma = 0.5 * np.abs(rho[:n] - rho[n:])
+    var[ok] = sigma[ok] * sigma[ok]
+    return var, X, ok
 
 
 def _pose_jump(pose, ref):
@@ -369,14 +382,21 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
     return pose
 
 
+def _pixels(pose, points, intr):
+    """Pixels (n, 2) of world points seen from one pose, and whether each
+    lies in front (depth > DEPTH_EPS); a point behind gets a NaN pixel."""
+    c = (points - pose.t) @ pose.rotation_matrix()
+    front = c[:, 2] > DEPTH_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = np.array([intr.fx, intr.fy]) * c[:, :2] / c[:, 2:] + [intr.cx, intr.cy]
+    return np.where(front[:, None], uv, np.nan), front
+
+
 def reprojection_errors(pose, points, pixels, intr):
     """Pixel error of each point seen from one pose, in one batch. A point
     behind the camera (depth <= DEPTH_EPS) counts as infinitely far off."""
-    c = (points - pose.t) @ pose.rotation_matrix()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.array([intr.fx, intr.fy]) * c[:, :2] / c[:, 2:] + [intr.cx, intr.cy]
-        err = np.linalg.norm(uv - pixels, axis=1)
-    return np.where(c[:, 2] > DEPTH_EPS, err, np.inf)
+    uv, front = _pixels(pose, points, intr)
+    return np.where(front, np.linalg.norm(uv - pixels, axis=1), np.inf)
 
 
 @dataclass
@@ -391,13 +411,21 @@ class InitResult:
 
 
 def mean_reprojection_error(state, K, track_ids, observations):
+    """Mean pixel error of the (frame, track) -> pixel observations at the
+    state, one batch per frame."""
+    if not observations:
+        return np.inf
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
     index = {t: k for k, t in enumerate(track_ids)}
-    errs = []
-    for (frame, track), pix in observations.items():
-        errs.append(np.linalg.norm(
-            project(state.poses[frame], intr, state.landmarks[index[track]]) - pix))
-    return float(np.mean(errs)) if errs else np.inf
+    frames = np.array([f for f, _ in observations])
+    rows = np.array([index[t] for _, t in observations])
+    pixels = np.array(list(observations.values()))
+    errs = np.empty(len(frames))
+    for f in np.unique(frames):
+        at = frames == f
+        errs[at] = reprojection_errors(state.poses[f], state.landmarks[rows[at]],
+                                       pixels[at], intr)
+    return float(np.mean(errs))
 
 
 def run_initialization(window, K, cfg=None, ransac_cfg=None,
@@ -418,6 +446,7 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
 
     anchor = window[0]
     anchor_pose = Pose.identity()
+    intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
 
     # --- candidate evaluation and terminal selection -----------------------
     stats = []
@@ -443,92 +472,68 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
             stats.append(st)
             continue
         pose_t = Pose(quat_from_matrix(R.T), -R.T @ tdir)
-        tri = {}
-        errs = []
-        n_pos = 0
-        n_tri = 0
-        for k, track in enumerate(common):
-            if not mask[k]:
-                continue
-            n_tri += 1
-            try:
-                X = triangulate(px0[k], px1[k], anchor_pose, pose_t, K)
-            except (LowParallax, NegativeDepth):
-                continue
-            n_pos += 1
-            tri[track] = X
-            intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
-            e0 = np.linalg.norm(project(anchor_pose, intr, X) - px0[k])
-            e1 = np.linalg.norm(project(pose_t, intr, X) - px1[k])
-            errs.append(0.5 * (e0 + e1))
+        X, ok = triangulate(px0[mask], px1[mask], anchor_pose, pose_t, K)
+        errs = 0.5 * (reprojection_errors(anchor_pose, X[ok], px0[mask][ok], intr)
+                      + reprojection_errors(pose_t, X[ok], px1[mask][ok], intr))
         st.count = int(mask.sum())
         st.parallax = float(np.median(
             rotation_compensated_parallax(b0[mask], b1[mask], R)))
-        st.mean_reproj = float(np.mean(errs)) if errs else np.inf
-        st.pos_depth_ratio = n_pos / n_tri if n_tri else 0.0
+        st.mean_reproj = float(np.mean(errs)) if len(errs) else np.inf
+        st.pos_depth_ratio = float(ok.mean())
         stats.append(st)
-        cache[t] = (R, tdir, mask, common, pose_t, tri)
+        cache[t] = (mask, common, pose_t, list(compress(compress(common, mask), ok)),
+                    X[ok])
 
     try:
         t_star = select_terminal_frame(stats, cfg)
     except NoValidTerminal as exc:
         raise InitializationFailed("no-valid-terminal", str(exc)) from exc
 
-    R, tdir, mask, common, pose_term, tri = cache[t_star]
+    mask, common, pose_term, tracks, X = cache[t_star]
     poses = {0: anchor_pose, t_star: pose_term}
-    inlier_tracks = [tr for k, tr in enumerate(common) if mask[k]]
+    inlier_tracks = list(compress(common, mask))
 
     # --- landmarks and inverse depths from the anchor-terminal pair --------
-    R0, t0 = _world_to_cam(anchor_pose)
-    tracks = [tr for tr in inlier_tracks if tr in tri]
-    depths = np.array([(R0 @ tri[tr] + t0)[2] for tr in tracks])
+    depths = _depth(anchor_pose, X)
     keep = depth_gate(tracks, depths)
+    tracks, depths = list(compress(tracks, keep)), depths[keep]
+    var, _, ok = sigma_obs_from_reproj([anchor[tr] for tr in tracks],
+                                       [window[t_star][tr] for tr in tracks],
+                                       anchor_pose, pose_term, K, sigma_pix)
+    good = ok & (var > 0)
     estimates = {}
-    landmarks = {}
     observations = {}
-    for k, tr in enumerate(tracks):
-        if not keep[k]:
-            continue
-        z = depths[k]
-        try:
-            var_obs = sigma_obs_from_reproj(anchor[tr], window[t_star][tr],
-                                            anchor_pose, pose_term, K, sigma_pix)
-        except (LowParallax, NegativeDepth):
-            continue
-        if var_obs <= 0:
-            continue
-        mu = 1.0 / z
-        est = InverseDepthEstimate(mu, var_obs)
+    for tr, z, var_obs in zip(compress(tracks, good), depths[good], var[good]):
+        est = InverseDepthEstimate(1.0 / z, var_obs)
         est.stable = est.var < (cfg.stability_factor * est.mu) ** 2
         estimates[tr] = est
-        landmarks[tr] = tri[tr]
         observations[(0, tr)] = np.asarray(anchor[tr], float)
         observations[(t_star, tr)] = np.asarray(window[t_star][tr], float)
+    landmarks = list(estimates)
     if len(landmarks) < 4:
         raise InitializationFailed("triangulation", "fewer than 4 gated landmarks")
 
-    q0_of = {tr: normalize_bearings(anchor[tr], K)[0] for tr in landmarks}
+    q0 = normalize_bearings([anchor[tr] for tr in landmarks], K)
+    unit_ray = dict(zip(landmarks, q0 / q0[:, 2:]))
 
-    def landmark_from_depth(tr):
-        q = q0_of[tr]
-        return anchor_pose.apply(q / q[2] * (1.0 / estimates[tr].mu))
+    def landmarks_from_depth(trs):
+        """World points of tracks at their inverse depths along anchor rays."""
+        pts = np.reshape([unit_ray[tr] * (1.0 / estimates[tr].mu) for tr in trs],
+                         (-1, 3))
+        return pts @ anchor_pose.rotation_matrix().T + anchor_pose.t
 
     # --- PnP for the remaining frames with re-triangulation sweeps ---------
-    intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
     for j in range(1, T):
         if j in poses:
             continue
-        initialized = sorted(i for i in poses if i < j)
-        pose_init = poses[initialized[-1]] if initialized else anchor_pose
-        prev = [poses[i] for i in sorted(poses) if i < j][-2:]
+        before = sorted(i for i in poses if i < j)
+        pose_init, prev = poses[before[-1]], [poses[i] for i in before[-2:]]
         usable = [tr for tr in landmarks
                   if tr in window[j] and estimates[tr].stable]
         if len(usable) < 4:
             usable = [tr for tr in landmarks if tr in window[j]]
-        pts = np.array([landmark_from_depth(tr) for tr in usable]) \
-            if usable else np.zeros((0, 3))
-        pix = np.array([window[j][tr] for tr in usable]) \
-            if usable else np.zeros((0, 2))
+        pts = landmarks_from_depth(usable)
+        pix = np.reshape([window[j][tr] for tr in usable], (-1, 2))
         try:
             # lenient first fit, one rejection pass against gross outliers,
             # then the gated refit on the surviving observations
@@ -547,18 +552,13 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
                 observations[(j, tr)] = np.asarray(window[j][tr], float)
 
         # fusion sweep against the anchor reference
-        for tr in landmarks:
-            if tr not in window[j] or (j, tr) not in observations:
-                continue
-            try:
-                X = triangulate(anchor[tr], window[j][tr], anchor_pose, poses[j], K)
-                var_obs = sigma_obs_from_reproj(anchor[tr], window[j][tr],
-                                                anchor_pose, poses[j], K, sigma_pix)
-            except (LowParallax, NegativeDepth):
-                continue
-            if var_obs <= 0:
-                continue
-            rho = 1.0 / (R0 @ X + t0)[2]
+        sweep = [tr for tr in landmarks if (j, tr) in observations]
+        var, X, ok = sigma_obs_from_reproj([anchor[tr] for tr in sweep],
+                                           [window[j][tr] for tr in sweep],
+                                           anchor_pose, poses[j], K, sigma_pix)
+        good = ok & (var > 0)
+        rhos = 1.0 / _depth(anchor_pose, X[good])
+        for tr, rho, var_obs in zip(compress(sweep, good), rhos, var[good]):
             est = estimates[tr]
             if (rho - est.mu) ** 2 > 9.0 * (est.var + var_obs):
                 # inconsistent with the running belief; drop this observation
@@ -568,29 +568,23 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
                                                cfg.stability_factor)
 
     # --- final track filtering and state assembly --------------------------
-    track_ids = []
-    final_landmarks = []
-    for tr in sorted(landmarks):
-        pos = landmark_from_depth(tr)
-        frames = [f for f in range(T) if (f, tr) in observations]
-        ok_frames = []
-        for f in frames:
-            Rf, tf = _world_to_cam(poses[f])
-            if (Rf @ pos + tf)[2] > 0:
-                ok_frames.append(f)
-            else:
-                observations.pop((f, tr), None)
-        if len(ok_frames) >= 2:
-            track_ids.append(tr)
-            final_landmarks.append(pos)
-        else:
-            for f in ok_frames:
-                observations.pop((f, tr), None)
+    # a track keeps the frames that see its landmark in front, if two or more
+    axes = np.array([poses[f].rotation_matrix()[:, 2] for f in range(T)])
+    centres = np.array([poses[f].t for f in range(T)])
+    track_ids = sorted(landmarks)
+    positions = landmarks_from_depth(track_ids)
+    kept = []
+    for tr, pos in zip(track_ids, positions):
+        frames = np.array([f for f in range(T) if (f, tr) in observations])
+        front = np.vecdot(pos - centres[frames], axes[frames]) > 0
+        kept.append(front.sum() >= 2)
+        for f in (frames[~front] if kept[-1] else frames).tolist():
+            observations.pop((f, tr))
+    track_ids = list(compress(track_ids, kept))
     if not track_ids:
         raise InitializationFailed("filtering", "no track observed in 2+ frames")
 
-    state = StateVector([poses[i] for i in range(T)],
-                        np.array(final_landmarks),
+    state = StateVector([poses[i] for i in range(T)], positions[kept],
                         fixed_poses=[True] + [False] * (T - 1))
     result = InitResult(state, track_ids, estimates, observations, t_star,
                         inlier_tracks)

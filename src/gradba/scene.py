@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConfig, SceneFormatError
-from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, project,
-                       quat_from_matrix)
+from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, project, quat_conj,
+                       quat_from_matrix, quat_rotate_many, quat_to_matrix_many)
 from .problem import (DescriptorFieldModel, Problem, ScalePrior, StateVector,
                       StaticModel, TemporalAttachment, TemporalObservation,
                       TrackBiasModel, softargmax)
@@ -108,15 +108,19 @@ def generate_scene(cfg):
     poses, center = _trajectory_poses(cfg)
     half = 0.5 * (cfg.depth_max - cfg.depth_min)
 
-    def visible(pose, p):
-        c = pose.world_to_camera(p)
-        if c[2] <= DEPTH_EPS:
-            return False
-        u = cfg.fx * c[0] / c[2] + cfg.cx
-        v = cfg.fy * c[1] / c[2] + cfg.cy
-        return 0.0 <= u <= cfg.width - 1 and 0.0 <= v <= cfg.height - 1
+    conj = np.array([quat_conj(P.q) for P in poses])
+    centres = np.array([P.t for P in poses])
+
+    def visible(p):  # in each pose's image, as Pose.world_to_camera rounds
+        c = quat_rotate_many(conj, p - centres)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = cfg.fx * c[:, 0] / c[:, 2] + cfg.cx
+            v = cfg.fy * c[:, 1] / c[:, 2] + cfg.cy
+        return ((c[:, 2] > DEPTH_EPS) & (0.0 <= u) & (u <= cfg.width - 1)
+                & (0.0 <= v) & (v <= cfg.height - 1))
 
     landmarks = []
+    seen = []
     attempts = 0
     while len(landmarks) < cfg.n_landmarks:
         if attempts >= 1000:
@@ -129,17 +133,23 @@ def generate_scene(cfg):
                           rng.uniform(cfg.depth_min, cfg.depth_max)])
         else:
             p = center + rng.uniform(-half, half, size=3)
-        if sum(visible(P, p) for P in poses) >= 2:
+        vis = visible(p)
+        if vis.sum() >= 2:
             landmarks.append(p)
+            seen.append(vis)
             attempts = 0
 
-    observations = []
-    for i, P in enumerate(poses):
-        for j, p in enumerate(landmarks):
-            if visible(P, p):
-                u, v = project(P, intr, p)
-                observations.append({"frame": i, "track": j,
-                                     "u": float(u), "v": float(v)})
+    # every visible (pose, landmark) pair, pose-major, projected with the
+    # rounding of geometry.project
+    frame, track = np.nonzero(np.array(seen).T)
+    d = np.array(landmarks)[track] - centres[frame]
+    rot = quat_to_matrix_many([P.q for P in poses])[frame]
+    c = np.matmul(d[:, None, :], rot)[:, 0]
+    iz = 1.0 / c[:, 2]
+    u = intr.fx * c[:, 0] * iz + intr.cx
+    v = intr.fy * c[:, 1] * iz + intr.cy
+    observations = [{"frame": i, "track": j, "u": a, "v": b} for i, j, a, b in
+                    zip(frame.tolist(), track.tolist(), u.tolist(), v.tolist())]
 
     scene = {
         "version": SCENE_VERSION,

@@ -10,6 +10,10 @@ against them.
 ``fd_tangent_gradient`` is the central-difference oracle of the analytic
 state-loss gradients, and ``loop_drifting_grid`` the cell-by-cell draw of a
 synthetic descriptor grid.
+``loop_triangulate``, ``loop_sigma_obs`` and ``loop_cheirality_depths`` are
+the initializer's two-view geometry one pixel pair at a time, as
+``gradba.initializer`` solved it before its batched normal equations: a 6x3
+or 3x2 ``lstsq`` per pair.
 """
 
 import copy
@@ -17,7 +21,10 @@ import copy
 import numpy as np
 
 from gradba import temporal
-from gradba.geometry import DEPTH_EPS, project, quat_to_matrix
+from gradba.errors import CheiralityViolation
+from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, project,
+                             quat_to_matrix, so3_hat)
+from gradba.initializer import RAY_PARALLEL_EPS, normalize_bearings
 from gradba.problem import DescriptorFieldModel, TrackBiasModel, softargmax
 from gradba.solver import (LinearizedSystem, SystemLayout, _so3_hat_many,
                            _translation_curvature, apply_step)
@@ -407,3 +414,73 @@ def loop_drifting_grid(rng, grid_shape, base, slope):
             noise /= np.linalg.norm(noise)
             grid[y, x] = ref + (base + slope * d) * noise
     return ref, grid
+
+
+def _world_to_cam(pose):
+    R = pose.rotation_matrix().T
+    return R, -R @ pose.t
+
+
+def loop_triangulate(p0, p1, pose0, pose1, K):
+    """One pixel pair by linear least squares on the stacked ray
+    cross-product constraints; None where the rays are within
+    RAY_PARALLEL_EPS of parallel or the point has non-positive depth in
+    either view."""
+    q0 = normalize_bearings(p0, K)[0]
+    q1 = normalize_bearings(p1, K)[0]
+    cosang = np.clip(pose0.rotate(q0) @ pose1.rotate(q1), -1.0, 1.0)
+    if np.arccos(cosang) < RAY_PARALLEL_EPS:
+        return None
+    R0, t0 = _world_to_cam(pose0)
+    R1, t1 = _world_to_cam(pose1)
+    A = np.vstack([so3_hat(q0) @ R0, so3_hat(q1) @ R1])
+    b = -np.concatenate([so3_hat(q0) @ t0, so3_hat(q1) @ t1])
+    X, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if (R0 @ X + t0)[2] <= 0 or (R1 @ X + t1)[2] <= 0:
+        return None
+    return X
+
+
+def loop_sigma_obs(p0, p1, pose0, pose1, K, sigma_pix):
+    """One pixel pair's one-pixel-disparity probe: (variance, X), or None
+    where a triangulation fails, the epipolar direction is undefined or a
+    probe point falls behind the second camera."""
+    X = loop_triangulate(p0, p1, pose0, pose1, K)
+    if X is None:
+        return None
+    R0, t0 = _world_to_cam(pose0)
+    z0 = (R0 @ X + t0)[2]
+    q0 = normalize_bearings(p0, K)[0]
+    intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
+    try:
+        u_near = project(pose1, intr, pose0.apply(q0 / q0[2] * (0.95 * z0)))
+        u_far = project(pose1, intr, pose0.apply(q0 / q0[2] * (1.05 * z0)))
+    except CheiralityViolation:
+        return None
+    d = u_far - u_near
+    nd = np.linalg.norm(d)
+    if nd < 1e-12:
+        return None
+    d = d / nd
+    rhos = []
+    for sgn in (+1.0, -1.0):
+        Xp = loop_triangulate(p0, np.asarray(p1, float) + sgn * sigma_pix * d,
+                              pose0, pose1, K)
+        if Xp is None:
+            return None
+        rhos.append(1.0 / (R0 @ Xp + t0)[2])
+    sigma = 0.5 * abs(rhos[0] - rhos[1])
+    return sigma * sigma, X
+
+
+def loop_cheirality_depths(R, t, q_a, q_b):
+    """Per-pair depths (z_a, z_b) for X_b = R X_a + t, one two-ray lstsq
+    per pair."""
+    ra = q_a @ R.T
+    za = np.empty(len(q_a))
+    zb = np.empty(len(q_a))
+    for k in range(len(q_a)):
+        A = np.column_stack([ra[k], -q_b[k]])
+        sol, *_ = np.linalg.lstsq(A, -t, rcond=None)
+        za[k], zb[k] = sol[0], sol[1]
+    return za, zb

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradba.errors import (DegenerateGeometry, InitializationFailed,
-                           LowParallax, NoValidTerminal, TooFewPoints)
+                           NoValidTerminal, TooFewPoints)
 from gradba.geometry import (CameraIntrinsics, Pose, project, quat_conj,
                              quat_from_matrix, quat_mul, quat_to_rotvec,
                              se3_retract)
@@ -108,6 +108,7 @@ class TestEstimateRelativePose:
         expected[idx] = False
         np.testing.assert_array_equal(mask, expected)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pure_rotation_degenerate(self):
         rng = np.random.default_rng(1)
         from gradba.geometry import se3_exp
@@ -135,8 +136,9 @@ class TestTriangulate:
         K = np.eye(3)
         p0 = Pose(t=[-0.5, 0, 0])
         p1 = Pose(t=[0.5, 0, 0])
-        X = triangulate(np.array([0.5, 0.0]), np.array([-0.5, 0.0]), p0, p1, K)
-        np.testing.assert_allclose(X, [0, 0, 1], atol=1e-10)
+        X, ok = triangulate(np.array([0.5, 0.0]), np.array([-0.5, 0.0]), p0, p1, K)
+        assert ok.tolist() == [True]
+        np.testing.assert_allclose(X[0], [0, 0, 1], atol=1e-10)
 
     def test_noise_free_random_scenes(self, rng):
         f = 400.0
@@ -149,14 +151,40 @@ class TestTriangulate:
                              rng.uniform(3, 7)])
             u0 = project(p0, intr, X_gt)
             u1 = project(p1, intr, X_gt)
-            X = triangulate(u0, u1, p0, p1, K)
+            (X,), (ok,) = triangulate(u0, u1, p0, p1, K)
+            assert ok
             assert np.linalg.norm(X - X_gt) / np.linalg.norm(X_gt) < 1e-6
 
     def test_identical_poses_low_parallax(self):
         K = np.eye(3)
         P = Pose(t=[0.1, 0.2, 0.3])
-        with pytest.raises(LowParallax):
-            triangulate(np.array([0.0, 0.0]), np.array([0.0, 0.0]), P, P.copy(), K)
+        _, ok = triangulate(np.array([0.0, 0.0]), np.array([0.0, 0.0]), P, P.copy(), K)
+        assert ok.tolist() == [False]
+
+    def test_anti_parallel_rays_fail_alone(self):
+        # two cameras facing each other see a point on their baseline along
+        # opposite rays: singular normal equations, flagged, not raised
+        K = np.eye(3)
+        p0 = Pose()
+        p1 = Pose(quat_from_matrix(np.diag([-1.0, 1.0, -1.0])), [0.0, 0.0, 2.0])
+        X, ok = triangulate(np.array([[0.0, 0.0], [0.5, 0.0]]),
+                            np.array([[0.0, 0.0], [-0.5, 0.0]]), p0, p1, K)
+        assert ok.tolist() == [False, True]
+        np.testing.assert_allclose(X[1], [0.5, 0.0, 1.0], atol=1e-12)
+
+    def test_batch_is_row_by_row(self, rng):
+        f = 400.0
+        K = np.array([[f, 0, 320], [0, f, 240], [0, 0, 1.0]])
+        p0 = Pose(t=[0.1, 0.0, 0.0])
+        p1 = se3_retract(p0, [0.02, -0.05, 0.01, 0.6, 0.1, 0.0])
+        u0 = rng.uniform(0, 640, size=(20, 2))
+        u1 = u0 + rng.normal(scale=20.0, size=(20, 2))
+        X, ok = triangulate(u0, u1, p0, p1, K)
+        assert 0 < ok.sum() < 20
+        for k in range(20):
+            (Xk,), (okk,) = triangulate(u0[k], u1[k], p0, p1, K)
+            assert okk == ok[k]
+            np.testing.assert_allclose(Xk, X[k], rtol=1e-12, atol=1e-12)
 
 
 class TestDepthGate:
@@ -225,28 +253,30 @@ class TestSigmaObs:
 
     def test_larger_baseline_reduces_variance(self, rng):
         p0, p1, K, u0, u1 = self._setup(0.5, rng)
-        v_small = sigma_obs_from_reproj(u0, u1, p0, p1, K, 1.0)
+        (v_small,), _, _ = sigma_obs_from_reproj(u0, u1, p0, p1, K, 1.0)
         p0, p1, K, u0, u1 = self._setup(1.0, rng)
-        v_large = sigma_obs_from_reproj(u0, u1, p0, p1, K, 1.0)
-        assert v_large < v_small
+        (v_large,), _, _ = sigma_obs_from_reproj(u0, u1, p0, p1, K, 1.0)
+        assert 0 < v_large < v_small
 
     def test_zero_perturbation(self, rng):
         p0, p1, K, u0, u1 = self._setup(0.5, rng)
-        assert sigma_obs_from_reproj(u0, u1, p0, p1, K, 0.0) == 0.0
+        var, X, ok = sigma_obs_from_reproj(u0, u1, p0, p1, K, 0.0)
+        assert var.tolist() == [0.0] and ok.tolist() == [True]
+        np.testing.assert_array_equal(X, triangulate(u0, u1, p0, p1, K)[0])
 
     def test_matches_direct_retriangulation(self, rng):
         # independent oracle: redo the two perturbed triangulations directly
         p0, p1, K, u0, u1 = self._setup(0.7, rng)
-        var = sigma_obs_from_reproj(u0, u1, p0, p1, K, 1.0)
-        X = triangulate(u0, u1, p0, p1, K)
+        (var,), (X,), (ok,) = sigma_obs_from_reproj(u0, u1, p0, p1, K, 1.0)
+        assert ok
         z = X[2]
         intr = CameraIntrinsics(500, 500, 320, 240)
         q0 = normalize_bearings(u0, K)[0]
         ray = lambda s: p0.apply(q0 / q0[2] * s)
         d = project(p1, intr, ray(1.05 * z)) - project(p1, intr, ray(0.95 * z))
         d /= np.linalg.norm(d)
-        rp = 1.0 / triangulate(u0, u1 + d, p0, p1, K)[2]
-        rm = 1.0 / triangulate(u0, u1 - d, p0, p1, K)[2]
+        rp = 1.0 / triangulate(u0, u1 + d, p0, p1, K)[0][0, 2]
+        rm = 1.0 / triangulate(u0, u1 - d, p0, p1, K)[0][0, 2]
         assert var == pytest.approx((0.5 * abs(rp - rm)) ** 2, rel=1e-12)
 
 
@@ -343,6 +373,14 @@ class TestRunInitialization:
         window, K, *_ = build_window(2, sigma=1.0)
         res = run_initialization(window, K)
         assert res.diagnostics["mean_reprojection_px"] < 2.0
+        # the per-frame batches average what per-point projections do
+        intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
+        index = {t: k for k, t in enumerate(res.track_ids)}
+        ref = np.mean([np.linalg.norm(project(res.state.poses[f], intr,
+                                              res.state.landmarks[index[t]]) - pix)
+                       for (f, t), pix in res.observations.items()])
+        assert mean_reprojection_error(res.state, K, res.track_ids, res.observations) \
+            == pytest.approx(ref, rel=1e-12)
 
     def test_solver_refines_initialization(self):
         from gradba.solver import optimize

@@ -1,8 +1,8 @@
 """Property tests: the analytic pose-loss gradient, the batched
 vector-jacobian products, the problem table of ``build_problem``, the
-solver's segment sums and the Schur solve against their references on
-generated inputs, and the scene file round trip with descriptor-field and
-temporal sections.
+solver's segment sums, the Schur solve and the initializer's batched
+two-view geometry against their references on generated inputs, and the
+scene file round trip with descriptor-field and temporal sections.
 
 Examples are derandomized and bounded in number, so a run does the same work
 every time. Tolerances were fixed before the code under test was written.
@@ -17,17 +17,22 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gradba import scene as scn  # noqa: E402
 from gradba.geometry import Pose, se3_exp, se3_retract  # noqa: E402
 from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
+from gradba.initializer import (_cheirality_depths, normalize_bearings,  # noqa: E402
+                                sigma_obs_from_reproj, triangulate)
 from gradba.problem import (DescriptorFieldModel, RobustKernel,  # noqa: E402
                             StateVector, StaticModel, TrackBiasModel)
 from gradba.solver import (LinearizedSystem, SystemLayout, lm_step,  # noqa: E402
                            schur_solve_rhs, segment_sum)
 
-from loop_reference import (fd_tangent_gradient, loop_drifting_grid,  # noqa: E402
-                            loop_observe_vjp, loop_problem_table)
+from loop_reference import (fd_tangent_gradient, loop_cheirality_depths,  # noqa: E402
+                            loop_drifting_grid, loop_observe_vjp,
+                            loop_problem_table, loop_sigma_obs, loop_triangulate)
 
 GRAD_RTOL = 1e-6
 VJP_RTOL = 1e-12
 SCHUR_RTOL = 1e-9
+# a two-ray solve at line angle theta loses about eps / theta^2 relative
+COND_TOL = 1e4 * np.finfo(float).eps
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None,
                     database=None)
 
@@ -236,3 +241,119 @@ def test_schur_solve_matches_dense_lm_step(n_free_poses, n_fixed_poses, n_free_l
     sys_.g = rng.normal(size=dim)
     assert np.array_equal(sys_.dense_hessian(), H)
     assert max_rel_error(schur_solve_rhs(sys_, lam, -sys_.g), lm_step(sys_, lam)) < SCHUR_RTOL
+
+
+F_PX = 450.0
+K_PX = np.array([[F_PX, 0.0, 320.0], [0.0, F_PX, 240.0], [0.0, 0.0, 1.0]])
+
+
+def two_view_rows(seed, n_free, n_near, n_parallel, ahead):
+    """A pose pair, pixel pairs (n, 2) and the line angle of each pair's
+    world rays. The second camera sits 3 units ahead of (or behind) the first
+    along its axis, so free points at depths -4 to 10 include points behind
+    either camera. Near points lie 100 to 3000 units out (near-parallel
+    rays); parallel ones at infinity, without the 0.3 px second-view noise
+    of the others."""
+    rng = np.random.default_rng(seed)
+    pose0 = se3_exp(rng.normal(size=6))
+    pose1 = pose0.compose(se3_exp(np.concatenate([
+        rng.normal(scale=0.1, size=3),
+        [rng.uniform(0.2, 1.0), rng.normal(scale=0.2), 3.0 if ahead else -3.0]])))
+    p0, p1 = [], []
+    for kind in ["free"] * n_free + ["near"] * n_near + ["parallel"] * n_parallel:
+        ray = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), 1.0])
+        z = {"free": rng.choice([-1, 1]) * rng.uniform(0.2, 10.0),
+             "near": 10 ** rng.uniform(2.0, 3.5), "parallel": 1e30}[kind]
+        X = pose0.apply(ray * z)
+        for pose, pix in ((pose0, p0), (pose1, p1)):
+            c = pose.world_to_camera(X)
+            pix.append(F_PX * c[:2] / c[2] + [320.0, 240.0])
+        if kind != "parallel":
+            p1[-1] = p1[-1] + rng.normal(scale=0.3, size=2)
+    p0, p1 = np.reshape(p0, (-1, 2)), np.reshape(p1, (-1, 2))
+    d0 = normalize_bearings(p0, K_PX) @ pose0.rotation_matrix().T
+    d1 = normalize_bearings(p1, K_PX) @ pose1.rotation_matrix().T
+    return pose0, pose1, p0, p1, np.linalg.norm(np.cross(d0, d1), axis=1)
+
+
+TWO_VIEW = dict(seed=st.integers(0, 2 ** 32 - 1), n_free=st.integers(0, 8),
+                n_near=st.integers(0, 3), n_parallel=st.integers(0, 2),
+                ahead=st.booleans())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(**TWO_VIEW)
+def test_triangulate_matches_per_point_oracle(seed, n_free, n_near, n_parallel,
+                                              ahead):
+    """Every pair succeeds exactly where the per-point lstsq does, at the
+    same point to the conditioning of the pair; n = 0 included."""
+    pose0, pose1, p0, p1, theta = two_view_rows(seed, n_free, n_near,
+                                                n_parallel, ahead)
+    X, ok = triangulate(p0, p1, pose0, pose1, K_PX)
+    assert X.shape == (len(p0), 3) and ok.shape == (len(p0),)
+    for k in range(len(p0)):
+        ref = loop_triangulate(p0[k], p1[k], pose0, pose1, K_PX)
+        assert ok[k] == (ref is not None)
+        if ref is not None:
+            assert np.linalg.norm(X[k] - ref) \
+                <= COND_TOL * np.linalg.norm(ref - pose0.t) / theta[k] ** 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(**TWO_VIEW, sigma_pix=st.sampled_from([0.0, 0.01, 1.0]))
+def test_sigma_obs_matches_per_point_oracle(seed, n_free, n_near, n_parallel,
+                                            ahead, sigma_pix):
+    """The disparity probe fails exactly where the per-point probe does, and
+    returns triangulate's X. Its sigma is compared where the probe is well
+    conditioned, the +-sigma_pix perturbation shifting the ray angle by at
+    most a quarter: there each inverse depth carries eps / theta^2 of it."""
+    pose0, pose1, p0, p1, theta = two_view_rows(seed, n_free, n_near,
+                                                n_parallel, ahead)
+    var, X, ok = sigma_obs_from_reproj(p0, p1, pose0, pose1, K_PX, sigma_pix)
+    X_tri, ok_tri = triangulate(p0, p1, pose0, pose1, K_PX)
+    np.testing.assert_array_equal(X, X_tri)
+    assert not var[~ok].any()
+    if sigma_pix == 0:
+        np.testing.assert_array_equal(ok, ok_tri)
+        return
+    for k in range(len(p0)):
+        ref = loop_sigma_obs(p0[k], p1[k], pose0, pose1, K_PX, sigma_pix)
+        assert ok[k] == (ref is not None)
+        if ref is not None and theta[k] >= 4.0 * sigma_pix / F_PX:
+            rho = 1.0 / pose0.world_to_camera(ref[1])[2]
+            assert abs(np.sqrt(var[k]) - np.sqrt(ref[0])) \
+                <= COND_TOL * rho / theta[k] ** 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 12),
+       pure_rotation=st.booleans())
+def test_cheirality_depths_match_per_pair_lstsq(seed, n, pure_rotation):
+    """The closed-form 2x2 solve puts the same pairs in front of both
+    cameras as one lstsq per pair. Under pure rotation every pair's rays are
+    parallel (det = 0) and none is in front, without a warning."""
+    rng = np.random.default_rng(seed)
+    R = se3_exp(np.concatenate([rng.normal(scale=0.2, size=3), np.zeros(3)])
+                ).rotation_matrix()
+    t = rng.normal(size=3)
+    t /= np.linalg.norm(t)
+    X = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-2, 2, n),
+                         rng.uniform(2, 8, n)]) * rng.choice([-1, 1], size=(n, 1))
+    X_b = X @ R.T + (0.0 if pure_rotation else t)
+    if not pure_rotation:
+        X_b += rng.normal(scale=1e-3, size=(n, 3))
+    q_a = X / np.linalg.norm(X, axis=1, keepdims=True)
+    q_b = X_b / np.linalg.norm(X_b, axis=1, keepdims=True)
+    za, zb = _cheirality_depths(R, t, q_a, q_b)
+    ra, rb = loop_cheirality_depths(R, t, q_a, q_b)
+    front = (za > 0) & (zb > 0)
+    np.testing.assert_array_equal(front, (ra > 0) & (rb > 0))
+    if pure_rotation:
+        assert not front.any()
+        return
+    theta = np.linalg.norm(np.cross(q_a @ R.T, q_b), axis=1)
+    err = np.hypot(za - ra, zb - rb)
+    assert np.all(err <= COND_TOL * np.hypot(ra, rb) / theta ** 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,26 @@ class TestGenerateScene:
         a = dumps_scene(generate_scene(cfg))
         b = dumps_scene(generate_scene(cfg))
         assert a == b
+
+    @pytest.mark.parametrize("fields, attach, sha256", [
+        (dict(n_cameras=12, n_landmarks=160, trajectory="arc", seed=3,
+              pixel_sigma=0.5, outlier_ratio=0.03, outlier_px=20.0), False,
+         "17896b5502550d8b73f8f6a19429fb7040c022602fe294d242777b7c151a105b"),
+        (dict(n_cameras=24, n_landmarks=400, trajectory="orbit", seed=1), False,
+         "329824e721bff5a2201ca8ddc601e5bf332aa1f268d8f9ef47b1642d5fab1bc2"),
+        (dict(n_cameras=8, n_landmarks=60, trajectory="orbit", seed=2,
+              pixel_sigma=0.3), True,
+         "1aec44a6d9e5c729ec478b0b93cdf6a6e392cf048b33365e727f109e07b1ad1f"),
+        (dict(n_cameras=20, n_landmarks=300, trajectory="line", seed=4), False,
+         "2db60c09377e64274dbe5a6fac4aa07cfa185f9731a71990b350f9c17a834d1b"),
+    ])
+    def test_pinned_bytes(self, fields, attach, sha256):
+        # digests of the per-landmark, per-pose generator these scenes were
+        # first written with: a faster generator must draw the same scenes
+        scene = generate_scene(SyntheticSceneConfig(**fields))
+        if attach:
+            scene = attach_temporal(attach_descriptor_field(scene, seed=2), seed=2)
+        assert hashlib.sha256(dumps_scene(scene).encode()).hexdigest() == sha256
 
     def test_noise_free_observations_exact(self):
         cfg = SyntheticSceneConfig(seed=1)
