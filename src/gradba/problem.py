@@ -497,10 +497,16 @@ class FactorEvaluation:
     rot: np.ndarray        # (nf, 3, 3) world-from-camera rotations
 
 
-def evaluate_residuals(problem, state, theta):
+def predictions(problem, theta):
+    """The observation model's prediction of every factor at theta, (nf, 2)."""
+    return problem.obs_model.observe_all(problem.frame_idx, problem.track_idx, theta)
+
+
+def evaluate_residuals(problem, state, theta, preds=None):
     """Predictions, projections, residuals and robust-kernel terms of every
-    factor in one batch; see FactorEvaluation."""
-    preds = problem.obs_model.observe_all(problem.frame_idx, problem.track_idx, theta)
+    factor in one batch; see FactorEvaluation. ``preds``, when given, is
+    ``predictions`` at theta, which does not depend on the state."""
+    preds = predictions(problem, theta) if preds is None else preds
     pix, cam, rot, active = project_factors(problem, state)
     e = np.where(active[:, None], preds - pix, 0.0)
     s = np.einsum("ka,kab,kb->k", e, problem.info_stack, e)
@@ -519,11 +525,12 @@ def temporal_term(problem, theta):
     return att.terms.lambda_t * res.value, res
 
 
-def total_energy(problem, state, theta=None, temporal_value=None):
+def total_energy(problem, state, theta=None, temporal_value=None, ev=None):
     """Robust reprojection energy plus gauge priors plus temporal terms;
-    ``temporal_value``, when given, is ``temporal_term`` at theta."""
+    ``temporal_value``, when given, is ``temporal_term`` at theta, and
+    ``ev`` is ``evaluate_residuals`` at (state, theta)."""
     theta = problem.theta0() if theta is None else theta
-    ev = evaluate_residuals(problem, state, theta)
+    ev = evaluate_residuals(problem, state, theta) if ev is None else ev
     total = float(ev.rho[ev.active].sum())
     if problem.scale_prior is not None:
         r = problem.scale_prior.residual(state)

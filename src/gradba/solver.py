@@ -12,10 +12,23 @@ gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 
 ``linearize`` forms one 3x3 block M = A^T W A and one 3-vector b = A^T W e
 per active factor, where A = dh/dc R^T is the factor's d pixel / d world
-point; every pose and landmark block follows from them in closed form.
-``segment_sum`` adds the blocks of ``linearize`` and ``exact_hessian_system``
-in factor order, so results are the same from run to run. The reduced camera
-system S = Hpp - Hpl C^-1 Hpl^T is one matrix product.
+point; every pose and landmark block follows from them in closed form. Its
+per-factor arithmetic runs over chunks of ``CHUNK`` factors, whose
+temporaries stay in cache; being per factor, it gives the same bits for any
+chunk size. The blocks are summed per variable in factor order (``np.bincount``
+in ``segment_sum`` and ``linearize``), so results are the same from run to
+run. The jacobian records are kept as transposed views of factor-last
+arrays: the exact Hessian and the adjoint read them with stacked products,
+whose rounding depends on the strides. The reduced camera system
+S = Hpp - Hpl C^-1 Hpl^T is one matrix product.
+
+``optimize`` evaluates the factors once per trial state: the trial's
+``evaluate_residuals`` serves both its energy test and, when the trial is
+kept or ranked by its gradient, its linearization. Theta is fixed during a
+solve, so the model's predictions are made once per solve. The structure of
+``linearize`` (layout, slots, bins, the ``Hpl`` scatter index, the gathered
+focal lengths and information) is a LinearizationPlan that ``optimize``
+holds for the solve and rebuilds only when the active mask changes.
 """
 
 from __future__ import annotations
@@ -29,12 +42,13 @@ import scipy.linalg
 
 from .errors import Diverged, SingularSystem
 from .geometry import se3_retract, so3_hat
-from .problem import evaluate_residuals, temporal_term, total_energy
+from .problem import evaluate_residuals, predictions, temporal_term, total_energy
 
 DAMPING_FLOOR = 1e-6  # lower bound on the diagonal scaling D
 ENERGY_RESOLUTION = 1e-12  # relative rounding resolution of the summed energy
 STEP_RESOLUTION = 1e-13    # float resolution of the state coordinates
 GRADIENT_DECREASE = 1e-3   # least relative gradient fall of a gradient-ranked step
+CHUNK = 4096  # factors per pass of linearize: its (3, 3, CHUNK) temporaries fit in L2
 _UPPER = np.array([0, 1, 2, 4, 5, 8])          # upper triangle of a raveled 3x3
 _SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # that triangle back to a 3x3
 # per-pose sums [upper -PMP, PM, upper M] to the 6x6 block [[-PMP, PM], [(PM)^T, M]]
@@ -152,8 +166,11 @@ class LinearizedSystem:
 
 def _hat_times(p, X):
     """[p]x X, p crossed with every column of X, for factor-last p (3, k) and X (3, m, k)."""
-    return np.stack([p[1] * X[2] - p[2] * X[1], p[2] * X[0] - p[0] * X[2],
-                     p[0] * X[1] - p[1] * X[0]])
+    out = np.empty(X.shape)
+    for r, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(p[a], X[b], out=out[r])
+        out[r] -= p[b] * X[a]
+    return out
 
 
 def _so3_hat_many(p):
@@ -172,13 +189,20 @@ def segment_sum(slots, values, start):
 
     Row r is added to ``start[slots[r]]``; a slot of -1 drops it. Each sum
     begins at its start value and adds its rows in row order, as a loop over
-    rows does: ``np.bincount`` accumulates its input sequentially.
+    rows does: ``np.bincount`` accumulates its input sequentially. So sums
+    chained over consecutive chunks of rows, each the ``start`` of the next,
+    equal one pass bit for bit.
     """
     n, m = len(start), math.prod(start.shape[1:])
     bins = np.concatenate([np.arange(n), np.where(slots < 0, n, slots)])
     cols = np.concatenate([start.reshape(n, m).T, values.reshape(len(slots), m).T], axis=1)
-    sums = np.array([np.bincount(bins, col, minlength=n + 1) for col in cols])
-    return sums[:, :n].T.reshape(start.shape)
+    return _bin_sums(bins, n, cols).reshape(start.shape)
+
+
+def _bin_sums(bins, n, cols):
+    """(n, len(cols)) sums of each of the rows ``cols`` by ``bins``, in row
+    order from zero; bin n collects the dropped entries."""
+    return np.array([np.bincount(bins, col, minlength=n + 1)[:n] for col in cols]).T
 
 
 def add_blocks(sys_, pose_slot, lm_slot, bpp, bll, bpl):
@@ -221,64 +245,122 @@ def _rows(mask):
     return idx
 
 
-def linearize(problem, state, theta=None):
+class LinearizationPlan:
+    """The structure of ``linearize`` for one active mask: the layout, the
+    active factors' rows, slots, focal lengths and information, their
+    segment-sum bins, their chunks of ``CHUNK`` factors and, where no
+    (pose, landmark) pair repeats, the flat ``Hpl`` index of each chunk's
+    blocks. It reads the state's fixed masks, not its values, so one plan
+    serves every state of a solve with the active mask ``active``.
+    """
+
+    def __init__(self, problem, state, active):
+        self.active = active
+        self.layout = lay = SystemLayout(state)
+        self.sel = np.flatnonzero(active)
+        self.rows = _rows(active)
+        self.frames, self.lms = problem.frame_idx[self.rows], problem.lm_idx[self.rows]
+        self.pose_slot, self.lm_slot = lay.pose_slot[self.frames], lay.lm_slot[self.lms]
+        self.info = problem.info_stack[self.rows]
+        self.info_t = np.ascontiguousarray(self.info.transpose(1, 2, 0))
+        self.focal_t = np.ascontiguousarray(problem.intrinsics_table[self.frames, :2].T)
+        n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
+        self.pose_bins = np.where(self.pose_slot < 0, n_p, self.pose_slot)
+        self.lm_bins = np.where(self.lm_slot < 0, n_l, self.lm_slot)
+        self.chunks = [slice(a, a + CHUNK) for a in range(0, len(self.sel), CHUNK)]
+        both = (self.pose_slot >= 0) & (self.lm_slot >= 0)
+        pairs = self.pose_slot * n_l + self.lm_slot
+        self.pair_index = None  # a repeated pair: linearize sums its blocks
+        if not (both.any() and np.bincount(pairs[both]).max() > 1):
+            # entry (i, j) of a 6x3 block at a pair, factor-last
+            base = 18 * n_l * self.pose_slot + 3 * self.lm_slot
+            offsets = (3 * n_l * np.arange(6)[:, None] + np.arange(3)).reshape(18, 1)
+            self.pair_index = [(cb, offsets + base[s][cb])
+                               for s in self.chunks for cb in [_rows(both[s])]]
+
+    def fits(self, active):
+        return np.array_equal(self.active, active)
+
+
+# the rows of linearize's per-factor columns [-PMP (upper), PM, M, Pb, b, -b]
+# summed per pose, [-PMP (upper), PM, M (upper), Pb, b], and per landmark,
+# [M (upper), -b]
+_POSE_ROWS = np.concatenate([np.arange(15), 15 + _UPPER, np.arange(24, 30)])
+_LM_ROWS = np.concatenate([15 + _UPPER, np.arange(30, 33)])
+
+
+def linearize(problem, state, theta=None, ev=None, plan=None):
     """Evaluate residuals, IRLS weights and jacobian blocks at the state.
 
     Factors behind a camera are soft-deactivated (zero contribution) and
-    counted; fixed variables are excluded from the system.
+    counted; fixed variables are excluded from the system. ``ev``, when
+    given, is ``evaluate_residuals`` at (state, theta), and ``plan`` a
+    LinearizationPlan that fits its active mask; both are made here
+    otherwise.
     """
     theta = problem.theta0() if theta is None else theta
-    layout = SystemLayout(state)
+    ev = evaluate_residuals(problem, state, theta) if ev is None else ev
+    plan = LinearizationPlan(problem, state, ev.active) if plan is None else plan
+    layout = plan.layout
     sys_ = LinearizedSystem(layout)
-    ev = evaluate_residuals(problem, state, theta)
-
-    sel = np.flatnonzero(ev.active)
-    sys_.inactive_count = int(len(ev.active) - len(sel))
-    frames, lms = problem.frame_idx[sel], problem.lm_idx[sel]
-    e, c, rot, w = ev.e[sel], ev.campoint[sel], ev.rot[sel], ev.weight[sel]
-    p = state.landmarks[lms]
-    pose_slot, lm_slot = layout.pose_slot[frames], layout.lm_slot[lms]
-    W = w[:, None, None] * problem.info_stack[sel]
+    sys_.inactive_count = int(len(ev.active) - len(plan.sel))
+    rows, k = plan.rows, len(plan.sel)
+    e, c, rot, w = ev.e[rows], ev.campoint[rows], ev.rot[rows], ev.weight[rows]
+    p = state.landmarks[plan.lms]
 
     # Factor-last copies (k on the last axis), so that every array operation
-    # below runs along the factors. A = dh/dc R^T is d pixel / d world point:
+    # below runs along the factors, one chunk of CHUNK factors at a time. A =
+    # dh/dc R^T is d pixel / d world point:
     # At[r, i] = A[i, r] = f_i / z (R[r, i] - c_i / z R[r, 2]). With P = [p]x
     # the residual jacobians, which carry the minus sign of e = obs -
     # projection, are Jl = -A and Jp = [-A P, A], so every block of J^T W J
-    # and J^T W e follows from M = A^T W A and b = A^T W e.
-    R = np.ascontiguousarray(rot.transpose(1, 2, 0))
-    Wt = np.ascontiguousarray(W.transpose(1, 2, 0))
-    et, pt, ct = e.T, p.T, c.T
-    iz = 1.0 / ct[2]
-    At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (problem.intrinsics_table[frames, :2].T * iz)
-    WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
-    M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
-    b = WA[0] * et[0] + WA[1] * et[1]
-    # P M, P b and P A^T in one product
-    PX = _hat_times(pt, np.concatenate([M, b[:, None], At], axis=1))
-    PM, Pb, PAt = PX[:, :3], PX[:, 3], PX[:, 4:]
+    # and J^T W e follows from M = A^T W A and b = A^T W e. The jacobian
+    # records are views of factor-last arrays, as the stacked products that
+    # read them round by their strides.
+    cols, Jp, Jl = np.empty((33, k)), np.empty((6, 2, k)), np.empty((3, 2, k))
+    Hpl = sys_.Hpl.reshape(-1)
+    for i, s in enumerate(plan.chunks):
+        R = np.ascontiguousarray(rot[s].transpose(1, 2, 0))
+        Wt = plan.info_t[:, :, s] * w[s]
+        et, pt, ct = e[s].T, p[s].T, c[s].T
+        iz = 1.0 / ct[2]
+        At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (plan.focal_t[:, s] * iz)
+        WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
+        M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
+        b = WA[0] * et[0] + WA[1] * et[1]
+        # P M, P b and P A^T in one product
+        PX = _hat_times(pt, np.concatenate([M, b[:, None], At], axis=1))
+        PM, Pb, PAt = PX[:, :3], PX[:, 3], PX[:, 4:]
+        col = cols[:, s]
+        col[:6] = _hat_times(pt, PM.swapaxes(0, 1)).reshape(9, -1)[_UPPER]
+        col[6:15], col[15:24], col[24:27], col[27:30], col[30:] = (
+            PM.reshape(9, -1), M.reshape(9, -1), Pb, b, -b)
+        Jp[:3, :, s], Jp[3:, :, s], Jl[:, :, s] = PAt, At, -At
+        if plan.pair_index is not None:
+            # Hpl = [-PM; -M] per pair
+            cb, idx = plan.pair_index[i]
+            Hpl[idx] = -col[6:24, cb]
 
-    # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose; the
-    # symmetric -PMP and M are summed by their upper triangles
+    # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose, Hll = M
+    # and gl = -b per landmark; the symmetric -PMP and M are summed by their
+    # upper triangles
     n_p, n_l = len(layout.free_pose_ids), len(layout.free_lm_ids)
-    M6 = M.reshape(9, -1)[_UPPER]
-    per_pose = segment_sum(pose_slot, np.concatenate(
-        [_hat_times(pt, PM.swapaxes(0, 1)).reshape(9, -1)[_UPPER], PM.reshape(9, -1),
-         M6, Pb, b]).T, np.zeros((n_p, 27)))
+    per_pose = _bin_sums(plan.pose_bins, n_p, [cols[r] for r in _POSE_ROWS])
     d = np.arange(n_p)
     sys_.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] = per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
     sys_.g[:layout.n_pose_params] = per_pose[:, 21:].ravel()
-    # Hll = M and gl = -b per landmark; Hpl = [-PM; -M] per pair
-    per_lm = segment_sum(lm_slot, np.concatenate([M6, -b]).T, np.zeros((n_l, 9)))
+    per_lm = _bin_sums(plan.lm_bins, n_l, [cols[r] for r in _LM_ROWS])
     sys_.Hll = per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
     sys_.g[layout.n_pose_params:] = per_lm[:, 6:].ravel()
-    _add_pair_blocks(sys_.Hpl, pose_slot, lm_slot, -np.concatenate([PM, M]).transpose(2, 0, 1))
+    if plan.pair_index is None:
+        _add_pair_blocks(sys_.Hpl, plan.pose_slot, plan.lm_slot,
+                         -cols[6:24].reshape(6, 3, k).transpose(2, 0, 1))
 
     vars(sys_).update(
-        rec_factor=sel, rec_frame=frames, rec_pose_slot=pose_slot, rec_lm_slot=lm_slot,
-        rec_Jp=np.concatenate([PAt, At]).T, rec_Jl=-At.T, rec_W=W, rec_point=p,
-        rec_campoint=c, rec_rot=rot, residuals=e, weights=w,
-        rec_curvature=ev.curvature[sel])
+        rec_factor=plan.sel, rec_frame=plan.frames, rec_pose_slot=plan.pose_slot,
+        rec_lm_slot=plan.lm_slot, rec_Jp=Jp.T, rec_Jl=Jl.T,
+        rec_W=w[:, None, None] * plan.info, rec_point=p, rec_campoint=c, rec_rot=rot,
+        residuals=e, weights=w, rec_curvature=ev.curvature[rows])
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior
@@ -474,9 +556,14 @@ def optimize(problem, x0, theta=None, settings=None):
     theta = problem.theta0() if theta is None else theta
     settings = SolverSettings() if settings is None else settings
     state = x0.copy()
-    sys_ = linearize(problem, state, theta)
-    temporal_value = temporal_term(problem, theta)[0]  # theta alone: once per solve
-    energy = _finite(total_energy(problem, state, theta, temporal_value), "energy at the start")
+    # theta alone: the predictions and the temporal term, once per solve
+    preds = predictions(problem, theta)
+    temporal_value = temporal_term(problem, theta)[0]
+    ev = evaluate_residuals(problem, state, theta, preds)
+    plan = LinearizationPlan(problem, state, ev.active)
+    sys_ = linearize(problem, state, theta, ev, plan)
+    energy = _finite(total_energy(problem, state, theta, temporal_value, ev),
+                     "energy at the start")
     energies = [energy]
     grad_norm = _finite(sys_.gradient_inf_norm(), "gradient at the start")
 
@@ -503,17 +590,20 @@ def optimize(problem, x0, theta=None, settings=None):
             reason = "converged_step"
             break
         trial = apply_step(state, sys_.layout, delta)
-        trial_energy = total_energy(problem, trial, theta, temporal_value)
+        ev = evaluate_residuals(problem, trial, theta, preds)
+        trial_energy = total_energy(problem, trial, theta, temporal_value, ev)
         lowest = energies[-1]
         resolution = ENERGY_RESOLUTION * lowest
+        if trial_energy <= lowest + resolution and not plan.fits(ev.active):
+            plan = LinearizationPlan(problem, trial, ev.active)  # for the trial's system
         if trial_energy < lowest - resolution:
             state, energy = trial, trial_energy
             energies.append(energy)
             lam /= settings.lambda_down
-            sys_ = linearize(problem, state, theta)
+            sys_ = linearize(problem, state, theta, ev, plan)
             grad_norm = _finite(sys_.gradient_inf_norm(), f"gradient at iteration {it}")
         elif trial_energy <= lowest + resolution:
-            trial_sys = linearize(problem, trial, theta)
+            trial_sys = linearize(problem, trial, theta, ev, plan)
             trial_grad = _finite(trial_sys.gradient_inf_norm(),
                                  f"gradient at iteration {it}")
             if trial_grad >= grad_norm * (1.0 - GRADIENT_DECREASE):

@@ -12,6 +12,7 @@ import functools
 import numpy as np
 import pytest
 
+import gradba.solver as solver_mod
 from gradba import scene as scn
 from gradba.geometry import quat_to_matrix
 from gradba.implicit import (ImplicitGradRequest, PoseErrorLoss,
@@ -41,9 +42,10 @@ def assert_rel(actual, reference):
     assert np.abs(actual - reference).max(initial=0.0) <= RTOL * scale
 
 
-def edge_case_problem(seed):
-    """A fixed pose, a fixed landmark, a duplicated factor, a landmark behind
-    one camera, the scale prior and Huber outliers, with a nonzero theta."""
+def edge_case_problem(seed, duplicate=True):
+    """A fixed pose, a fixed landmark, a duplicated factor (unless not
+    ``duplicate``), a landmark behind one camera, the scale prior and Huber
+    outliers, with a nonzero theta."""
     prob, x0, *_ = build_ba_problem(seed, n_cams=5, n_lms=20, sigma=1.0,
                                     kernel=RobustKernel("huber", 1.0),
                                     outlier_ratio=0.2)
@@ -51,7 +53,8 @@ def edge_case_problem(seed):
     fixed_lm[FIXED_LM] = True
     state = StateVector(prob.state.poses, prob.state.landmarks,
                         prob.state.fixed_poses, fixed_lm)
-    rows = np.append(np.arange(len(prob.frame_idx)), DUPLICATE)
+    rows = np.arange(len(prob.frame_idx))
+    rows = np.append(rows, DUPLICATE) if duplicate else rows
     prob = problem_like(prob, rows, state=state, scale_prior=prob.scale_prior)
     lms = x0.landmarks.copy()
     cam = x0.poses[BEHIND_CAM]
@@ -118,6 +121,58 @@ def test_linearize_matches_loop(case):
     for name in ("Hpp", "Hll", "Hpl", "g", "residuals", "weights", "rec_W",
                  "rec_Jp", "rec_Jl", "rec_point", "rec_campoint"):
         assert_rel(getattr(new, name), getattr(ref, name))
+
+
+def assert_same_system(actual, reference):
+    """Every array of two linearized systems equal bit for bit, and the
+    jacobian records laid out alike."""
+    assert actual.inactive_count == reference.inactive_count
+    names = ["Hpp", "Hll", "Hpl", "g", "residuals", "weights",
+             *(n for n in vars(reference) if n.startswith("rec_"))]
+    for name in names:
+        a, r = getattr(actual, name), getattr(reference, name)
+        assert (a.dtype, a.shape) == (r.dtype, r.shape), name
+        assert a.tobytes() == r.tobytes(), name
+    for name in ("rec_Jp", "rec_Jl"):
+        assert getattr(actual, name).strides == getattr(reference, name).strides, name
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("duplicate", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunking_changes_no_bit(seed, duplicate, chunk, monkeypatch):
+    # the repeated pair sums its Hpl blocks; unique pairs are assigned per chunk
+    prob, x0, theta = edge_case_problem(seed, duplicate)
+    assert len(prob.frame_idx) <= solver_mod.CHUNK
+    ref = linearize(prob, x0, theta)
+    monkeypatch.setattr(solver_mod, "CHUNK", chunk)
+    new = linearize(prob, x0, theta)
+    active = evaluate_residuals(prob, x0, theta).active
+    assert len(solver_mod.LinearizationPlan(prob, x0, active).chunks) > 1
+    assert_same_system(new, ref)
+    # transposed views of factor-last arrays, as before chunking
+    assert new.rec_Jp.T.flags.c_contiguous and new.rec_Jl.T.flags.c_contiguous
+
+
+def test_solve_reuses_evaluations_and_plans_exactly(monkeypatch):
+    """Every linearization of a solve, made from the trial's evaluation and
+    the solve's plan, equals a fresh one bit for bit, before and after the
+    landmark behind a camera comes back in front of it."""
+    prob, x0, theta = edge_case_problem(0)
+    real = solver_mod.linearize
+    inactive = []
+
+    def checked(problem, state, th, ev, plan):
+        sys_ = real(problem, state, th, ev, plan)
+        fresh = real(problem, state, th)
+        assert_same_system(sys_, fresh)
+        assert_same_system(real(problem, state, th, ev), fresh)
+        inactive.append(sys_.inactive_count)
+        return sys_
+
+    monkeypatch.setattr(solver_mod, "linearize", checked)
+    optimize(prob, x0, theta, SolverSettings(max_iterations=6))
+    assert inactive[0] > 0 and inactive[-1] == 0
 
 
 def test_exact_hessian_matches_loop(case):

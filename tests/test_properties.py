@@ -2,7 +2,8 @@
 vector-jacobian products, the problem table of ``build_problem``, the
 solver's segment sums, the Schur solve and the initializer's batched
 two-view geometry against their references on generated inputs, and the
-scene file round trip with descriptor-field and temporal sections.
+round trips of the scene file (with descriptor-field and temporal
+sections), of the TUM trajectory file and of se3_exp / se3_log.
 
 Examples are derandomized and bounded in number, so a run does the same work
 every time. Tolerances were fixed before the code under test was written.
@@ -15,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gradba import scene as scn  # noqa: E402
-from gradba.geometry import Pose, se3_exp, se3_retract  # noqa: E402
+from gradba.geometry import Pose, se3_exp, se3_log, se3_retract  # noqa: E402
 from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
 from gradba.initializer import (_cheirality_depths, normalize_bearings,  # noqa: E402
                                 sigma_obs_from_reproj, triangulate)
@@ -23,6 +24,7 @@ from gradba.problem import (DescriptorFieldModel, RobustKernel,  # noqa: E402
                             StateVector, StaticModel, TrackBiasModel)
 from gradba.solver import (LinearizedSystem, SystemLayout, lm_step,  # noqa: E402
                            schur_solve_rhs, segment_sum)
+from gradba.trajectory import read_tum, records_from_poses, write_tum  # noqa: E402
 
 from loop_reference import (fd_tangent_gradient, loop_cheirality_depths,  # noqa: E402
                             loop_drifting_grid, loop_observe_vjp,
@@ -186,12 +188,13 @@ def test_problem_table_matches_per_observation_assembly(n_cameras, n_landmarks, 
                     ref["predictions"])
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(data=st.data(), n=st.integers(0, 4), k=st.integers(0, 12),
-       shape=st.sampled_from([(), (2,), (2, 3)]))
-def test_segment_sum_matches_add_at(data, n, k, shape):
-    """Bit for bit the sums of ``np.add.at``, which adds one row at a time
-    onto the start: repeated slots, dropped slots of -1, no rows at all, and
+SEGMENTS = dict(data=st.data(), n=st.integers(0, 4), k=st.integers(0, 12),
+                shape=st.sampled_from([(), (2,), (2, 3)]))
+
+
+def draw_segments(data, n, k, shape):
+    """Slots (k,), values (k, *shape) and a start (n, *shape) for
+    ``segment_sum``: repeated slots, dropped slots of -1, no rows at all, and
     values of mixed magnitude, whose sums depend on the order of addition."""
     m = int(np.prod(shape))
     numbers = st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)
@@ -201,9 +204,31 @@ def test_segment_sum_matches_add_at(data, n, k, shape):
                       dtype=float).reshape(k, *shape)
     start = np.array(data.draw(st.lists(numbers, min_size=n * m, max_size=n * m)),
                      dtype=float).reshape(n, *shape)
+    return slots, values, start
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(**SEGMENTS)
+def test_segment_sum_matches_add_at(data, n, k, shape):
+    """Bit for bit the sums of ``np.add.at``, which adds one row at a time
+    onto the start."""
+    slots, values, start = draw_segments(data, n, k, shape)
     expected = start.copy()
     np.add.at(expected, slots[slots >= 0], values[slots >= 0])
     assert np.array_equal(segment_sum(slots, values, start), expected)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(**SEGMENTS)
+def test_segment_sum_chained_over_chunks_is_one_pass(data, n, k, shape):
+    """Sums over consecutive chunks of rows, each the start of the next,
+    equal one pass over all rows bit for bit."""
+    slots, values, start = draw_segments(data, n, k, shape)
+    cuts = sorted(data.draw(st.lists(st.integers(0, k), max_size=4)))
+    chained = start
+    for a, b in zip([0, *cuts], [*cuts, k]):
+        chained = segment_sum(slots[a:b], values[a:b], chained)
+    assert chained.tobytes() == segment_sum(slots, values, start).tobytes()
 
 
 @PROPERTY
@@ -357,3 +382,47 @@ def test_cheirality_depths_match_per_pair_lstsq(seed, n, pure_rotation):
     theta = np.linalg.norm(np.cross(q_a @ R.T, q_b), axis=1)
     err = np.hypot(za - ra, zb - rb)
     assert np.all(err <= COND_TOL * np.hypot(ra, rb) / theta ** 2)
+
+
+EPS = np.finfo(float).eps
+SERIES_CUTOFF = 1e-8  # rotation angle below which geometry uses its series
+PRINTED_RTOL = 5e-12  # half a unit in the twelfth digit that write_tum prints
+
+
+@PROPERTY
+@given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+       angle=st.floats(0.0, np.pi - 1e-3) | st.floats(-12.0, 0.0).map(lambda x: 10.0 ** x),
+       v=st.tuples(*[st.floats(-100.0, 100.0)] * 3))
+def test_se3_log_inverts_exp(axis, angle, v):
+    """se3_log(se3_exp(delta)) recovers delta for rotation angles below
+    pi - 1e-3. Above the series cutoff the translation loses up to about
+    eps / angle relative: the exponential's (1 - cos angle) / angle^2
+    cancels, and the bound says so (6.6e-9 at worst over angles 3e-9..1e-7
+    in a sweep of 3,000 draws)."""
+    w = angle * np.array(axis) / np.linalg.norm(axis)
+    v = np.array(v)
+    back = se3_log(se3_exp(np.concatenate([w, v])))
+    assert np.abs(back[:3] - w).max() <= 8 * EPS * angle
+    loss = 1.0 + (1.0 / angle if angle >= SERIES_CUTOFF else 0.0)
+    assert np.abs(back[3:] - v).max() <= 8 * EPS * loss * np.abs(v).max()
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-3, 1e3), origin=st.floats(0.0, 1e6))
+def test_tum_round_trip(tmp_path_factory, n, seed, scale, origin):
+    """write_tum -> read_tum keeps stamps, positions and unit quaternions
+    (up to sign) to the precision written."""
+    rng = np.random.default_rng(seed)
+    stamps = origin + np.cumsum(rng.uniform(1e-3, 10.0, n))
+    poses = [se3_exp(np.concatenate([rng.normal(size=3), scale * rng.normal(size=3)]))
+             for _ in range(n)]
+    path = tmp_path_factory.mktemp("tum") / "traj.tum"
+    write_tum(records_from_poses(poses, stamps), path)
+    back = read_tum(path)
+    assert len(back) == n
+    for rec, ts, pose in zip(back, stamps, poses):
+        assert abs(rec.timestamp - ts) <= PRINTED_RTOL * ts
+        assert np.all(np.abs(rec.t - pose.t) <= PRINTED_RTOL * np.abs(pose.t))
+        q = rec.pose().q
+        assert min(np.abs(q - pose.q).max(), np.abs(q + pose.q).max()) <= 1e-11

@@ -1,8 +1,10 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gradba.problem as problem_mod
 import gradba.solver as solver_mod
 from gradba import scene as scn
 from gradba import temporal
@@ -218,7 +220,9 @@ class TestOptimize:
 
     def test_noisy_tight_solve_ends_stationary(self):
         # no noisy solve reaches a 1e-11 gradient: it ends when the energy is
-        # flat to rounding and a step no longer lowers the gradient
+        # flat to rounding and a step no longer lowers the gradient. Rounding
+        # decides it: the last step, which the gradient test rejects, has
+        # norm 1.196e-13, just above STEP_RESOLUTION (22 iterations)
         tight = SolverSettings(gradient_tolerance=1e-11, max_iterations=300)
         prob, x0, *_ = build_ba_problem(18, sigma=0.5, outlier_ratio=0.1,
                                         kernel=RobustKernel("huber", 2.0))
@@ -278,6 +282,29 @@ class TestOptimize:
         assert len(calls) == 1
         assert rep.iterations > 2 and rep.termination.startswith("converged_")
         assert rep.final_energy == total_energy(prob, xs, theta)
+
+    def test_one_evaluation_per_trial(self, monkeypatch):
+        # theta is fixed during a solve: the predictions are made once, and
+        # each trial's evaluation serves its energy and its linearization
+        prob, x0, *_ = build_ba_problem(18, sigma=0.5, outlier_ratio=0.1,
+                                        kernel=RobustKernel("huber", 2.0))
+        calls = Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, **k: calls.update([name]) or fn(*a, **k))
+
+        count(problem_mod, "project_factors")
+        count(prob.obs_model, "observe_all")
+        count(solver_mod, "total_energy")
+        _, rep = solver_mod.optimize(prob, x0)
+        assert rep.termination == "converged_gradient"
+        # the start, then one energy test per Schur step
+        assert calls["project_factors"] == calls["total_energy"] == 1 + rep.iterations
+        assert calls["observe_all"] == 1
+        solver_mod.optimize(prob, x0)
+        assert calls["observe_all"] == 2
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
