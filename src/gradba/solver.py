@@ -12,11 +12,9 @@ gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 
 ``linearize`` forms one 3x3 block M = A^T W A and one 3-vector b = A^T W e
 per active factor, where A = dh/dc R^T is the factor's d pixel / d world
-point; every pose and landmark block follows from them in closed form. Its
-per-factor arithmetic runs over chunks of ``CHUNK`` factors, whose
-temporaries stay in cache; being per factor, it gives the same bits for any
-chunk size. The blocks are summed per variable in factor order (``np.bincount``
-in ``segment_sum`` and ``linearize``), so results are the same from run to
+point; every pose and landmark block follows from them in closed form.
+The blocks are summed per variable in factor order (``np.bincount`` in
+``segment_sum`` and ``linearize``), so results are the same from run to
 run. The jacobian records are kept as transposed views of factor-last
 arrays: the exact Hessian and the adjoint read them with stacked products,
 whose rounding depends on the strides. The reduced camera system
@@ -26,8 +24,8 @@ S = Hpp - Hpl C^-1 Hpl^T is one matrix product.
 ``evaluate_residuals`` serves both its energy test and, when the trial is
 kept or ranked by its gradient, its linearization. Theta is fixed during a
 solve, so the model's predictions are made once per solve. The structure of
-``linearize`` (layout, slots, bins, the ``Hpl`` scatter index, the gathered
-focal lengths and information) is a LinearizationPlan that ``optimize``
+``linearize`` (layout, slots, bins, the gathered focal lengths and
+information) is a LinearizationPlan that ``optimize``
 holds for the solve and rebuilds only when the active mask changes.
 """
 
@@ -48,7 +46,6 @@ DAMPING_FLOOR = 1e-6  # lower bound on the diagonal scaling D
 ENERGY_RESOLUTION = 1e-12  # relative rounding resolution of the summed energy
 STEP_RESOLUTION = 1e-13    # float resolution of the state coordinates
 GRADIENT_DECREASE = 1e-3   # least relative gradient fall of a gradient-ranked step
-CHUNK = 4096  # factors per pass of linearize: its (3, 3, CHUNK) temporaries fit in L2
 _UPPER = np.array([0, 1, 2, 4, 5, 8])          # upper triangle of a raveled 3x3
 _SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # that triangle back to a 3x3
 # per-pose sums [upper -PMP, PM, upper M] to the 6x6 block [[-PMP, PM], [(PM)^T, M]]
@@ -189,9 +186,7 @@ def segment_sum(slots, values, start):
 
     Row r is added to ``start[slots[r]]``; a slot of -1 drops it. Each sum
     begins at its start value and adds its rows in row order, as a loop over
-    rows does: ``np.bincount`` accumulates its input sequentially. So sums
-    chained over consecutive chunks of rows, each the ``start`` of the next,
-    equal one pass bit for bit.
+    rows does: ``np.bincount`` accumulates its input sequentially.
     """
     n, m = len(start), math.prod(start.shape[1:])
     bins = np.concatenate([np.arange(n), np.where(slots < 0, n, slots)])
@@ -247,11 +242,9 @@ def _rows(mask):
 
 class LinearizationPlan:
     """The structure of ``linearize`` for one active mask: the layout, the
-    active factors' rows, slots, focal lengths and information, their
-    segment-sum bins, their chunks of ``CHUNK`` factors and, where no
-    (pose, landmark) pair repeats, the flat ``Hpl`` index of each chunk's
-    blocks. It reads the state's fixed masks, not its values, so one plan
-    serves every state of a solve with the active mask ``active``.
+    active factors' rows, slots, focal lengths and information and their
+    segment-sum bins. It reads the state's fixed masks, not its values, so
+    one plan serves every state of a solve with the active mask ``active``.
     """
 
     def __init__(self, problem, state, active):
@@ -267,26 +260,9 @@ class LinearizationPlan:
         n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
         self.pose_bins = np.where(self.pose_slot < 0, n_p, self.pose_slot)
         self.lm_bins = np.where(self.lm_slot < 0, n_l, self.lm_slot)
-        self.chunks = [slice(a, a + CHUNK) for a in range(0, len(self.sel), CHUNK)]
-        both = (self.pose_slot >= 0) & (self.lm_slot >= 0)
-        pairs = self.pose_slot * n_l + self.lm_slot
-        self.pair_index = None  # a repeated pair: linearize sums its blocks
-        if not (both.any() and np.bincount(pairs[both]).max() > 1):
-            # entry (i, j) of a 6x3 block at a pair, factor-last
-            base = 18 * n_l * self.pose_slot + 3 * self.lm_slot
-            offsets = (3 * n_l * np.arange(6)[:, None] + np.arange(3)).reshape(18, 1)
-            self.pair_index = [(cb, offsets + base[s][cb])
-                               for s in self.chunks for cb in [_rows(both[s])]]
 
     def fits(self, active):
         return np.array_equal(self.active, active)
-
-
-# the rows of linearize's per-factor columns [-PMP (upper), PM, M, Pb, b, -b]
-# summed per pose, [-PMP (upper), PM, M (upper), Pb, b], and per landmark,
-# [M (upper), -b]
-_POSE_ROWS = np.concatenate([np.arange(15), 15 + _UPPER, np.arange(24, 30)])
-_LM_ROWS = np.concatenate([15 + _UPPER, np.arange(30, 33)])
 
 
 def linearize(problem, state, theta=None, ev=None, plan=None):
@@ -304,61 +280,50 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
     layout = plan.layout
     sys_ = LinearizedSystem(layout)
     sys_.inactive_count = int(len(ev.active) - len(plan.sel))
-    rows, k = plan.rows, len(plan.sel)
+    rows = plan.rows
     e, c, rot, w = ev.e[rows], ev.campoint[rows], ev.rot[rows], ev.weight[rows]
     p = state.landmarks[plan.lms]
 
     # Factor-last copies (k on the last axis), so that every array operation
-    # below runs along the factors, one chunk of CHUNK factors at a time. A =
-    # dh/dc R^T is d pixel / d world point:
+    # below runs along the factors. A = dh/dc R^T is d pixel / d world point:
     # At[r, i] = A[i, r] = f_i / z (R[r, i] - c_i / z R[r, 2]). With P = [p]x
     # the residual jacobians, which carry the minus sign of e = obs -
     # projection, are Jl = -A and Jp = [-A P, A], so every block of J^T W J
     # and J^T W e follows from M = A^T W A and b = A^T W e. The jacobian
     # records are views of factor-last arrays, as the stacked products that
     # read them round by their strides.
-    cols, Jp, Jl = np.empty((33, k)), np.empty((6, 2, k)), np.empty((3, 2, k))
-    Hpl = sys_.Hpl.reshape(-1)
-    for i, s in enumerate(plan.chunks):
-        R = np.ascontiguousarray(rot[s].transpose(1, 2, 0))
-        Wt = plan.info_t[:, :, s] * w[s]
-        et, pt, ct = e[s].T, p[s].T, c[s].T
-        iz = 1.0 / ct[2]
-        At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (plan.focal_t[:, s] * iz)
-        WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
-        M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
-        b = WA[0] * et[0] + WA[1] * et[1]
-        # P M, P b and P A^T in one product
-        PX = _hat_times(pt, np.concatenate([M, b[:, None], At], axis=1))
-        PM, Pb, PAt = PX[:, :3], PX[:, 3], PX[:, 4:]
-        col = cols[:, s]
-        col[:6] = _hat_times(pt, PM.swapaxes(0, 1)).reshape(9, -1)[_UPPER]
-        col[6:15], col[15:24], col[24:27], col[27:30], col[30:] = (
-            PM.reshape(9, -1), M.reshape(9, -1), Pb, b, -b)
-        Jp[:3, :, s], Jp[3:, :, s], Jl[:, :, s] = PAt, At, -At
-        if plan.pair_index is not None:
-            # Hpl = [-PM; -M] per pair
-            cb, idx = plan.pair_index[i]
-            Hpl[idx] = -col[6:24, cb]
+    R = np.ascontiguousarray(rot.transpose(1, 2, 0))
+    Wt = plan.info_t * w
+    et, pt, ct = e.T, p.T, c.T
+    iz = 1.0 / ct[2]
+    At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (plan.focal_t * iz)
+    WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
+    M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
+    b = WA[0] * et[0] + WA[1] * et[1]
+    # P M, P b and P A^T in one product
+    PX = _hat_times(pt, np.concatenate([M, b[:, None], At], axis=1))
+    PM, Pb, PAt = PX[:, :3], PX[:, 3], PX[:, 4:]
 
-    # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose, Hll = M
-    # and gl = -b per landmark; the symmetric -PMP and M are summed by their
-    # upper triangles
+    # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose; the
+    # symmetric -PMP and M are summed by their upper triangles
     n_p, n_l = len(layout.free_pose_ids), len(layout.free_lm_ids)
-    per_pose = _bin_sums(plan.pose_bins, n_p, [cols[r] for r in _POSE_ROWS])
+    M6 = M.reshape(9, -1)[_UPPER]
+    per_pose = _bin_sums(plan.pose_bins, n_p, np.concatenate(
+        [_hat_times(pt, PM.swapaxes(0, 1)).reshape(9, -1)[_UPPER], PM.reshape(9, -1),
+         M6, Pb, b]))
     d = np.arange(n_p)
     sys_.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] = per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
     sys_.g[:layout.n_pose_params] = per_pose[:, 21:].ravel()
-    per_lm = _bin_sums(plan.lm_bins, n_l, [cols[r] for r in _LM_ROWS])
+    # Hll = M and gl = -b per landmark; Hpl = [-PM; -M] per pair
+    per_lm = _bin_sums(plan.lm_bins, n_l, np.concatenate([M6, -b]))
     sys_.Hll = per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
     sys_.g[layout.n_pose_params:] = per_lm[:, 6:].ravel()
-    if plan.pair_index is None:
-        _add_pair_blocks(sys_.Hpl, plan.pose_slot, plan.lm_slot,
-                         -cols[6:24].reshape(6, 3, k).transpose(2, 0, 1))
+    _add_pair_blocks(sys_.Hpl, plan.pose_slot, plan.lm_slot,
+                     -np.concatenate([PM, M]).transpose(2, 0, 1))
 
     vars(sys_).update(
         rec_factor=plan.sel, rec_frame=plan.frames, rec_pose_slot=plan.pose_slot,
-        rec_lm_slot=plan.lm_slot, rec_Jp=Jp.T, rec_Jl=Jl.T,
+        rec_lm_slot=plan.lm_slot, rec_Jp=np.concatenate([PAt, At]).T, rec_Jl=-At.T,
         rec_W=w[:, None, None] * plan.info, rec_point=p, rec_campoint=c, rec_rot=rot,
         residuals=e, weights=w, rec_curvature=ev.curvature[rows])
 

@@ -42,10 +42,9 @@ def assert_rel(actual, reference):
     assert np.abs(actual - reference).max(initial=0.0) <= RTOL * scale
 
 
-def edge_case_problem(seed, duplicate=True):
-    """A fixed pose, a fixed landmark, a duplicated factor (unless not
-    ``duplicate``), a landmark behind one camera, the scale prior and Huber
-    outliers, with a nonzero theta."""
+def edge_case_problem(seed):
+    """A fixed pose, a fixed landmark, a duplicated factor, a landmark behind
+    one camera, the scale prior and Huber outliers, with a nonzero theta."""
     prob, x0, *_ = build_ba_problem(seed, n_cams=5, n_lms=20, sigma=1.0,
                                     kernel=RobustKernel("huber", 1.0),
                                     outlier_ratio=0.2)
@@ -53,8 +52,7 @@ def edge_case_problem(seed, duplicate=True):
     fixed_lm[FIXED_LM] = True
     state = StateVector(prob.state.poses, prob.state.landmarks,
                         prob.state.fixed_poses, fixed_lm)
-    rows = np.arange(len(prob.frame_idx))
-    rows = np.append(rows, DUPLICATE) if duplicate else rows
+    rows = np.append(np.arange(len(prob.frame_idx)), DUPLICATE)
     prob = problem_like(prob, rows, state=state, scale_prior=prob.scale_prior)
     lms = x0.landmarks.copy()
     cam = x0.poses[BEHIND_CAM]
@@ -135,23 +133,6 @@ def assert_same_system(actual, reference):
         assert a.tobytes() == r.tobytes(), name
     for name in ("rec_Jp", "rec_Jl"):
         assert getattr(actual, name).strides == getattr(reference, name).strides, name
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-@pytest.mark.parametrize("duplicate", [True, False])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chunking_changes_no_bit(seed, duplicate, chunk, monkeypatch):
-    # the repeated pair sums its Hpl blocks; unique pairs are assigned per chunk
-    prob, x0, theta = edge_case_problem(seed, duplicate)
-    assert len(prob.frame_idx) <= solver_mod.CHUNK
-    ref = linearize(prob, x0, theta)
-    monkeypatch.setattr(solver_mod, "CHUNK", chunk)
-    new = linearize(prob, x0, theta)
-    active = evaluate_residuals(prob, x0, theta).active
-    assert len(solver_mod.LinearizationPlan(prob, x0, active).chunks) > 1
-    assert_same_system(new, ref)
-    # transposed views of factor-last arrays, as before chunking
-    assert new.rec_Jp.T.flags.c_contiguous and new.rec_Jl.T.flags.c_contiguous
 
 
 def test_solve_reuses_evaluations_and_plans_exactly(monkeypatch):

@@ -188,13 +188,12 @@ def test_problem_table_matches_per_observation_assembly(n_cameras, n_landmarks, 
                     ref["predictions"])
 
 
-SEGMENTS = dict(data=st.data(), n=st.integers(0, 4), k=st.integers(0, 12),
-                shape=st.sampled_from([(), (2,), (2, 3)]))
-
-
-def draw_segments(data, n, k, shape):
-    """Slots (k,), values (k, *shape) and a start (n, *shape) for
-    ``segment_sum``: repeated slots, dropped slots of -1, no rows at all, and
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(0, 4), k=st.integers(0, 12),
+       shape=st.sampled_from([(), (2,), (2, 3)]))
+def test_segment_sum_matches_add_at(data, n, k, shape):
+    """Bit for bit the sums of ``np.add.at``, which adds one row at a time
+    onto the start: repeated slots, dropped slots of -1, no rows at all, and
     values of mixed magnitude, whose sums depend on the order of addition."""
     m = int(np.prod(shape))
     numbers = st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)
@@ -204,31 +203,9 @@ def draw_segments(data, n, k, shape):
                       dtype=float).reshape(k, *shape)
     start = np.array(data.draw(st.lists(numbers, min_size=n * m, max_size=n * m)),
                      dtype=float).reshape(n, *shape)
-    return slots, values, start
-
-
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(**SEGMENTS)
-def test_segment_sum_matches_add_at(data, n, k, shape):
-    """Bit for bit the sums of ``np.add.at``, which adds one row at a time
-    onto the start."""
-    slots, values, start = draw_segments(data, n, k, shape)
     expected = start.copy()
     np.add.at(expected, slots[slots >= 0], values[slots >= 0])
     assert np.array_equal(segment_sum(slots, values, start), expected)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(**SEGMENTS)
-def test_segment_sum_chained_over_chunks_is_one_pass(data, n, k, shape):
-    """Sums over consecutive chunks of rows, each the start of the next,
-    equal one pass over all rows bit for bit."""
-    slots, values, start = draw_segments(data, n, k, shape)
-    cuts = sorted(data.draw(st.lists(st.integers(0, k), max_size=4)))
-    chained = start
-    for a, b in zip([0, *cuts], [*cuts, k]):
-        chained = segment_sum(slots[a:b], values[a:b], chained)
-    assert chained.tobytes() == segment_sum(slots, values, start).tobytes()
 
 
 @PROPERTY
