@@ -96,7 +96,7 @@ def implicit_gradient(request):
         raise ValueError(f"dL/dX* must have {sys_.layout.dim} entries")
 
     if request.hessian_mode == "exact":
-        hsys = exact_hessian_system(problem, request.state, theta, sys_)
+        hsys = exact_hessian_system(problem, request.state, sys_)
     elif request.hessian_mode == "gauss_newton":
         hsys = sys_
     else:
@@ -105,16 +105,7 @@ def implicit_gradient(request):
     solve_residual = float(np.abs(hsys.matvec(y) - dldx).max()) if dldx.size else 0.0
 
     # dL/dtheta = -y^T J^T W (d obs/d theta), one vector-jacobian product
-    np_ = sys_.layout.n_pose_params
-    jy = np.zeros((len(sys_.rec_factor), 2))
-    has_p = sys_.rec_pose_slot >= 0
-    if has_p.any():
-        yp = y[:np_].reshape(-1, 6)[sys_.rec_pose_slot[has_p]]
-        jy[has_p] += np.einsum("kab,kb->ka", sys_.rec_Jp[has_p], yp)
-    has_l = sys_.rec_lm_slot >= 0
-    if has_l.any():
-        yl = y[np_:].reshape(-1, 3)[sys_.rec_lm_slot[has_l]]
-        jy[has_l] += np.einsum("kab,kb->ka", sys_.rec_Jl[has_l], yl)
+    jy = sys_.jacobian_times(y)
     v = np.einsum("kab,kb->ka", sys_.rec_W, jy)
     if request.hessian_mode == "exact" and sys_.rec_curvature.any():
         # rho'' part of the mixed Hessian on the Huber outlier branch

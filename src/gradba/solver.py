@@ -14,11 +14,13 @@ gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 per active factor, where A = dh/dc R^T is the factor's d pixel / d world
 point; every pose and landmark block follows from them in closed form.
 The blocks are summed per variable in factor order (``np.bincount`` in
-``segment_sum`` and ``linearize``), so results are the same from run to
-run. The jacobian records are kept as transposed views of factor-last
-arrays: the exact Hessian and the adjoint read them with stacked products,
-whose rounding depends on the strides. The reduced camera system
-S = Hpp - Hpl C^-1 Hpl^T is one matrix product.
+``segment_sum`` and ``linearize``), so results are the same from run to run
+for a fixed BLAS thread count. ``exact_hessian_system`` derives its
+second-order correction the same way, from one symmetric 3x3 X per factor,
+and the adjoint's J y is A (v - y_l - p x omega); both read only A, the
+optical axis and the landmark from the records. The reduced camera system
+S = Hpp - Hpl C^-1 Hpl^T is one matrix product, whose rounding depends on
+the number of BLAS threads.
 
 ``optimize`` evaluates the factors once per trial state: the trial's
 ``evaluate_residuals`` serves both its energy test and, when the trial is
@@ -104,9 +106,11 @@ class SystemLayout:
 class LinearizedSystem:
     """H = J^T W J and g = J^T W e in block form over the free variables.
 
-    Per-factor records of the active factors (residual jacobians, built from
-    A = dh/dc R^T and P = [p]x, robust-kernel terms, residuals) are kept for
-    the exact Hessian and the adjoint solve of the implicit-gradient module.
+    Per-factor records of the active factors are kept for the exact Hessian
+    and the adjoint of the implicit-gradient module: A = dh/dc R^T (d pixel /
+    d world point, from which with P = [p]x the residual jacobians are
+    Jp = [-A P, A] and Jl = -A), the optical axis over the depth, the
+    landmark, the robust-kernel terms and the residuals.
     """
 
     def __init__(self, layout):
@@ -121,12 +125,10 @@ class LinearizedSystem:
         self.rec_frame = np.zeros(0, dtype=int)
         self.rec_pose_slot = np.zeros(0, dtype=int)   # -1 where fixed
         self.rec_lm_slot = np.zeros(0, dtype=int)     # -1 where fixed
-        self.rec_Jp = np.zeros((0, 2, 6))
-        self.rec_Jl = np.zeros((0, 2, 3))
+        self.rec_A = np.zeros((0, 2, 3))       # d pixel / d world point
+        self.rec_axis = np.zeros((0, 3))       # R[:, 2] / z, world frame
         self.rec_W = np.zeros((0, 2, 2))
         self.rec_point = np.zeros((0, 3))      # landmark position, world frame
-        self.rec_campoint = np.zeros((0, 3))   # landmark position, camera frame
-        self.rec_rot = np.zeros((0, 3, 3))     # world-from-camera rotation
         self.residuals = np.zeros((0, 2))
         self.weights = np.zeros(0)             # IRLS weights rho'
         self.rec_curvature = np.zeros(0)       # rho''
@@ -150,6 +152,15 @@ class LinearizedSystem:
                      + self.Hpl.T @ y[:np_])
         return out
 
+    def jacobian_times(self, y):
+        """J y per active factor, (k, 2): A (v - y_l - p x omega) for a
+        tangent y over the free variables, fixed ones reading a zero row."""
+        np_ = self.layout.n_pose_params
+        yp = np.vstack([y[:np_].reshape(-1, 6), np.zeros((1, 6))])[self.rec_pose_slot]
+        yl = np.vstack([y[np_:].reshape(-1, 3), np.zeros((1, 3))])[self.rec_lm_slot]
+        u = yp[:, 3:] - yl - np.cross(self.rec_point, yp[:, :3])
+        return np.einsum("kab,kb->ka", self.rec_A, u)
+
     def damping_scale(self):
         """D with D^2 the floored diagonal of H."""
         d = np.concatenate([np.diag(self.Hpp),
@@ -170,15 +181,10 @@ def _hat_times(p, X):
     return out
 
 
-def _so3_hat_many(p):
-    """The hat matrices [p]x of stacked p (k, 3), (k, 3, 3)."""
-    eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, len(p)))
-    return _hat_times(p.T, eye).transpose(2, 0, 1)
-
-
-def _matvec(A, x):
-    """Stacked matrix-vector products A[k] @ x[k]."""
-    return (A @ x[:, :, None])[:, :, 0]
+def _hat(v):
+    """[v]x of factor-last v (3, k), raveled row by row to (9, k)."""
+    z = np.zeros_like(v[0])
+    return np.array([z, -v[2], v[1], v[2], z, -v[0], -v[1], v[0], z])
 
 
 def segment_sum(slots, values, start):
@@ -198,19 +204,6 @@ def _bin_sums(bins, n, cols):
     """(n, len(cols)) sums of each of the rows ``cols`` by ``bins``, in row
     order from zero; bin n collects the dropped entries."""
     return np.array([np.bincount(bins, col, minlength=n + 1)[:n] for col in cols]).T
-
-
-def add_blocks(sys_, pose_slot, lm_slot, bpp, bll, bpl):
-    """Add per-factor blocks into the system, each sum in factor order:
-    ``bpp`` (k, 6, 6) to the diagonal pose blocks of ``Hpp``, ``bll``
-    (k, 3, 3) to ``Hll`` and ``bpl`` (k, 6, 3) to ``Hpl``. A slot of -1
-    marks a fixed variable, whose blocks are dropped."""
-    n_p = len(sys_.layout.free_pose_ids)
-    d = np.arange(n_p)
-    Hpp = sys_.Hpp.reshape(n_p, 6, n_p, 6)
-    Hpp[d, :, d, :] = segment_sum(pose_slot, bpp, Hpp[d, :, d, :])
-    sys_.Hll = segment_sum(lm_slot, bll, sys_.Hll)
-    _add_pair_blocks(sys_.Hpl, pose_slot, lm_slot, bpl)
 
 
 def _add_pair_blocks(Hpl, pose_slot, lm_slot, blocks):
@@ -289,9 +282,7 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
     # At[r, i] = A[i, r] = f_i / z (R[r, i] - c_i / z R[r, 2]). With P = [p]x
     # the residual jacobians, which carry the minus sign of e = obs -
     # projection, are Jl = -A and Jp = [-A P, A], so every block of J^T W J
-    # and J^T W e follows from M = A^T W A and b = A^T W e. The jacobian
-    # records are views of factor-last arrays, as the stacked products that
-    # read them round by their strides.
+    # and J^T W e follows from M = A^T W A and b = A^T W e.
     R = np.ascontiguousarray(rot.transpose(1, 2, 0))
     Wt = plan.info_t * w
     et, pt, ct = e.T, p.T, c.T
@@ -300,9 +291,9 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
     WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
     M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
     b = WA[0] * et[0] + WA[1] * et[1]
-    # P M, P b and P A^T in one product
-    PX = _hat_times(pt, np.concatenate([M, b[:, None], At], axis=1))
-    PM, Pb, PAt = PX[:, :3], PX[:, 3], PX[:, 4:]
+    # P M and P b in one product
+    PX = _hat_times(pt, np.concatenate([M, b[:, None]], axis=1))
+    PM, Pb = PX[:, :3], PX[:, 3]
 
     # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose; the
     # symmetric -PMP and M are summed by their upper triangles
@@ -323,8 +314,8 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
 
     vars(sys_).update(
         rec_factor=plan.sel, rec_frame=plan.frames, rec_pose_slot=plan.pose_slot,
-        rec_lm_slot=plan.lm_slot, rec_Jp=np.concatenate([PAt, At]).T, rec_Jl=-At.T,
-        rec_W=w[:, None, None] * plan.info, rec_point=p, rec_campoint=c, rec_rot=rot,
+        rec_lm_slot=plan.lm_slot, rec_A=At.T, rec_axis=(R[:, 2] * iz).T,
+        rec_W=w[:, None, None] * plan.info, rec_point=p,
         residuals=e, weights=w, rec_curvature=ev.curvature[rows])
 
     if problem.scale_prior is not None:
@@ -341,7 +332,7 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
     return sys_
 
 
-def exact_hessian_system(problem, state, theta, sys_):
+def exact_hessian_system(problem, state, sys_):
     """Copy of a linearized system with exact second-order energy terms.
 
     The Gauss-Newton H drops the residual-curvature term
@@ -349,55 +340,49 @@ def exact_hessian_system(problem, state, theta, sys_):
     the rho'' rank-one term; both read the records of ``sys_``. Both vanish
     with the residuals, but at noisy optima they shift the sensitivity
     dX*/dtheta well above the oracle tolerance, so the implicit-gradient
-    adjoint solve uses this corrected H. All corrections are factor-local 9x9
-    blocks over (pose, landmark) and preserve the Schur block sparsity. The
-    scale prior contributes its own r * grad^2 r curvature.
+    adjoint solve uses this corrected H. The corrections are factor-local
+    and preserve the Schur block sparsity. The scale prior contributes its
+    own r * grad^2 r curvature.
+
+    With q = A^T Sigma^-1 e, psi = rho' q and a = R[:, 2] / z (the optical
+    axis over the depth), the pinhole curvature and the rho'' term are one
+    symmetric 3x3 per factor, X = a psi^T + psi a^T + 2 rho'' q q^T. X enters
+    the blocks as M does in ``linearize``, and the curvature of the camera
+    point adds T2 = sym(psi p^T) - (psi . p) I and [psi]x: Hll += X,
+    Hpl += [-PX - [psi]x; -X] and the pose block
+    += [[-PXP - T2, PX + [psi]x / 2], [., X]].
     """
     out = copy.copy(sys_)
     out.Hpp = sys_.Hpp.copy()
     out.Hpl = sys_.Hpl.copy()
 
-    # stacked matmuls round like the per-factor matrix products they replace
-    rec = sys_.rec_factor
-    e = sys_.residuals
-    ie = _matvec(problem.info_stack[rec], e)
-    kap = sys_.weights[:, None] * ie
-    c = sys_.rec_campoint
-    p = sys_.rec_point
-    focal = problem.intrinsics_table[sys_.rec_frame, :2]
-    Rt = np.swapaxes(sys_.rec_rot, 1, 2)
-    iz = 1.0 / c[:, 2]
-    # second derivative of the pinhole map, contracted with kappa
-    G = np.zeros((len(rec), 3, 3))
-    G[:, 0, 2] = G[:, 2, 0] = -focal[:, 0] * kap[:, 0] * iz * iz
-    G[:, 1, 2] = G[:, 2, 1] = -focal[:, 1] * kap[:, 1] * iz * iz
-    G[:, 2, 2] = 2.0 * (focal[:, 0] * c[:, 0] * kap[:, 0]
-                        + focal[:, 1] * c[:, 1] * kap[:, 1]) * iz ** 3
-    # d cam-point / d (w, v, p)
-    Dc = np.concatenate([Rt @ _so3_hat_many(p), -Rt, Rt], axis=2)
-    T = np.swapaxes(Dc, 1, 2) @ G @ Dc
-    # second derivative of the camera point, contracted with
-    # psi = R dh^T kappa = -Jl^T kappa
-    psi = -_matvec(np.swapaxes(sys_.rec_Jl, 1, 2), kap)
-    hat_psi = _so3_hat_many(psi)
-    outer = psi[:, :, None] * p[:, None, :]
-    T2 = np.zeros((len(rec), 9, 9))
-    T2[:, :3, :3] = (0.5 * (outer + np.swapaxes(outer, 1, 2))
-                     - (psi[:, None, :] @ p[:, :, None]) * np.eye(3))
-    T2[:, :3, 3:6] = -0.5 * hat_psi
-    T2[:, 3:6, :3] = -0.5 * np.swapaxes(hat_psi, 1, 2)
-    T2[:, :3, 6:] = hat_psi
-    T2[:, 6:, :3] = np.swapaxes(hat_psi, 1, 2)
-    C9 = -(T + T2)
-    # rho'' rank-one term on the Huber outlier branch
-    outl = np.flatnonzero(sys_.rec_curvature)
-    if len(outl):
-        J = np.concatenate([sys_.rec_Jp[outl], sys_.rec_Jl[outl]], axis=2)
-        u9 = _matvec(np.swapaxes(J, 1, 2), ie[outl])
-        C9[outl] += ((2.0 * sys_.rec_curvature[outl])[:, None, None]
-                     * (u9[:, :, None] * u9[:, None, :]))
-    add_blocks(out, sys_.rec_pose_slot, sys_.rec_lm_slot,
-               C9[:, :6, :6], C9[:, 6:, 6:], C9[:, :6, 6:])
+    # factor-last, as in linearize
+    At, et, pt, a = sys_.rec_A.T, sys_.residuals.T, sys_.rec_point.T, sys_.rec_axis.T
+    info = problem.info_stack[sys_.rec_factor].transpose(1, 2, 0)
+    ie = info[:, 0] * et[0] + info[:, 1] * et[1]
+    q = At[:, 0] * ie[0] + At[:, 1] * ie[1]
+    psi = sys_.weights * q
+    X = a[:, None] * psi + psi[:, None] * a + (2.0 * sys_.rec_curvature * q)[:, None] * q
+    X9, PX = X.reshape(9, -1), _hat_times(pt, X).reshape(9, -1)
+    hat_psi = _hat(psi)
+    outer = psi[:, None] * pt
+    T2 = (0.5 * (outer + outer.swapaxes(0, 1))).reshape(9, -1)
+    T2[[0, 4, 8]] -= psi[0] * pt[0] + psi[1] * pt[1] + psi[2] * pt[2]
+
+    # summed by upper triangles, as linearize sums M
+    lay = sys_.layout
+    n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
+    ps, ls = sys_.rec_pose_slot, sys_.rec_lm_slot
+    X6 = X9[_UPPER]
+    PXP = _hat_times(pt, PX.reshape(3, 3, -1).swapaxes(0, 1)).reshape(9, -1)  # -P X P
+    per_pose = _bin_sums(np.where(ps < 0, n_p, ps), n_p,
+                         np.concatenate([(PXP - T2)[_UPPER], PX + 0.5 * hat_psi, X6]))
+    d = np.arange(n_p)
+    out.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] += per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
+    per_lm = _bin_sums(np.where(ls < 0, n_l, ls), n_l, X6)
+    out.Hll = sys_.Hll + per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
+    _add_pair_blocks(out.Hpl, ps, ls,
+                     -np.concatenate([PX + hat_psi, X9]).reshape(6, 3, -1).transpose(2, 0, 1))
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior

@@ -26,7 +26,7 @@ from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, project,
                              quat_to_matrix, so3_hat)
 from gradba.initializer import RAY_PARALLEL_EPS, normalize_bearings
 from gradba.problem import DescriptorFieldModel, TrackBiasModel, softargmax
-from gradba.solver import (LinearizedSystem, SystemLayout, _so3_hat_many,
+from gradba.solver import (LinearizedSystem, SystemLayout,
                            _translation_curvature, apply_step)
 
 
@@ -205,7 +205,7 @@ def loop_linearize(problem, state, theta):
     e_all = np.zeros((nf, 2))
     Jp_all = np.zeros((nf, 2, 6))
     Jl_all = np.zeros((nf, 2, 3))
-    cam_all = np.zeros((nf, 3))
+    axis_all = np.zeros((nf, 3))
     active = np.zeros(nf, dtype=bool)
     for i, idx in _by_frame(problem).items():
         pose = state.poses[i]
@@ -217,7 +217,6 @@ def loop_linearize(problem, state, theta):
             continue
         sub = idx[ok]
         csub = c[ok]
-        cam_all[sub] = csub
         iz = 1.0 / csub[:, 2]
         dh_dc = np.zeros((len(sub), 2, 3))
         dh_dc[:, 0, 0] = intr.fx * iz
@@ -225,10 +224,11 @@ def loop_linearize(problem, state, theta):
         dh_dc[:, 1, 1] = intr.fy * iz
         dh_dc[:, 1, 2] = -intr.fy * csub[:, 1] * iz * iz
         Rt = quat_to_matrix(pose.q).T
+        axis_all[sub] = Rt[2] * iz[:, None]
         dh_dc_Rt = dh_dc @ Rt
         Jl = -dh_dc_Rt
         Jp = np.empty((len(sub), 2, 6))
-        Jp[:, :, :3] = -np.einsum("kab,kbc->kac", dh_dc_Rt, _so3_hat_many(pts[ok]))
+        Jp[:, :, :3] = -np.einsum("kab,kbc->kac", dh_dc_Rt, _hat_many(pts[ok]))
         Jp[:, :, 3:] = -Jl
         active[sub] = True
         e_all[sub] = preds[sub] - pix[ok]
@@ -262,11 +262,11 @@ def loop_linearize(problem, state, theta):
     sys_.rec_frame = problem.frame_idx[sel]
     sys_.rec_pose_slot = pose_slot
     sys_.rec_lm_slot = lm_slot
-    sys_.rec_Jp = Jp
-    sys_.rec_Jl = Jl
+    sys_.rec_A = -Jl
+    sys_.rec_axis = axis_all[sel]
     sys_.rec_W = W
     sys_.rec_point = state.landmarks[problem.lm_idx[sel]]
-    sys_.rec_campoint = cam_all[sel]
+    sys_.Jp, sys_.Jl = Jp, Jl  # the residual jacobian rows, kept for reference
     sys_.residuals = e
     sys_.weights = w
 
@@ -290,25 +290,35 @@ def _hat3(v):
                      [-v[1], v[0], 0.0]])
 
 
-def loop_exact_hessian(problem, state, theta, sys_):
-    """Exact-Hessian copy of ``sys_``, one 9x9 correction block per factor."""
+def _hat_many(v):
+    """The hat matrices of stacked v (k, 3), (k, 3, 3)."""
+    return np.array([_hat3(vk) for vk in v]).reshape(-1, 3, 3)
+
+
+def loop_exact_hessian(problem, state, sys_):
+    """Exact-Hessian copy of ``sys_``, one 9x9 correction block per factor.
+
+    The camera point and the jacobian rows of each factor are computed here
+    from the state; ``sys_`` gives only the active factors, their slots,
+    residuals and robust weights."""
     out = copy.copy(sys_)
     out.Hpp = sys_.Hpp.copy()
     out.Hll = sys_.Hll.copy()
     out.Hpl = sys_.Hpl.copy()
     pslot, _ = slot_maps(state)
 
-    R_of = {i: quat_to_matrix(state.poses[i].q) for i in np.unique(sys_.rec_frame)}
     hub_delta = huber_deltas(problem)[sys_.rec_factor]
     for k in range(len(sys_.rec_factor)):
         e = sys_.residuals[k]
         info = problem.info_stack[sys_.rec_factor[k]]
         w = sys_.weights[k]
         kap = w * (info @ e)
-        c = sys_.rec_campoint[k]
-        p = sys_.rec_point[k]
-        intr = problem.intrinsics[int(sys_.rec_frame[k])]
-        R = R_of[int(sys_.rec_frame[k])]
+        frame = int(sys_.rec_frame[k])
+        pose = state.poses[frame]
+        p = state.landmarks[problem.lm_idx[sys_.rec_factor[k]]]
+        intr = problem.intrinsics[frame]
+        R = quat_to_matrix(pose.q)
+        c = R.T @ (p - pose.t)
         X, Y, Z = c
         iz = 1.0 / Z
         dh_dc = np.array([[intr.fx * iz, 0.0, -intr.fx * X * iz * iz],
@@ -331,8 +341,9 @@ def loop_exact_hessian(problem, state, theta, sys_):
         s = float(e @ info @ e)
         if s > hub_delta[k] ** 2:
             rho2 = -hub_delta[k] / (2.0 * s ** 1.5)
-            u9 = np.concatenate([sys_.rec_Jp[k].T @ (info @ e),
-                                 sys_.rec_Jl[k].T @ (info @ e)])
+            A = dh_dc @ R.T
+            Jp, Jl = np.hstack([-A @ _hat3(p), A]), -A
+            u9 = np.concatenate([Jp.T @ (info @ e), Jl.T @ (info @ e)])
             C9 += 2.0 * rho2 * np.outer(u9, u9)
         ps, ls = sys_.rec_pose_slot[k], sys_.rec_lm_slot[k]
         if ps >= 0:

@@ -319,7 +319,7 @@ class TestExactHessian:
             prob, x0, *_ = build_ba_problem(12, n_cams=3, n_lms=10, sigma=1.0,
                                             kernel=kernel)
             sys_ = linearize(prob, x0)
-            hsys = exact_hessian_system(prob, x0, prob.theta0(), sys_)
+            hsys = exact_hessian_system(prob, x0, sys_)
             Ha = hsys.dense_hessian()
             lay = sys_.layout
             h = 1e-6
