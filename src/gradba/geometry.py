@@ -10,6 +10,9 @@ Conventions, fixed once for the whole package:
 - The retraction is left-multiplicative: ``retract(T, d) = se3_exp(d) * T``,
   exact for all tangent magnitudes; all pose jacobians are taken with respect
   to this tangent at zero.
+- ``pinhole`` is the one world -> camera -> pixel map: the solver's factors,
+  the scene generator, the initializer and ``project`` all call it, so a
+  point projects to the same bits on every path.
 """
 
 from __future__ import annotations
@@ -255,29 +258,37 @@ class CameraIntrinsics:
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 
+    def row(self):
+        """``[fx, fy, cx, cy]``, the intrinsics row of ``pinhole``."""
+        return np.array([self.fx, self.fy, self.cx, self.cy])
+
     def matrix(self):
         return np.array([[self.fx, 0.0, self.cx],
                          [0.0, self.fy, self.cy],
                          [0.0, 0.0, 1.0]])
 
 
-def camera_point(pose, point):
-    """World point in the camera frame (applies the pose inverse).
-
-    Uses the same matrix arithmetic as ``problem.project_factors`` so scalar
-    and batched evaluations of the same point agree bitwise.
-    """
-    return (np.asarray(point, dtype=float) - pose.t) @ quat_to_matrix(pose.q)
+def pinhole(rot, t, intrinsics, points):
+    """Pixels (..., 2), camera points c = (X - t) R (..., 3) and in-front mask
+    c_z > DEPTH_EPS (...) of world points X (..., 3), broadcast against
+    world-from-camera rotations (..., 3, 3), translations (..., 3) and
+    ``[fx, fy, cx, cy]`` rows (..., 4). Each row is its own 1x3 by 3x3 product
+    with pixel f c (1 / c_z) + c0, so it rounds alike alone or in any batch.
+    Behind the camera the pixel is whatever the division gives."""
+    points = np.asarray(points, dtype=float)
+    intrinsics = np.asarray(intrinsics, dtype=float)
+    c = np.matmul((points - t)[..., None, :], rot)[..., 0, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pix = intrinsics[..., :2] * c[..., :2] * (1.0 / c[..., 2:]) + intrinsics[..., 2:]
+    return pix, c, c[..., 2] > DEPTH_EPS
 
 
 def project(pose, intr, point):
     """Pinhole projection of a world point; raises behind the camera."""
-    c = camera_point(pose, point)
+    pix, c, _ = pinhole(pose.rotation_matrix(), pose.t, intr.row(), point)
     if c[2] <= DEPTH_EPS:
         raise CheiralityViolation(f"depth {c[2]:.3e} <= {DEPTH_EPS}")
-    iz = 1.0 / c[2]
-    return np.array([intr.fx * c[0] * iz + intr.cx,
-                     intr.fy * c[1] * iz + intr.cy])
+    return pix
 
 
 def projection_jacobians(pose, intr, point):
@@ -288,7 +299,7 @@ def projection_jacobians(pose, intr, point):
     exactly -J_point.
     """
     point = np.asarray(point, dtype=float)
-    c = camera_point(pose, point)
+    _, c, _ = pinhole(pose.rotation_matrix(), pose.t, intr.row(), point)
     if c[2] <= DEPTH_EPS:
         raise CheiralityViolation(f"depth {c[2]:.3e} <= {DEPTH_EPS}")
     iz = 1.0 / c[2]

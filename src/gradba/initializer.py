@@ -10,8 +10,9 @@ re-triangulation / fusion sweep against the anchor frame.
 pose pair at once and flag failed pairs instead of raising: one call per
 candidate frame, one for the anchor-terminal pair and one per PnP frame.
 
-The resulting state is gauge-normalized: the anchor pose is the identity and
-the anchor-to-terminal baseline has unit length.
+Pixels, depths and reprojection errors come from ``geometry.pinhole``, as the
+solver's do. The resulting state is gauge-normalized: the anchor pose is the
+identity and the anchor-to-terminal baseline has unit length.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import numpy as np
 from . import fivepoint
 from .errors import (DegenerateGeometry, Diverged, InitializationFailed,
                      NoValidTerminal, TooFewCorrespondences, TooFewPoints)
-from .geometry import (DEPTH_EPS, CameraIntrinsics, Pose, quat_from_matrix,
-                       quat_to_rotvec, quat_mul, quat_conj)
+from .geometry import (CameraIntrinsics, Pose, pinhole, quat_from_matrix,
+                       quat_to_matrix_many, quat_to_rotvec, quat_mul, quat_conj)
 from .problem import Problem, StateVector, StaticModel
 from .solver import SolverSettings, optimize
 
 RAY_PARALLEL_EPS = 1e-6  # rad
+UNIT_INTRINSICS = np.array([1.0, 1.0, 0.0, 0.0])  # for depths, which need none
 
 
 @dataclass
@@ -228,8 +230,8 @@ def estimate_relative_pose(bearings_anchor, bearings_terminal, cfg,
 
 
 def _depth(pose, points):
-    """Depth of world points in the camera of ``pose``."""
-    return (points - pose.t) @ pose.rotation_matrix()[:, 2]
+    """Depth of world points in the camera of ``pose``, by ``pinhole``."""
+    return pinhole(pose.rotation_matrix(), pose.t, UNIT_INTRINSICS, points)[1][:, 2]
 
 
 def triangulate(p0, p1, pose0, pose1, K):
@@ -300,8 +302,9 @@ def sigma_obs_from_reproj(p0, p1, pose0, pose1, K, sigma_pix):
     q0 = normalize_bearings(p0, K)
     unit, z0 = q0 / q0[:, 2:], _depth(pose0, X)
     R0 = pose0.rotation_matrix()
-    u_near, near = _pixels(pose1, (unit * (0.95 * z0)[:, None]) @ R0.T + pose0.t, intr)
-    u_far, far = _pixels(pose1, (unit * (1.05 * z0)[:, None]) @ R0.T + pose0.t, intr)
+    R1 = pose1.rotation_matrix()
+    u_near, near = _pixels(R1, pose1.t, intr, (unit * (0.95 * z0)[:, None]) @ R0.T + pose0.t)
+    u_far, far = _pixels(R1, pose1.t, intr, (unit * (1.05 * z0)[:, None]) @ R0.T + pose0.t)
     d = u_far - u_near
     nd = np.linalg.norm(d, axis=1)
     ok &= near & far & (nd >= 1e-12)
@@ -382,20 +385,18 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
     return pose
 
 
-def _pixels(pose, points, intr):
-    """Pixels (n, 2) of world points seen from one pose, and whether each
-    lies in front (depth > DEPTH_EPS); a point behind gets a NaN pixel."""
-    c = (points - pose.t) @ pose.rotation_matrix()
-    front = c[:, 2] > DEPTH_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.array([intr.fx, intr.fy]) * c[:, :2] / c[:, 2:] + [intr.cx, intr.cy]
+def _pixels(rot, t, intr, points):
+    """Pixels (n, 2) of world points by ``pinhole``, from one pose or one pose
+    per point, and whether each lies in front (depth > DEPTH_EPS); a point
+    behind gets a NaN pixel."""
+    uv, _, front = pinhole(rot, t, intr.row(), points)
     return np.where(front[:, None], uv, np.nan), front
 
 
 def reprojection_errors(pose, points, pixels, intr):
     """Pixel error of each point seen from one pose, in one batch. A point
     behind the camera (depth <= DEPTH_EPS) counts as infinitely far off."""
-    uv, front = _pixels(pose, points, intr)
+    uv, front = _pixels(pose.rotation_matrix(), pose.t, intr, points)
     return np.where(front, np.linalg.norm(uv - pixels, axis=1), np.inf)
 
 
@@ -410,22 +411,26 @@ class InitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _observed(poses, track_ids, points, observations, intr):
+    """``_pixels`` of every (frame, track) key of ``observations``, in order,
+    in one call, and the row of each key's track in ``track_ids``/``points``."""
+    index = {t: k for k, t in enumerate(track_ids)}
+    frames = np.array([f for f, _ in observations], dtype=int)
+    rows = np.array([index[t] for _, t in observations], dtype=int)
+    uv, front = _pixels(quat_to_matrix_many([p.q for p in poses])[frames],
+                        np.array([p.t for p in poses])[frames], intr, points[rows])
+    return uv, front, rows
+
+
 def mean_reprojection_error(state, K, track_ids, observations):
     """Mean pixel error of the (frame, track) -> pixel observations at the
-    state, one batch per frame."""
+    state, in one batch; a point behind its camera counts as infinitely off."""
     if not observations:
         return np.inf
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
-    index = {t: k for k, t in enumerate(track_ids)}
-    frames = np.array([f for f, _ in observations])
-    rows = np.array([index[t] for _, t in observations])
+    uv, front, _ = _observed(state.poses, track_ids, state.landmarks, observations, intr)
     pixels = np.array(list(observations.values()))
-    errs = np.empty(len(frames))
-    for f in np.unique(frames):
-        at = frames == f
-        errs[at] = reprojection_errors(state.poses[f], state.landmarks[rows[at]],
-                                       pixels[at], intr)
-    return float(np.mean(errs))
+    return float(np.mean(np.where(front, np.linalg.norm(uv - pixels, axis=1), np.inf)))
 
 
 def run_initialization(window, K, cfg=None, ransac_cfg=None,
@@ -569,17 +574,13 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
 
     # --- final track filtering and state assembly --------------------------
     # a track keeps the frames that see its landmark in front, if two or more
-    axes = np.array([poses[f].rotation_matrix()[:, 2] for f in range(T)])
-    centres = np.array([poses[f].t for f in range(T)])
     track_ids = sorted(landmarks)
     positions = landmarks_from_depth(track_ids)
-    kept = []
-    for tr, pos in zip(track_ids, positions):
-        frames = np.array([f for f in range(T) if (f, tr) in observations])
-        front = np.vecdot(pos - centres[frames], axes[frames]) > 0
-        kept.append(front.sum() >= 2)
-        for f in (frames[~front] if kept[-1] else frames).tolist():
-            observations.pop((f, tr))
+    _, front, rows = _observed([poses[f] for f in range(T)], track_ids, positions,
+                               observations, intr)
+    kept = np.bincount(rows[front], minlength=len(track_ids)) >= 2
+    for key in compress(list(observations), ~(front & kept[rows])):
+        observations.pop(key)
     track_ids = list(compress(track_ids, kept))
     if not track_ids:
         raise InitializationFailed("filtering", "no track observed in 2+ frames")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import temporal
 from .errors import DimensionMismatch
-from .geometry import DEPTH_EPS, CameraIntrinsics, quat_to_matrix_many, so3_hat
+from .geometry import CameraIntrinsics, pinhole, quat_to_matrix_many, so3_hat
 
 DEFAULT_HUBER_DELTA = 2.0  # pixels
 
@@ -420,9 +420,7 @@ class Problem:
         self.temporal_terms = temporal_terms
         self.scale_prior = scale_prior
         self.validate()
-        # fx, fy, cx, cy of every camera
-        self.intrinsics_table = np.array([[c.fx, c.fy, c.cx, c.cy]
-                                          for c in self.intrinsics]).reshape(-1, 4)
+        self.intrinsics_table = np.array([c.row() for c in self.intrinsics]).reshape(-1, 4)
 
     def validate(self):
         n, m = self.state.n_poses, self.state.n_landmarks
@@ -459,7 +457,7 @@ def _information(covs, nf):
 
 
 def project_factors(problem, state):
-    """Pinhole projection of every factor's landmark in one batch.
+    """Every factor's landmark through ``geometry.pinhole`` in one batch.
 
     Returns (pixels (nf, 2), camera-frame points (nf, 3), world-from-camera
     rotations of the observing poses (nf, 3, 3), active mask). A factor whose
@@ -468,15 +466,9 @@ def project_factors(problem, state):
     """
     rot = quat_to_matrix_many([p.q for p in state.poses])[problem.frame_idx]
     t = np.array([p.t for p in state.poses]).reshape(-1, 3)[problem.frame_idx]
-    d = state.landmarks[problem.lm_idx] - t
-    # d @ R per factor: the rounding of geometry.camera_point, bit for bit
-    c = np.matmul(d[:, None, :], rot)[:, 0]
-    active = c[:, 2] > DEPTH_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iz = np.where(active, 1.0 / c[:, 2], 0.0)
-    intr = problem.intrinsics_table[problem.frame_idx]
-    pix = intr[:, :2] * c[:, :2] * iz[:, None] + intr[:, 2:]
-    return pix, c, rot, active
+    pix, c, active = pinhole(rot, t, problem.intrinsics_table[problem.frame_idx],
+                             state.landmarks[problem.lm_idx])
+    return np.where(active[:, None], pix, 0.0), c, rot, active
 
 
 @dataclass

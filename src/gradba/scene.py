@@ -8,7 +8,8 @@ write -> read -> write is byte-identical.
 
 All randomness flows through counter-based Philox generators seeded per
 operation, which keeps generated scenes bit-identical across runs and
-platforms.
+platforms. Pixel noise is drawn on arrays and written to new observation
+records, so ``inject_noise`` leaves its input scene alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConfig, SceneFormatError
-from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, project, quat_conj,
+from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, pinhole, project, quat_conj,
                        quat_from_matrix, quat_rotate_many, quat_to_matrix_many)
 from .problem import (DescriptorFieldModel, Problem, ScalePrior, StateVector,
                       StaticModel, TemporalAttachment, TemporalObservation,
@@ -139,17 +140,12 @@ def generate_scene(cfg):
             seen.append(vis)
             attempts = 0
 
-    # every visible (pose, landmark) pair, pose-major, projected with the
-    # rounding of geometry.project
+    # every visible (pose, landmark) pair, pose-major
     frame, track = np.nonzero(np.array(seen).T)
-    d = np.array(landmarks)[track] - centres[frame]
-    rot = quat_to_matrix_many([P.q for P in poses])[frame]
-    c = np.matmul(d[:, None, :], rot)[:, 0]
-    iz = 1.0 / c[:, 2]
-    u = intr.fx * c[:, 0] * iz + intr.cx
-    v = intr.fy * c[:, 1] * iz + intr.cy
-    observations = [{"frame": i, "track": j, "u": a, "v": b} for i, j, a, b in
-                    zip(frame.tolist(), track.tolist(), u.tolist(), v.tolist())]
+    pix, _, _ = pinhole(quat_to_matrix_many([P.q for P in poses])[frame],
+                        centres[frame], intr.row(), np.array(landmarks)[track])
+    observations = [{"frame": i, "track": j, "u": u, "v": v} for i, j, (u, v) in
+                    zip(frame.tolist(), track.tolist(), pix.tolist())]
 
     scene = {
         "version": SCENE_VERSION,
@@ -170,27 +166,26 @@ def generate_scene(cfg):
 
 
 def inject_noise(scene, sigma_pix, outlier_ratio, outlier_mag, seed):
-    """Gaussian pixel noise plus uniformly-directed outlier offsets.
+    """Gaussian pixel noise plus uniformly-directed outlier offsets, drawn
+    as arrays: an (n, 2) noise block, then the outlier positions and angles.
 
-    Outlier indices (positions in the observation list) are recorded in the
-    returned scene for test oracles; ground truth is untouched.
+    Returns a new scene with new observation records and every other section
+    shared with ``scene``, which is not modified. Outlier indices (positions
+    in the observation list) are recorded for test oracles.
     """
-    out = json.loads(json.dumps(scene, sort_keys=True))
-    obs = out["observations"]
+    obs = scene["observations"]
+    uv = np.array([(o["u"], o["v"]) for o in obs], dtype=float).reshape(-1, 2)
     rng = np.random.Generator(np.random.Philox(key=seed))
     if sigma_pix > 0:
-        noise = rng.normal(scale=sigma_pix, size=(len(obs), 2))
-        for o, (du, dv) in zip(obs, noise):
-            o["u"] = float(o["u"] + du)
-            o["v"] = float(o["v"] + dv)
+        uv += rng.normal(scale=sigma_pix, size=(len(obs), 2))
     n_out = int(round(outlier_ratio * len(obs)))
-    chosen = sorted(rng.choice(len(obs), size=n_out, replace=False).tolist()) \
-        if n_out else []
-    for k in chosen:
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        obs[k]["u"] = float(obs[k]["u"] + outlier_mag * np.cos(ang))
-        obs[k]["v"] = float(obs[k]["v"] + outlier_mag * np.sin(ang))
-    out["outlier_indices"] = sorted(set(out.get("outlier_indices", [])) | set(chosen))
+    chosen = np.sort(rng.choice(len(obs), size=n_out, replace=False))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=n_out)
+    uv[chosen] += outlier_mag * np.column_stack([np.cos(ang), np.sin(ang)])
+    out = dict(scene)
+    out["observations"] = [{**o, "u": u, "v": v} for o, (u, v) in zip(obs, uv.tolist())]
+    out["outlier_indices"] = sorted(set(scene.get("outlier_indices", []))
+                                    | set(chosen.tolist()))
     return out
 
 

@@ -1,4 +1,5 @@
-"""Property tests: the analytic pose-loss gradient, the batched
+"""Property tests: the pinhole kernel's batches against its one-row calls
+and its depth boundary, the analytic pose-loss gradient, the batched
 vector-jacobian products, the problem table of ``build_problem``, the
 solver's segment sums, the Schur solve and the initializer's batched
 two-view geometry against their references on generated inputs, and the
@@ -16,10 +17,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gradba import scene as scn  # noqa: E402
-from gradba.geometry import Pose, se3_exp, se3_log, se3_retract  # noqa: E402
+from gradba.errors import CheiralityViolation  # noqa: E402
+from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, pinhole,  # noqa: E402
+                             project, se3_exp, se3_log, se3_retract)
 from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
 from gradba.initializer import (_cheirality_depths, normalize_bearings,  # noqa: E402
-                                sigma_obs_from_reproj, triangulate)
+                                reprojection_errors, sigma_obs_from_reproj,
+                                triangulate)
 from gradba.problem import (DescriptorFieldModel, RobustKernel,  # noqa: E402
                             StateVector, StaticModel, TrackBiasModel)
 from gradba.solver import (LinearizedSystem, SystemLayout, lm_step,  # noqa: E402
@@ -37,6 +41,69 @@ SCHUR_RTOL = 1e-9
 COND_TOL = 1e4 * np.finfo(float).eps
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None,
                     database=None)
+
+
+# camera depths on and around the in-front boundary, behind and far in front
+BOUNDARY_DEPTHS = [DEPTH_EPS, np.nextafter(DEPTH_EPS, 0.0), np.nextafter(DEPTH_EPS, 1.0),
+                   0.0, -0.0, -DEPTH_EPS, -3.0, 1e-3, 40.0]
+
+
+def _kernel_rows(seed, n, identity):
+    """n poses, intrinsics rows and world points whose camera depths mix
+    BOUNDARY_DEPTHS with random ones. Under the identity pose the camera
+    point is the world point, so each depth is exact."""
+    rng = np.random.default_rng(seed)
+    poses = [Pose() if identity else se3_exp(rng.normal(size=6)) for _ in range(n)]
+    intr = np.column_stack([rng.uniform(50.0, 900.0, (n, 2)), rng.uniform(-50.0, 700.0, (n, 2))])
+    depth = np.where(rng.random(n) < 0.5, rng.choice(BOUNDARY_DEPTHS, n), rng.uniform(-5.0, 20.0, n))
+    cam = np.column_stack([rng.normal(size=(n, 2)), depth])
+    pts = np.array([cam[i] if identity else p.apply(cam[i]) for i, p in enumerate(poses)])
+    return poses, intr, pts.reshape(-1, 3), depth
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 24), identity=st.booleans())
+def test_pinhole_batch_equals_one_row_calls(seed, n, identity):
+    """An n-row call, with one pose per row or one pose for all, returns the
+    bits of n one-row calls."""
+    poses, intr, pts, _ = _kernel_rows(seed, n, identity)
+    rot = np.array([p.rotation_matrix() for p in poses])
+    t = np.array([p.t for p in poses])
+    batch = pinhole(rot, t, intr, pts)
+    shared = pinhole(rot[0], t[0], intr[0], pts)
+    for i in range(n):
+        assert _bits(*pinhole(rot[i], t[i], intr[i], pts[i])) == _bits(*(a[i] for a in batch))
+        assert _bits(*pinhole(rot[0], t[0], intr[0], pts[i])) == _bits(*(a[i] for a in shared))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 24), identity=st.booleans())
+def test_pinhole_front_project_and_errors_agree_on_depth(seed, n, identity):
+    """``front`` is False exactly where the camera depth is <= DEPTH_EPS (the
+    drawn depth itself under the identity pose); ``project`` raises and
+    ``reprojection_errors`` is inf exactly there, and elsewhere both give the
+    kernel's pixel."""
+    poses, intr, pts, depth = _kernel_rows(seed, n, identity)
+    for pose, row, X, z in zip(poses, intr, pts, depth):
+        pix, c, front = pinhole(pose.rotation_matrix(), pose.t, row, X)
+        assert front == (c[2] > DEPTH_EPS)
+        if identity:
+            assert c[2] == z and front == (z > DEPTH_EPS)
+        K = CameraIntrinsics(*row)
+        err = reprojection_errors(pose, X[None], np.zeros((1, 2)), K)[0]
+        if front:
+            assert _bits(project(pose, K, X)) == _bits(pix)
+            assert err == np.linalg.norm(pix[None], axis=1)[0]
+        else:
+            with pytest.raises(CheiralityViolation):
+                project(pose, K, X)
+            assert err == np.inf
 
 
 @PROPERTY

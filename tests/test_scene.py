@@ -110,6 +110,18 @@ class TestInjectNoise:
         b = inject_noise(scene, 1.0, 0.2, 15.0, seed=9)
         assert dumps_scene(a) == dumps_scene(b)
 
+    def test_input_untouched(self):
+        """The input scene keeps its bytes, and edits of the output's
+        observations do not reach it."""
+        scene = generate_scene(SyntheticSceneConfig(seed=13))
+        before = dumps_scene(scene)
+        out = inject_noise(scene, 1.5, 0.2, 20.0, seed=14)
+        assert dumps_scene(scene) == before
+        out["observations"][0]["u"] = -1.0
+        out["observations"].append(dict(out["observations"][1]))
+        out["outlier_indices"].append(len(scene["observations"]))
+        assert dumps_scene(scene) == before
+
     def test_ground_truth_untouched(self):
         scene = generate_scene(SyntheticSceneConfig(seed=10))
         out = inject_noise(scene, 2.0, 0.3, 25.0, seed=11)
