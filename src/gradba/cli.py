@@ -121,8 +121,8 @@ def cmd_init(args):
     rcfg = _section(config, "ransac", RansacConfig)
     result = run_initialization(window, K, wcfg, rcfg)
     scn.save_state(result.state, result.track_ids, args.out_state)
-    recs = trj.records_from_poses(result.state.poses, scn.timestamps(scene))
-    trj.write_tum(recs, args.out_traj)
+    trj.write_tum(trj.records_from_poses(result.state.poses, scn.timestamps(scene)),
+                  args.out_traj)
     print(f"init: terminal frame {result.terminal_index}, "
           f"{len(result.track_ids)} tracks, mean reprojection "
           f"{result.diagnostics['mean_reprojection_px']:.4f} px")
@@ -136,18 +136,9 @@ def cmd_solve(args):
     problem = scn.build_problem(scene, model="static", kernel=_kernel(config),
                                 state=state, track_ids=track_ids)
     solved, report = optimize(problem, state, settings=_settings(config))
-    recs = trj.records_from_poses(solved.poses, scn.timestamps(scene))
-    trj.write_tum(recs, args.out_traj)
-    payload = {
-        "iterations": report.iterations,
-        "final_energy": report.final_energy,
-        "energies": report.energies,
-        "final_gradient_norm": report.final_gradient_norm,
-        "termination": report.termination,
-        "inactive_factors": report.inactive_factors,
-    }
+    trj.write_tum(trj.records_from_poses(solved.poses, scn.timestamps(scene)), args.out_traj)
     if args.report:
-        _write_json(payload, args.report)
+        _write_json(dataclasses.asdict(report), args.report)
     print(f"solve: {report.termination} after {report.iterations} iterations, "
           f"energy {report.final_energy:.6g}")
     return 0
@@ -224,17 +215,16 @@ def cmd_temporal_loss(args):
 def cmd_eval(args):
     est = trj.read_tum(args.est)
     gt = trj.read_tum(args.gt)
-    alignment = {"rigid": "rigid", "sim": "sim"}[args.align]
     payload = {
-        "ate": trj.compute_ate(est, gt, alignment),
-        "are_deg": trj.compute_are(est, gt, alignment),
-        "alignment": alignment,
+        "ate": trj.compute_ate(est, gt, args.align),
+        "are_deg": trj.compute_are(est, gt, args.align),
+        "alignment": args.align,
         "n_frames": len(est),
     }
     if args.report:
         _write_json(payload, args.report)
     print(f"eval: ate={payload['ate']:.6g} are_deg={payload['are_deg']:.6g} "
-          f"({alignment} alignment, {len(est)} frames)")
+          f"({args.align} alignment, {len(est)} frames)")
     return 0
 
 

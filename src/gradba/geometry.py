@@ -4,7 +4,11 @@ Conventions, fixed once for the whole package:
 
 - A ``Pose`` stores the world-from-camera transform: ``x_world = R x_cam + t``
   (same convention as TUM trajectory files, which store body-in-world).
-- Quaternions are ``[w, x, y, z]`` and are renormalized after every operation.
+- Quaternions are ``[w, x, y, z]``, normalized when built from outside values
+  (``Pose(q)``, a ``StateVector`` of poses) and after each retraction, never
+  elsewhere: a copy keeps every bit (``q / |q|`` can move a unit q's last bit).
+- The quaternion and SO(3) helpers broadcast over leading axes, and each row
+  rounds as it does alone; ``retract`` moves many poses in one call.
 - Tangent vectors are 6-vectors ``[omega, v]``: rotation part first (axis-angle,
   radians), translation part second (scene units).
 - The retraction is left-multiplicative: ``retract(T, d) = se3_exp(d) * T``,
@@ -27,108 +31,126 @@ DEPTH_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# quaternion helpers ([w, x, y, z])
+# quaternion and SO(3) helpers ([w, x, y, z]), broadcast over leading axes
 # ---------------------------------------------------------------------------
 
+def _split(a):
+    """The entries of a's last axis: floats for a single row (cheaper than
+    arrays, and rounded alike), arrays otherwise."""
+    return a.tolist() if a.ndim == 1 else [a[..., k] for k in range(a.shape[-1])]
+
+
+def _join(shape, parts):
+    """``parts`` (arrays or scalars) broadcast to ``shape``, as a new last axis."""
+    if not shape:
+        return np.array(parts)
+    out = np.empty((*shape, len(parts)))
+    for k, part in enumerate(parts):
+        out[..., k] = part
+    return out
+
+
+def _away_from(small, x):
+    """x with its ``small`` rows, whose series replaces a closed form, set to 1."""
+    return np.where(small, 1.0, x) if np.count_nonzero(small) else x
+
+
+def cross(a, b):
+    """a x b over the last axis, by components (the bits of ``np.cross``)."""
+    (a0, a1, a2), (b0, b1, b2) = _split(a), _split(b)
+    c0 = a1 * b2 - a2 * b1
+    return _join(np.shape(c0), (c0, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def quat_mul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    (aw, ax, ay, az), (bw, bx, by, bz) = _split(np.asarray(a, float)), _split(np.asarray(b, float))
+    w = aw * bw - ax * bx - ay * by - az * bz
+    return _join(np.shape(w), (w,
+                               aw * bx + ax * bw + ay * bz - az * by,
+                               aw * by - ax * bz + ay * bw + az * bx,
+                               aw * bz + ax * by - ay * bx + az * bw))
 
 
 def quat_conj(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0]
 
 
-def _cross3(a, b):
-    # np.cross has large overhead for single 3-vectors
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def _sqnorm(a):
+    """Squared norms over the last axis, each rounded as ``np.dot`` rounds a
+    lone row: BLAS sums the entries of a strided row in another order."""
+    a = np.ascontiguousarray(a)
+    return np.vecdot(a, a)
+
+
+def normalized(q):
+    """Rows of q over their norms, each rounded as ``q / np.linalg.norm(q)``."""
+    return q / np.sqrt(_sqnorm(q))[..., None]
 
 
 def quat_rotate(q, v):
     # v + 2w (u x v) + 2 u x (u x v), u = vector part
-    u = q[1:]
-    uv = _cross3(u, v)
-    return v + 2.0 * (q[0] * uv + _cross3(u, uv))
-
-
-def quat_rotate_many(q, v):
-    """Rows of v (N, 3) rotated by the rows of (N, 4) quaternions, with the
-    arithmetic of ``quat_rotate`` (``np.cross`` rounds as ``_cross3``)."""
-    uv = np.cross(q[:, 1:], v)
-    return v + 2.0 * (q[:, :1] * uv + np.cross(q[:, 1:], uv))
+    q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
+    u = q[..., 1:]
+    uv = cross(u, v)
+    return v + 2.0 * (q[..., :1] * uv + cross(u, uv))
 
 
 def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def quat_to_matrix_many(q):
-    """Stacked rotation matrices of (N, 4) quaternions, with the arithmetic of
-    ``quat_to_matrix``."""
-    w, x, y, z = np.asarray(q, dtype=float).reshape(-1, 4).T
-    return np.stack([
+    w, x, y, z = _split(np.asarray(q, dtype=float))
+    shape = np.shape(q)[:-1]
+    return _join(shape, (
         1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-    ], axis=-1).reshape(-1, 3, 3)
+    )).reshape(*shape, 3, 3)
 
 
 def quat_from_rotvec(w):
-    theta2 = float(np.dot(w, w))
-    theta = np.sqrt(theta2)
-    if theta < 1e-8:
+    w = np.asarray(w, dtype=float)
+    theta2 = _sqnorm(w)
+    small = np.sqrt(theta2) < 1e-8
+    theta = np.sqrt(_away_from(small, theta2))
+    s, c = np.sin(0.5 * theta) / theta, np.cos(0.5 * theta)
+    if np.count_nonzero(small):
         # sin(t/2)/t = 1/2 - t^2/48 + O(t^4)
-        s = 0.5 - theta2 / 48.0
-        c = 1.0 - theta2 / 8.0
-    else:
-        s = np.sin(0.5 * theta) / theta
-        c = np.cos(0.5 * theta)
-    return np.array([c, s * w[0], s * w[1], s * w[2]])
+        s = np.where(small, 0.5 - theta2 / 48.0, s)
+        c = np.where(small, 1.0 - theta2 / 8.0, c)
+    return _join(np.shape(c), (c, *(s * wk for wk in _split(w))))
 
 
 def quat_to_rotvec(q):
-    if q[0] < 0.0:
-        q = -q
-    u = q[1:]
-    s = float(np.linalg.norm(u))
-    if s < 1e-8:
+    q = np.asarray(q, dtype=float)
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    w, u = q[..., :1], q[..., 1:]
+    s = np.sqrt(_sqnorm(u))[..., None]
+    small = s < 1e-8
+    rotvec = u * (2.0 * np.arctan2(s, w) / _away_from(small, s))
+    if np.count_nonzero(small):
         # theta/sin(theta/2) ~ 2 + s^2/(3 w^2) for small angles
-        return u * (2.0 / q[0]) * (1.0 - s * s / (3.0 * q[0] * q[0]))
-    theta = 2.0 * np.arctan2(s, q[0])
-    return u * (theta / s)
+        rotvec = np.where(small, u * (2.0 / w) * (1.0 - s * s / (3.0 * w * w)), rotvec)
+    return rotvec
 
 
 def so3_hat(w):
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    w0, w1, w2 = _split(np.asarray(w, dtype=float))
+    shape = np.shape(w)[:-1]
+    return _join(shape, (0.0, -w2, w1, w2, 0.0, -w0, -w1, w0, 0.0)).reshape(*shape, 3, 3)
 
 
 def _so3_left_jacobian(w):
     """V(w) with t = V(w) v in the SE(3) exponential."""
-    theta2 = float(np.dot(w, w))
+    theta2 = _sqnorm(w)
+    small = theta2 < 1e-16
+    t2 = _away_from(small, theta2)
+    theta = np.sqrt(t2)
+    a, b = (((1.0 - np.cos(theta)) / t2)[..., None, None],
+            ((theta - np.sin(theta)) / (t2 * theta))[..., None, None])
     W = so3_hat(w)
-    if theta2 < 1e-16:
-        return np.eye(3) + 0.5 * W + W @ W / 6.0
-    theta = np.sqrt(theta2)
-    return (np.eye(3)
-            + W * ((1.0 - np.cos(theta)) / theta2)
-            + W @ W * ((theta - np.sin(theta)) / (theta2 * theta)))
+    WW = W @ W
+    V = np.eye(3) + W * a + WW * b
+    if np.count_nonzero(small):
+        V = np.where(small[..., None, None], np.eye(3) + 0.5 * W + WW / 6.0, V)
+    return V
 
 
 def _so3_left_jacobian_inv(w):
@@ -156,8 +178,11 @@ class Pose:
         self.t = np.zeros(3) if t is None else np.asarray(t, dtype=float).copy()
 
     @staticmethod
-    def identity():
-        return Pose()
+    def of_unit(q, t):
+        """The pose of unit quaternion q and translation t as they are: no copy."""
+        pose = Pose.__new__(Pose)
+        pose.q, pose.t = q, t
+        return pose
 
     def rotation_matrix(self):
         return quat_to_matrix(self.q)
@@ -165,15 +190,12 @@ class Pose:
     def rotate(self, v):
         return quat_rotate(self.q, v)
 
-    def rotate_inv(self, v):
-        return quat_rotate(quat_conj(self.q), v)
-
     def apply(self, p_cam):
         """Map a camera-frame point into world coordinates."""
         return self.rotate(p_cam) + self.t
 
     def world_to_camera(self, p_world):
-        return self.rotate_inv(np.asarray(p_world, dtype=float) - self.t)
+        return quat_rotate(quat_conj(self.q), np.asarray(p_world, dtype=float) - self.t)
 
     def compose(self, other):
         """self * other (apply ``other`` first, then ``self``)."""
@@ -184,7 +206,7 @@ class Pose:
         return Pose(qc, -quat_rotate(qc, self.t))
 
     def copy(self):
-        return Pose(self.q, self.t)
+        return Pose.of_unit(self.q.copy(), self.t.copy())
 
     def __repr__(self):
         return f"Pose(q={self.q.tolist()}, t={self.t.tolist()})"
@@ -196,28 +218,17 @@ def quat_from_matrix(R):
     tr = R[0, 0] + R[1, 1] + R[2, 2]
     if tr > 0.0:
         s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
+        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
                       (R[1, 0] - R[0, 1]) / s])
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / s,
-                      0.25 * s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      (R[0, 2] + R[2, 0]) / s])
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      0.25 * s,
-                      (R[1, 2] + R[2, 1]) / s])
     else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / s,
-                      (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s,
-                      0.25 * s])
+        # i is the largest diagonal entry, (i, j, k) a cyclic order of the axes
+        i = 0 if R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2] else 1 if R[1, 1] >= R[2, 2] else 2
+        j, k = (i + 1) % 3, (i + 2) % 3
+        a, b = sorted((j, k))
+        s = np.sqrt(1.0 + R[i, i] - R[a, a] - R[b, b]) * 2.0
+        q = np.empty(4)
+        q[0], q[1 + i] = (R[k, j] - R[j, k]) / s, 0.25 * s
+        q[1 + j], q[1 + k] = (R[i, j] + R[j, i]) / s, (R[i, k] + R[k, i]) / s
     return q / np.linalg.norm(q)
 
 
@@ -225,11 +236,21 @@ def quat_from_matrix(R):
 # SE(3) exponential / logarithm / retraction
 # ---------------------------------------------------------------------------
 
+def retract(q, t, delta):
+    """Left-multiplicative update se3_exp(delta) * (q, t) of unit quaternions
+    q (..., 4) and translations t (..., 3) by tangents delta (..., 6). Each
+    row rounds as it does alone, and the new q is normalized once."""
+    if q.ndim == 2 and len(q) == 1:  # a lone row runs as cheaper scalar arithmetic
+        return tuple(a[None] for a in retract(q[0], t[0], delta[0]))
+    w, v = delta[..., :3], np.ascontiguousarray(delta[..., 3:])
+    dq = normalized(quat_from_rotvec(w))
+    dt = np.matmul(_so3_left_jacobian(w), v[..., None])[..., 0]
+    return normalized(quat_mul(dq, q)), quat_rotate(dq, t) + dt
+
+
 def se3_exp(delta):
     """Group exponential of a tangent [omega, v] -> Pose."""
-    delta = np.asarray(delta, dtype=float)
-    w, v = delta[:3], delta[3:]
-    return Pose(quat_from_rotvec(w), _so3_left_jacobian(w) @ v)
+    return se3_retract(Pose(), delta)
 
 
 def se3_log(pose):
@@ -240,7 +261,7 @@ def se3_log(pose):
 
 def se3_retract(pose, delta):
     """Left-multiplicative update se3_exp(delta) * pose."""
-    return se3_exp(delta).compose(pose)
+    return Pose.of_unit(*retract(pose.q, pose.t, np.asarray(delta, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +328,4 @@ def projection_jacobians(pose, intr, point):
                       [0.0, intr.fy * iz, -intr.fy * c[1] * iz * iz]])
     Rt = quat_to_matrix(quat_conj(pose.q))
     J_point = dh_dc @ Rt
-    J_pose = np.empty((2, 6))
-    J_pose[:, :3] = dh_dc @ (Rt @ so3_hat(point))
-    J_pose[:, 3:] = -J_point
-    return J_pose, J_point
+    return np.hstack([dh_dc @ (Rt @ so3_hat(point)), -J_point]), J_point

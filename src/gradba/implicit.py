@@ -27,14 +27,14 @@ from .alignment import align, apply_alignment
 from .errors import NonUniqueAlignment, NotAtOptimum
 from .geometry import (quat_conj, quat_from_matrix, quat_mul, quat_to_rotvec,
                        so3_hat)
+from .problem import StateVector
 from .solver import (apply_step, exact_hessian_system, linearize,
                      optimize, schur_solve, schur_solve_rhs)
 
 
 def max_rel_error(a, b, floor=1e-12):
     """max |a - b| over the larger of the two magnitudes (with a floor)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.size == 0:
         return 0.0
     denom = max(np.abs(a).max(), np.abs(b).max(), floor)
@@ -168,18 +168,17 @@ class PoseErrorLoss:
     """
 
     def __init__(self, ref_poses):
-        self.ref_poses = [p.copy() for p in ref_poses]
+        ref = StateVector(ref_poses, np.zeros((0, 3)))
+        self.ref_q, self.ref_t = ref.q, ref.t
 
     def _alignment(self, state):
         """(estimated centres, reference centres, s, R_A, t, rotation errors
         w_i as an (N, 3) array)."""
-        est = np.array([p.t for p in state.poses])
-        ref = np.array([p.t for p in self.ref_poses])
+        est, ref = state.t, self.ref_t
         check_unique_alignment(est, ref)
         s, R, t = align(est, ref)
-        q_align = quat_from_matrix(R)
-        w = np.array([quat_to_rotvec(quat_mul(quat_mul(q_align, p.q), quat_conj(pref.q)))
-                      for p, pref in zip(state.poses, self.ref_poses)])
+        w = quat_to_rotvec(quat_mul(quat_mul(quat_from_matrix(R), state.q),
+                                    quat_conj(self.ref_q)))
         return est, ref, s, R, t, w
 
     def value(self, state):

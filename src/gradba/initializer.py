@@ -26,7 +26,7 @@ from . import fivepoint
 from .errors import (DegenerateGeometry, Diverged, InitializationFailed,
                      NoValidTerminal, TooFewCorrespondences, TooFewPoints)
 from .geometry import (CameraIntrinsics, Pose, pinhole, quat_from_matrix,
-                       quat_to_matrix_many, quat_to_rotvec, quat_mul, quat_conj)
+                       quat_to_matrix, quat_to_rotvec, quat_mul, quat_conj)
 from .problem import Problem, StateVector, StaticModel
 from .solver import SolverSettings, optimize
 
@@ -321,10 +321,8 @@ def sigma_obs_from_reproj(p0, p1, pose0, pose1, K, sigma_pix):
 
 
 def _pose_jump(pose, ref):
-    dq = quat_mul(pose.q, quat_conj(ref.q))
-    rot = float(np.linalg.norm(quat_to_rotvec(dq)))
-    trans = float(np.linalg.norm(pose.t - ref.t))
-    return rot, trans
+    rot = quat_to_rotvec(quat_mul(pose.q, quat_conj(ref.q)))
+    return float(np.linalg.norm(rot)), float(np.linalg.norm(pose.t - ref.t))
 
 
 def constant_velocity_extrapolation(prev_poses):
@@ -411,14 +409,13 @@ class InitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _observed(poses, track_ids, points, observations, intr):
-    """``_pixels`` of every (frame, track) key of ``observations``, in order,
-    in one call, and the row of each key's track in ``track_ids``/``points``."""
-    index = {t: k for k, t in enumerate(track_ids)}
+def _observed(q, t, track_ids, points, observations, intr):
+    """``_pixels`` of every (frame, track) key of ``observations`` from pose rows
+    q and t, in order, in one call, and the row of each key's track in ``points``."""
+    index = {tr: k for k, tr in enumerate(track_ids)}
     frames = np.array([f for f, _ in observations], dtype=int)
-    rows = np.array([index[t] for _, t in observations], dtype=int)
-    uv, front = _pixels(quat_to_matrix_many([p.q for p in poses])[frames],
-                        np.array([p.t for p in poses])[frames], intr, points[rows])
+    rows = np.array([index[tr] for _, tr in observations], dtype=int)
+    uv, front = _pixels(quat_to_matrix(q)[frames], t[frames], intr, points[rows])
     return uv, front, rows
 
 
@@ -428,7 +425,7 @@ def mean_reprojection_error(state, K, track_ids, observations):
     if not observations:
         return np.inf
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
-    uv, front, _ = _observed(state.poses, track_ids, state.landmarks, observations, intr)
+    uv, front, _ = _observed(state.q, state.t, track_ids, state.landmarks, observations, intr)
     pixels = np.array(list(observations.values()))
     return float(np.mean(np.where(front, np.linalg.norm(uv - pixels, axis=1), np.inf)))
 
@@ -450,7 +447,7 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
         raise InitializationFailed("window-too-short", f"{T} frames")
 
     anchor = window[0]
-    anchor_pose = Pose.identity()
+    anchor_pose = Pose()
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
 
     # --- candidate evaluation and terminal selection -----------------------
@@ -576,8 +573,9 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
     # a track keeps the frames that see its landmark in front, if two or more
     track_ids = sorted(landmarks)
     positions = landmarks_from_depth(track_ids)
-    _, front, rows = _observed([poses[f] for f in range(T)], track_ids, positions,
-                               observations, intr)
+    _, front, rows = _observed(np.array([poses[f].q for f in range(T)]),
+                               np.array([poses[f].t for f in range(T)]), track_ids,
+                               positions, observations, intr)
     kept = np.bincount(rows[front], minlength=len(track_ids)) >= 2
     for key in compress(list(observations), ~(front & kept[rows])):
         observations.pop(key)

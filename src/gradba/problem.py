@@ -27,7 +27,7 @@ import numpy as np
 
 from . import temporal
 from .errors import DimensionMismatch
-from .geometry import CameraIntrinsics, pinhole, quat_to_matrix_many, so3_hat
+from .geometry import CameraIntrinsics, Pose, normalized, pinhole, quat_to_matrix, so3_hat
 
 DEFAULT_HUBER_DELTA = 2.0  # pixels
 
@@ -70,30 +70,51 @@ def robust_terms(s, delta):
 # ---------------------------------------------------------------------------
 
 class StateVector:
-    """Poses first, landmarks second, with per-variable gauge-fix flags."""
+    """Poses first, landmarks second, with per-variable gauge-fix flags.
+
+    Pose i is row i of ``q`` (N, 4), unit quaternions [w, x, y, z], and of
+    ``t`` (N, 3), world-from-camera; ``landmarks`` is (M, 3). The constructor
+    takes ``Pose`` objects and normalizes each q row once, as ``Pose(q)``
+    does; ``copy`` keeps every bit. ``poses`` is a read-only tuple of
+    ``Pose`` views of the rows, built once per state.
+    """
 
     def __init__(self, poses, landmarks, fixed_poses=None, fixed_landmarks=None):
-        self.poses = [p.copy() for p in poses]
+        poses = list(poses)
+        self.q = normalized(np.array([p.q for p in poses], dtype=float).reshape(-1, 4))
+        self.t = np.array([p.t for p in poses], dtype=float).reshape(-1, 3)
         self.landmarks = np.array(landmarks, dtype=float).reshape(-1, 3)
-        n, m = len(self.poses), len(self.landmarks)
+        n, m = len(self.q), len(self.landmarks)
         self.fixed_poses = (np.zeros(n, dtype=bool) if fixed_poses is None
                             else np.asarray(fixed_poses, dtype=bool).copy())
         self.fixed_landmarks = (np.zeros(m, dtype=bool) if fixed_landmarks is None
                                 else np.asarray(fixed_landmarks, dtype=bool).copy())
         if self.fixed_poses.shape != (n,) or self.fixed_landmarks.shape != (m,):
             raise ValueError("fixed-mask shapes do not match the variables")
+        self._poses = None
+
+    @property
+    def poses(self):
+        if self._poses is None:
+            q, t = self.q.view(), self.t.view()
+            q.flags.writeable = t.flags.writeable = False
+            self._poses = tuple(map(Pose.of_unit, q, t))
+        return self._poses
 
     @property
     def n_poses(self):
-        return len(self.poses)
+        return len(self.q)
 
     @property
     def n_landmarks(self):
         return len(self.landmarks)
 
     def copy(self):
-        return StateVector(self.poses, self.landmarks,
-                           self.fixed_poses, self.fixed_landmarks)
+        new = object.__new__(StateVector)
+        for name in ("q", "t", "landmarks", "fixed_poses", "fixed_landmarks"):
+            setattr(new, name, getattr(self, name).copy())
+        new._poses = None
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -115,22 +136,17 @@ class ScalePrior:
     weight: float = 1e4  # information of the 1-d residual
 
     def residual(self, state):
-        d = state.poses[self.j].t - state.poses[self.i].t
+        d = state.t[self.j] - state.t[self.i]
         return float(np.linalg.norm(d)) - self.target
 
     def jacobians(self, state):
         """d residual / d tangent for poses i and j (1x6 each)."""
-        d = state.poses[self.j].t - state.poses[self.i].t
+        d = state.t[self.j] - state.t[self.i]
         norm = np.linalg.norm(d)
         u = d / norm if norm > 0 else np.zeros(3)
-        Ji = np.zeros((1, 6))
-        Jj = np.zeros((1, 6))
         # translation of a retracted pose: t' = R_d t + V v, so dt/dw = -[t]x, dt/dv = I
-        Jj[0, :3] = -u @ so3_hat(state.poses[self.j].t)
-        Jj[0, 3:] = u
-        Ji[0, :3] = u @ so3_hat(state.poses[self.i].t)
-        Ji[0, 3:] = -u
-        return Ji, Jj
+        return (np.concatenate([u @ so3_hat(state.t[self.i]), -u])[None],
+                np.concatenate([-u @ so3_hat(state.t[self.j]), u])[None])
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +480,9 @@ def project_factors(problem, state):
     landmark is behind the camera (depth <= DEPTH_EPS) is inactive, and its
     pixel is (0, 0).
     """
-    rot = quat_to_matrix_many([p.q for p in state.poses])[problem.frame_idx]
-    t = np.array([p.t for p in state.poses]).reshape(-1, 3)[problem.frame_idx]
-    pix, c, active = pinhole(rot, t, problem.intrinsics_table[problem.frame_idx],
+    f = problem.frame_idx
+    rot = quat_to_matrix(state.q)[f]
+    pix, c, active = pinhole(rot, state.t[f], problem.intrinsics_table[f],
                              state.landmarks[problem.lm_idx])
     return np.where(active[:, None], pix, 0.0), c, rot, active
 

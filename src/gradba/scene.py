@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleConfig, SceneFormatError
 from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, pinhole, project, quat_conj,
-                       quat_from_matrix, quat_rotate_many, quat_to_matrix_many)
+                       quat_from_matrix, quat_rotate, quat_to_matrix)
 from .problem import (DescriptorFieldModel, Problem, ScalePrior, StateVector,
                       StaticModel, TemporalAttachment, TemporalObservation,
                       TrackBiasModel, softargmax)
@@ -82,20 +82,12 @@ def _trajectory_poses(cfg):
         return [Pose(t=[x, 0.0, 0.0]) for x in xs], np.array([0.0, 0.0, mid])
     if cfg.trajectory == "arc":
         span = np.deg2rad(25.0)
-        angles = np.linspace(-span / 2, span / 2, n)
         center = np.array([0.0, 0.0, mid])
-        poses = []
-        for a in angles:
-            eye = center + mid * np.array([np.sin(a), 0.0, -np.cos(a)])
-            poses.append(_look_at(eye, center))
-        return poses, center
+        return [_look_at(center + mid * np.array([np.sin(a), 0.0, -np.cos(a)]), center)
+                for a in np.linspace(-span / 2, span / 2, n)], center
     # orbit: cameras on a circle around the scene, looking at its center
-    angles = np.linspace(0.0, 0.9 * np.pi, n)
-    poses = []
-    for a in angles:
-        eye = mid * np.array([np.sin(a), 0.12 * np.sin(2 * a), -np.cos(a)])
-        poses.append(_look_at(eye, np.zeros(3)))
-    return poses, np.zeros(3)
+    return [_look_at(mid * np.array([np.sin(a), 0.12 * np.sin(2 * a), -np.cos(a)]), np.zeros(3))
+            for a in np.linspace(0.0, 0.9 * np.pi, n)], np.zeros(3)
 
 
 def generate_scene(cfg):
@@ -109,11 +101,12 @@ def generate_scene(cfg):
     poses, center = _trajectory_poses(cfg)
     half = 0.5 * (cfg.depth_max - cfg.depth_min)
 
-    conj = np.array([quat_conj(P.q) for P in poses])
+    qs = np.array([P.q for P in poses])
+    conj = quat_conj(qs)
     centres = np.array([P.t for P in poses])
 
     def visible(p):  # in each pose's image, as Pose.world_to_camera rounds
-        c = quat_rotate_many(conj, p - centres)
+        c = quat_rotate(conj, p - centres)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = cfg.fx * c[:, 0] / c[:, 2] + cfg.cx
             v = cfg.fy * c[:, 1] / c[:, 2] + cfg.cy
@@ -142,7 +135,7 @@ def generate_scene(cfg):
 
     # every visible (pose, landmark) pair, pose-major
     frame, track = np.nonzero(np.array(seen).T)
-    pix, _, _ = pinhole(quat_to_matrix_many([P.q for P in poses])[frame],
+    pix, _, _ = pinhole(quat_to_matrix(qs)[frame],
                         centres[frame], intr.row(), np.array(landmarks)[track])
     observations = [{"frame": i, "track": j, "u": u, "v": v} for i, j, (u, v) in
                     zip(frame.tolist(), track.tolist(), pix.tolist())]
@@ -349,9 +342,9 @@ def timestamps(scene):
 def save_state(state, track_ids, path):
     doc = {
         "version": 1,
-        "poses": [{"frame": i, "q_wxyz": p.q.tolist(), "t": p.t.tolist(),
-                   "fixed": bool(state.fixed_poses[i])}
-                  for i, p in enumerate(state.poses)],
+        "poses": [{"frame": i, "q_wxyz": q, "t": t, "fixed": fixed}
+                  for i, (q, t, fixed) in enumerate(zip(state.q.tolist(), state.t.tolist(),
+                                                        state.fixed_poses.tolist()))],
         "landmarks": [{"track": int(t), "position": state.landmarks[k].tolist(),
                        "fixed": bool(state.fixed_landmarks[k])}
                       for k, t in enumerate(track_ids)],
@@ -372,12 +365,10 @@ def load_state(path):
         _finite_vector(p, "t", 3, f"{path}: pose")
     for l in lm_docs:
         _finite_vector(l, "position", 3, f"{path}: landmark")
-    poses = [Pose(p["q_wxyz"], p["t"]) for p in pose_docs]
-    fixed_p = [p["fixed"] for p in pose_docs]
-    lms = np.array([l["position"] for l in lm_docs]).reshape(-1, 3)
-    fixed_l = [l["fixed"] for l in lm_docs]
-    tracks = [l["track"] for l in lm_docs]
-    return StateVector(poses, lms, fixed_p, fixed_l), tracks
+    state = StateVector([Pose(p["q_wxyz"], p["t"]) for p in pose_docs],
+                        np.array([l["position"] for l in lm_docs]).reshape(-1, 3),
+                        [p["fixed"] for p in pose_docs], [l["fixed"] for l in lm_docs])
+    return state, [l["track"] for l in lm_docs]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +417,7 @@ def build_problem(scene, model="static", kernel=None, state=None,
 
     prior = None
     if scale_prior and state.n_poses >= 2 and not state.fixed_poses[1]:
-        prior = ScalePrior(0, 1, float(np.linalg.norm(
-            state.poses[1].t - state.poses[0].t)))
+        prior = ScalePrior(0, 1, float(np.linalg.norm(state.t[1] - state.t[0])))
 
     attachment = temporal_terms
     if attachment is None and "temporal" in scene:

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import Diverged, SingularSystem
-from .geometry import se3_retract, so3_hat
+from .geometry import retract, so3_hat
 from .problem import evaluate_residuals, predictions, temporal_term, total_energy
 
 DAMPING_FLOOR = 1e-6  # lower bound on the diagonal scaling D
@@ -181,12 +181,6 @@ def _hat_times(p, X):
     return out
 
 
-def _hat(v):
-    """[v]x of factor-last v (3, k), raveled row by row to (9, k)."""
-    z = np.zeros_like(v[0])
-    return np.array([z, -v[2], v[1], v[2], z, -v[0], -v[1], v[0], z])
-
-
 def segment_sum(slots, values, start):
     """``start`` (n, ...) plus the rows of ``values`` (k, ...) summed by slot.
 
@@ -323,12 +317,10 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
         r = sp.residual(state)
         rows = [(layout.pose_slot[i], J) for i, J in zip((sp.i, sp.j), sp.jacobians(state))
                 if layout.pose_slot[i] >= 0]
-        for slot_a, Ja in rows:
-            a = 6 * slot_a
-            sys_.g[a:a + 6] += sp.weight * r * Ja.ravel()
-            for slot_b, Jb in rows:
-                b = 6 * slot_b
-                sys_.Hpp[a:a + 6, b:b + 6] += sp.weight * (Ja.T @ Jb)
+        for a, Ja in rows:
+            sys_.g[6 * a:6 * a + 6] += sp.weight * r * Ja.ravel()
+            for b, Jb in rows:
+                sys_.Hpp[6 * a:6 * a + 6, 6 * b:6 * b + 6] += sp.weight * (Ja.T @ Jb)
     return sys_
 
 
@@ -364,7 +356,7 @@ def exact_hessian_system(problem, state, sys_):
     psi = sys_.weights * q
     X = a[:, None] * psi + psi[:, None] * a + (2.0 * sys_.rec_curvature * q)[:, None] * q
     X9, PX = X.reshape(9, -1), _hat_times(pt, X).reshape(9, -1)
-    hat_psi = _hat(psi)
+    hat_psi = so3_hat(psi.T).reshape(-1, 9).T
     outer = psi[:, None] * pt
     T2 = (0.5 * (outer + outer.swapaxes(0, 1))).reshape(9, -1)
     T2[[0, 4, 8]] -= psi[0] * pt[0] + psi[1] * pt[1] + psi[2] * pt[2]
@@ -386,14 +378,14 @@ def exact_hessian_system(problem, state, sys_):
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior
-        ti, tj = state.poses[sp.i].t, state.poses[sp.j].t
+        ti, tj = state.t[sp.i], state.t[sp.j]
         d = tj - ti
         n = float(np.linalg.norm(d))
         u = d / n
         P = (np.eye(3) - np.outer(u, u)) / n
         r = n - sp.target
-        Dti = np.hstack([-so3_hat(ti), np.eye(3)])  # d world-translation / d tangent
-        Dtj = np.hstack([-so3_hat(tj), np.eye(3)])
+        # d world-translation / d tangent of each pose
+        Dti, Dtj = (np.hstack([-so3_hat(x), np.eye(3)]) for x in (ti, tj))
         blocks = {(sp.i, sp.i): Dti.T @ P @ Dti + _translation_curvature(-u, ti),
                   (sp.j, sp.j): Dtj.T @ P @ Dtj + _translation_curvature(u, tj),
                   (sp.i, sp.j): -Dti.T @ P @ Dtj, (sp.j, sp.i): -Dtj.T @ P @ Dti}
@@ -471,8 +463,9 @@ def schur_solve_rhs(system, lam, b):
 def apply_step(state, layout, delta):
     """Retract a tangent-stack update onto a copy of the state."""
     new = state.copy()
-    for slot, i in enumerate(layout.free_pose_ids):
-        new.poses[i] = se3_retract(state.poses[i], delta[6 * slot:6 * slot + 6])
+    ids = layout.free_pose_ids
+    new.q[ids], new.t[ids] = retract(state.q[ids], state.t[ids],
+                                     delta[:layout.n_pose_params].reshape(-1, 6))
     lms = layout.free_lm_ids
     new.landmarks[lms] = state.landmarks[lms] + delta[layout.n_pose_params:].reshape(-1, 3)
     return new

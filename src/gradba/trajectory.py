@@ -15,7 +15,7 @@ import numpy as np
 
 from .alignment import align, apply_alignment
 from .errors import LengthMismatch, SceneFormatError, TimestampMismatch
-from .geometry import Pose, quat_to_matrix
+from .geometry import Pose, normalized, quat_to_matrix
 
 TIMESTAMP_TOL = 1e-6
 
@@ -32,12 +32,8 @@ class TrajectoryRecord:
 
 
 def records_from_poses(poses, stamps):
-    out = []
-    for ts, p in zip(stamps, poses):
-        w, x, y, z = p.q
-        out.append(TrajectoryRecord(float(ts), p.t.copy(),
-                                    np.array([x, y, z, w])))
-    return out
+    return [TrajectoryRecord(float(ts), p.t.copy(), p.q[[1, 2, 3, 0]])
+            for ts, p in zip(stamps, poses)]
 
 
 def write_tum(records, path):
@@ -107,10 +103,9 @@ def compute_are(estimated, ground_truth, alignment="sim"):
     """RMSE of per-frame geodesic rotation distance, degrees, after alignment."""
     est, gt = _paired_positions(estimated, ground_truth)
     s, R, t = align(est, gt, alignment)
-    angles = []
-    for a, b in zip(estimated, ground_truth):
-        Ra = R @ quat_to_matrix(a.pose().q)
-        Rb = quat_to_matrix(b.pose().q)
-        cosang = 0.5 * (np.trace(Ra.T @ Rb) - 1.0)
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    # the unit [w, x, y, z] quaternions that TrajectoryRecord.pose() gives
+    Ra, Rb = (quat_to_matrix(normalized(np.array([r.q_xyzw for r in recs])[:, [3, 0, 1, 2]]))
+              for recs in (estimated, ground_truth))
+    cosang = 0.5 * (np.trace((R @ Ra).swapaxes(1, 2) @ Rb, axis1=1, axis2=2) - 1.0)
+    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return float(np.sqrt(np.mean(np.square(angles))))

@@ -9,7 +9,8 @@ code. ``test_batched_kernel`` and ``test_properties`` compare the library
 against them.
 ``fd_tangent_gradient`` is the central-difference oracle of the analytic
 state-loss gradients, and ``loop_drifting_grid`` the cell-by-cell draw of a
-synthetic descriptor grid.
+synthetic descriptor grid. ``loop_retract`` is the per-pose retraction
+with the scalar arithmetic ``gradba.geometry`` had before it broadcast.
 ``loop_triangulate``, ``loop_sigma_obs`` and ``loop_cheirality_depths`` are
 the initializer's two-view geometry one pixel pair at a time, as
 ``gradba.initializer`` solved it before its batched normal equations: a 6x3
@@ -22,7 +23,7 @@ import numpy as np
 
 from gradba import temporal
 from gradba.errors import CheiralityViolation
-from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, project,
+from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project,
                              quat_to_matrix, so3_hat)
 from gradba.initializer import RAY_PARALLEL_EPS, normalize_bearings
 from gradba.problem import DescriptorFieldModel, TrackBiasModel, softargmax
@@ -425,6 +426,35 @@ def loop_drifting_grid(rng, grid_shape, base, slope):
             noise /= np.linalg.norm(noise)
             grid[y, x] = ref + (base + slope * d) * noise
     return ref, grid
+
+
+def loop_retract(pose, delta):
+    """se3_exp(delta) * pose for one pose, with the scalar arithmetic of
+    ``gradba.geometry`` before it broadcast: float dot products, a branch at
+    each series cutoff, 3x3 hat and V matrices and ``np.cross``."""
+    w, v = np.asarray(delta[:3], dtype=float), np.asarray(delta[3:], dtype=float)
+    theta2 = float(np.dot(w, w))
+    theta = np.sqrt(theta2)
+    if theta < 1e-8:
+        s, c = 0.5 - theta2 / 48.0, 1.0 - theta2 / 8.0
+    else:
+        s, c = np.sin(0.5 * theta) / theta, np.cos(0.5 * theta)
+    W = _hat3(w)
+    if theta2 < 1e-16:
+        V = np.eye(3) + 0.5 * W + W @ W / 6.0
+    else:
+        V = (np.eye(3) + W * ((1.0 - np.cos(theta)) / theta2)
+             + W @ W * ((theta - np.sin(theta)) / (theta2 * theta)))
+    dq = np.array([c, s * w[0], s * w[1], s * w[2]])
+    dw, dx, dy, dz = dq / np.linalg.norm(dq)
+    pw, px, py, pz = pose.q
+    q = np.array([dw * pw - dx * px - dy * py - dz * pz,
+                  dw * px + dx * pw + dy * pz - dz * py,
+                  dw * py - dx * pz + dy * pw + dz * px,
+                  dw * pz + dx * py - dy * px + dz * pw])
+    u = np.array([dx, dy, dz])
+    uv = np.cross(u, pose.t)
+    return Pose(q, pose.t + 2.0 * (dw * uv + np.cross(u, uv)) + V @ v)
 
 
 def _world_to_cam(pose):

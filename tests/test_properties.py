@@ -1,10 +1,12 @@
 """Property tests: the pinhole kernel's batches against its one-row calls
-and its depth boundary, the analytic pose-loss gradient, the batched
-vector-jacobian products, the problem table of ``build_problem``, the
-solver's segment sums, the Schur solve and the initializer's batched
-two-view geometry against their references on generated inputs, and the
-round trips of the scene file (with descriptor-field and temporal
-sections), of the TUM trajectory file and of se3_exp / se3_log.
+and its depth boundary, the broadcasting retraction and quaternion helpers
+against their one-row calls, the component cross product against
+``np.cross``, the analytic pose-loss gradient, the batched vector-jacobian
+products, the problem table of ``build_problem``, the solver's segment sums,
+the Schur solve and the initializer's batched two-view geometry against
+their references on generated inputs, and the round trips of the scene file
+(with descriptor-field and temporal sections), of the TUM trajectory file
+and of se3_exp / se3_log.
 
 Examples are derandomized and bounded in number, so a run does the same work
 every time. Tolerances were fixed before the code under test was written.
@@ -18,8 +20,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gradba import scene as scn  # noqa: E402
 from gradba.errors import CheiralityViolation  # noqa: E402
-from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, pinhole,  # noqa: E402
-                             project, se3_exp, se3_log, se3_retract)
+from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose,  # noqa: E402
+                             _so3_left_jacobian, cross, normalized, pinhole, project,
+                             quat_conj, quat_from_rotvec, quat_mul, quat_rotate,
+                             quat_to_matrix, quat_to_rotvec, retract, se3_exp, se3_log,
+                             se3_retract, so3_hat)
 from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
 from gradba.initializer import (_cheirality_depths, normalize_bearings,  # noqa: E402
                                 reprojection_errors, sigma_obs_from_reproj,
@@ -32,7 +37,8 @@ from gradba.trajectory import read_tum, records_from_poses, write_tum  # noqa: E
 
 from loop_reference import (fd_tangent_gradient, loop_cheirality_depths,  # noqa: E402
                             loop_drifting_grid, loop_observe_vjp,
-                            loop_problem_table, loop_sigma_obs, loop_triangulate)
+                            loop_problem_table, loop_retract, loop_sigma_obs,
+                            loop_triangulate)
 
 GRAD_RTOL = 1e-6
 VJP_RTOL = 1e-12
@@ -104,6 +110,97 @@ def test_pinhole_front_project_and_errors_agree_on_depth(seed, n, identity):
             with pytest.raises(CheiralityViolation):
                 project(pose, K, X)
             assert err == np.inf
+
+
+# rotation angles on both sides of the series cutoffs of the exponential:
+# angle < 1e-8 in quat_from_rotvec and angle^2 < 1e-16 in the left jacobian
+CUTOFF_ANGLES = [0.0, 1e-12, *(1e-8 * (1.0 + k * np.finfo(float).eps) for k in range(-4, 5)),
+                 1e-6, 1e-3, 1.0]
+
+
+def _rotation_rows(rng, n):
+    """n rotation vectors: random directions, whose lengths are a cutoff
+    angle or 10^-12..1, and single-axis ones whose squares fall on either side
+    of 1e-16 exactly."""
+    w = rng.normal(size=(n, 3))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    w *= np.where(rng.random(n) < 0.5, rng.choice(CUTOFF_ANGLES, n),
+                  10.0 ** rng.uniform(-12.0, 0.0, n))[:, None]
+    axis = rng.random(n) < 0.25
+    k = axis.sum()
+    w[axis] = np.eye(3)[rng.integers(0, 3, k)] * rng.choice(CUTOFF_ANGLES, k)[:, None]
+    return w
+
+
+def _layout(a, strided):
+    """a itself, or a copy in Fortran order, whose rows are strided."""
+    return np.asfortranarray(a) if strided else a
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 24), strided=st.booleans())
+def test_retract_rows_equal_per_pose_calls(seed, n, strided):
+    """n poses retracted in one call keep the bits of n se3_retract calls and
+    of the scalar reference, for tangents of 10^-12..1, zero tangents and
+    rotations at the series cutoffs."""
+    rng = np.random.default_rng(seed)
+    q = normalized(rng.normal(size=(n, 4)))
+    t = rng.normal(scale=5.0, size=(n, 3))
+    delta = np.column_stack([_rotation_rows(rng, n),
+                             rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-12.0, 0.0, (n, 1))])
+    delta[rng.random(n) < 0.1] = 0.0
+    delta = _layout(delta, strided)
+    new_q, new_t = retract(q, t, delta)
+    for i in range(n):
+        pose = Pose.of_unit(q[i], t[i])
+        one, ref = se3_retract(pose, delta[i]), loop_retract(pose, delta[i])
+        assert _bits(one.q, one.t) == _bits(new_q[i], new_t[i]) == _bits(ref.q, ref.t)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 24), strided=st.booleans())
+def test_quaternion_helpers_rows_equal_one_row_calls(seed, n, strided):
+    """Each broadcasting quaternion and SO(3) helper returns on (n, ...) rows
+    the bits of n one-row calls: quaternions of either sign of w, near the
+    identity and at it, and rotation vectors at the series cutoffs."""
+    rng = np.random.default_rng(seed)
+    w = _rotation_rows(rng, n)
+    q = np.where(rng.random((n, 1)) < 0.3, quat_from_rotvec(w), normalized(rng.normal(size=(n, 4))))
+    q *= np.where(rng.random((n, 1)) < 0.5, -1.0, 1.0)
+    p = normalized(rng.normal(size=(n, 4)))
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1))
+    q, p, v, w = (_layout(a, strided) for a in (q, p, v, w))
+    cases = [(quat_mul, (q, p)), (lambda b: quat_mul(q[0], b), (p,)), (quat_conj, (q,)),
+             (quat_rotate, (q, v)), (lambda u: quat_rotate(q[0], u), (v,)),
+             (quat_to_matrix, (q,)), (quat_from_rotvec, (w,)), (quat_to_rotvec, (q,)),
+             (so3_hat, (w,)), (_so3_left_jacobian, (w,)), (normalized, (10.0 * p,))]
+    for fn, args in cases:
+        rows = fn(*args)
+        for i in range(n):
+            assert _bits(fn(*(a[i] for a in args))) == _bits(rows[i])
+    # the arithmetic of Pose(q), whose norm sums a contiguous copy of the row
+    rows = normalized(10.0 * p)
+    for i in range(n):
+        assert _bits(rows[i]) == _bits(Pose(10.0 * p[i]).q)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 24))
+def test_cross_matches_np_cross(seed, n):
+    """The component cross product has the bits of ``np.cross``, on rows, on
+    one row against many and on lone rows; entries span 10^-150..10^150 and
+    include signed zeros."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (n, 3))
+            for _ in range(2))
+    a[rng.random((n, 3)) < 0.1] = 0.0
+    b[rng.random((n, 3)) < 0.1] = -0.0
+    assert _bits(cross(a, b)) == _bits(np.cross(a, b))
+    assert _bits(cross(a[0], b)) == _bits(np.cross(a[0], b))
+    for i in range(n):
+        assert _bits(cross(a[i], b[i])) == _bits(np.cross(a[i], b[i]))
 
 
 @PROPERTY

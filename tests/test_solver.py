@@ -20,6 +20,11 @@ from gradba.solver import (SolverSettings, apply_step, exact_hessian_system,
 from conftest import build_ba_problem, problem_like
 from loop_reference import residual
 
+# a unit quaternion that six repeated renormalizations q / |q| each move in
+# its last bits (found by a seeded search over random unit quaternions)
+DRIFTING_Q = np.array([0.6288710630375454, -0.12535512980647598,
+                       -0.5211404920799978, 0.563222749025505])
+
 
 def dense_reference(problem, state, theta=None):
     """Naive dense J^T W J / J^T W e assembly, one factor row at a time."""
@@ -305,6 +310,29 @@ class TestOptimize:
         assert calls["observe_all"] == 1
         solver_mod.optimize(prob, x0)
         assert calls["observe_all"] == 2
+
+    def test_fixed_pose_keeps_its_bits(self):
+        # DRIFTING_Q moves in its last bits under every one of six repeated
+        # renormalizations; a fixed pose with it must still keep its q and t
+        # bits through copies, steps and a default solve
+        sc = scn.generate_scene(scn.SyntheticSceneConfig(
+            n_cameras=8, n_landmarks=60, trajectory="arc", pixel_sigma=0.5, seed=0))
+        gt = scn.gt_state(sc)
+        anchor = Pose(DRIFTING_Q, [0.3, -0.2, 0.1])
+        g = anchor.compose(gt.poses[0].inverse())
+        poses = [anchor] + [g.compose(p) for p in gt.poses[1:]]
+        state = StateVector(poses, [g.apply(p) for p in gt.landmarks], gt.fixed_poses)
+        prob = scn.build_problem(sc, kernel=RobustKernel("huber", 2.0), state=state,
+                                 track_ids=[l["id"] for l in sc["landmarks"]])
+        start = state.poses[0]
+        assert Pose(start.q).q.tobytes() != start.q.tobytes()
+        layout = solver_mod.SystemLayout(state)
+        step = apply_step(state, layout, np.full(layout.dim, 1e-3))
+        xs, rep = optimize(prob, state)
+        assert rep.termination.startswith("converged_") and rep.iterations > 1
+        for moved in (state.copy(), step, xs):
+            assert moved.poses[0].q.tobytes() == start.q.tobytes()
+            assert moved.poses[0].t.tobytes() == start.t.tobytes()
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
