@@ -6,6 +6,14 @@ triangulation with a median-depth gate, Bayesian inverse-depth fusion, PnP
 for the remaining frames with a constant-velocity fallback, and a per-frame
 re-triangulation / fusion sweep against the anchor frame.
 
+``run_initialization`` holds the window as one table with a column per
+track, in ascending track id: a (T, n) ``seen`` mask and (T, n, 2) pixels.
+Each stage works on columns and masks over it. The candidates of frame t are
+``seen[0] & seen[t]``; the inverse-depth beliefs are ``mu`` and ``var``
+arrays, fused in one ``fuse_inverse_depth`` call per PnP frame; the retained
+observations are one (T, n) ``kept`` mask, which the PnP rejection, the
+3-sigma fusion gate and the final in-front, two-view filter clear.
+
 ``triangulate`` and ``sigma_obs_from_reproj`` take every pixel pair of one
 pose pair at once and flag failed pairs instead of raising: one call per
 candidate frame, one for the anchor-terminal pair and one per PnP frame.
@@ -18,7 +26,6 @@ identity and the anchor-to-terminal baseline has unit length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -32,6 +39,10 @@ from .solver import SolverSettings, optimize
 
 RAY_PARALLEL_EPS = 1e-6  # rad
 UNIT_INTRINSICS = np.array([1.0, 1.0, 0.0, 0.0])  # for depths, which need none
+PROBE_PX = 1.0           # epipolar disparity of the inverse-depth probe, px
+REJECT_FACTOR = 3.0      # PnP rejects observations off by more than this x eps_max
+JUMP_ROT = np.deg2rad(30.0)  # largest PnP rotation away from its start, rad
+JUMP_TRANS_FACTOR = 5.0  # largest PnP translation, in median inter-frame motions
 
 
 @dataclass
@@ -272,13 +283,13 @@ def depth_gate(points, z_values):
 
 
 def fuse_inverse_depth(prior, rho_obs, var_obs, stability_factor=0.05):
-    """Gaussian product posterior of two inverse-depth beliefs."""
-    if var_obs <= 0:
+    """Gaussian product posterior of two inverse-depth beliefs, elementwise
+    over arrays of beliefs and observations."""
+    if np.any(np.asarray(var_obs) <= 0):
         raise ValueError("var_obs must be positive")
     var = 1.0 / (1.0 / prior.var + 1.0 / var_obs)
     mu = var * (prior.mu / prior.var + rho_obs / var_obs)
-    stable = var < (stability_factor * mu) ** 2
-    return InverseDepthEstimate(mu, var, stable)
+    return InverseDepthEstimate(mu, var, var < np.square(stability_factor * mu))
 
 
 def sigma_obs_from_reproj(p0, p1, pose0, pose1, K, sigma_pix):
@@ -333,15 +344,13 @@ def constant_velocity_extrapolation(prev_poses):
     return p1.compose(p2.inverse()).compose(p1)
 
 
-def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
-             eps_max=2.0, jump_rot=np.deg2rad(30.0), jump_trans_factor=5.0,
-             settings=None):
+def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(), eps_max=2.0):
     """Gauss-Newton pose-only refinement with a constant-velocity fallback.
 
     Falls back to the motion prediction when the refinement diverges, its
     mean reprojection error exceeds eps_max, or the pose jumps too far from
-    pose_init (rotation above jump_rot or translation above
-    jump_trans_factor times the median inter-frame motion of prev_poses).
+    pose_init (rotation above JUMP_ROT or translation above
+    JUMP_TRANS_FACTOR times the median inter-frame motion of prev_poses).
     """
     landmarks = np.asarray(landmarks, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -359,10 +368,8 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
                         fixed_poses=[False], fixed_landmarks=[True] * n)
     frames, rows = np.zeros(n, dtype=int), np.arange(n)
     prob = Problem(state, intr, frames, rows, rows, StaticModel(frames, rows, pixels))
-    if settings is None:
-        settings = SolverSettings(max_iterations=50)
     try:
-        solved, report = optimize(prob, state, settings=settings)
+        solved, report = optimize(prob, state, settings=SolverSettings(max_iterations=50))
     except Diverged:
         solved = None
     pose = solved.poses[0] if solved is not None else None
@@ -374,7 +381,7 @@ def pnp_pose(landmarks, pixels, K, pose_init, prev_poses=(),
         rot, trans = _pose_jump(pose, pose_init)
         steps = [np.linalg.norm(b.t - a.t) for a, b in zip(prev_poses, prev_poses[1:])]
         med = float(np.median(steps)) if steps else np.inf
-        if rot > jump_rot or (np.isfinite(med) and trans > jump_trans_factor * max(med, 1e-12)):
+        if rot > JUMP_ROT or (np.isfinite(med) and trans > JUMP_TRANS_FACTOR * max(med, 1e-12)):
             pose = None
     if pose is None:
         if fallback is not None:
@@ -401,22 +408,10 @@ def reprojection_errors(pose, points, pixels, intr):
 @dataclass
 class InitResult:
     state: StateVector
-    track_ids: list                   # landmark order in the state
-    estimates: dict                   # track -> InverseDepthEstimate
-    observations: dict                # retained (frame, track) -> pixel
+    track_ids: list          # the state's landmark rows, ascending track id
+    observations: dict       # kept (frame, track) -> pixel, frame-major, by track
     terminal_index: int
-    inlier_tracks: list               # anchor-terminal RANSAC inlier track ids
     diagnostics: dict = field(default_factory=dict)
-
-
-def _observed(q, t, track_ids, points, observations, intr):
-    """``_pixels`` of every (frame, track) key of ``observations`` from pose rows
-    q and t, in order, in one call, and the row of each key's track in ``points``."""
-    index = {tr: k for k, tr in enumerate(track_ids)}
-    frames = np.array([f for f, _ in observations], dtype=int)
-    rows = np.array([index[tr] for _, tr in observations], dtype=int)
-    uv, front = _pixels(quat_to_matrix(q)[frames], t[frames], intr, points[rows])
-    return uv, front, rows
 
 
 def mean_reprojection_error(state, K, track_ids, observations):
@@ -425,13 +420,31 @@ def mean_reprojection_error(state, K, track_ids, observations):
     if not observations:
         return np.inf
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
-    uv, front, _ = _observed(state.q, state.t, track_ids, state.landmarks, observations, intr)
+    index = {tr: k for k, tr in enumerate(track_ids)}
+    frames = np.array([f for f, _ in observations], dtype=int)
+    rows = np.array([index[tr] for _, tr in observations], dtype=int)
+    uv, front = _pixels(quat_to_matrix(state.q)[frames], state.t[frames], intr,
+                        state.landmarks[rows])
     pixels = np.array(list(observations.values()))
     return float(np.mean(np.where(front, np.linalg.norm(uv - pixels, axis=1), np.inf)))
 
 
-def run_initialization(window, K, cfg=None, ransac_cfg=None,
-                       sigma_pix=1.0, reject_px=None):
+def _window_table(window):
+    """The window as one table with a column per track, in ascending track
+    id: the track ids, a (T, n) mask of which frame sees which track and the
+    (T, n, 2) pixels, NaN where unseen."""
+    ids = sorted(set().union(*window))
+    column = {tr: k for k, tr in enumerate(ids)}
+    seen = np.zeros((len(window), len(ids)), dtype=bool)
+    pixels = np.full((len(window), len(ids), 2), np.nan)
+    for f, frame in enumerate(window):
+        cols = [column[tr] for tr in frame]
+        seen[f, cols] = True
+        pixels[f, cols] = np.reshape(list(frame.values()), (-1, 2))
+    return ids, seen, pixels
+
+
+def run_initialization(window, K, cfg=None, ransac_cfg=None):
     """Full window initialization; see the module docstring for the stages.
 
     ``window`` is a list of per-frame dicts mapping track id -> pixel (2,).
@@ -439,155 +452,133 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None,
     """
     cfg = WindowConfig() if cfg is None else cfg
     ransac_cfg = RansacConfig() if ransac_cfg is None else ransac_cfg
-    if reject_px is None:
-        reject_px = 3.0 * cfg.eps_max
     K = np.asarray(K, dtype=float)
     T = len(window)
     if T < 3:
         raise InitializationFailed("window-too-short", f"{T} frames")
 
-    anchor = window[0]
+    ids, seen, pix = _window_table(window)
+    n = len(ids)
     anchor_pose = Pose()
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
 
     # --- candidate evaluation and terminal selection -----------------------
-    stats = []
-    cache = {}
+    stats, cache = [], {}
     for t in range(1, T):
-        common = sorted(set(anchor) & set(window[t]))
+        common = np.flatnonzero(seen[0] & seen[t])
         st = CandidateStats(frame=t)
+        stats.append(st)
         if len(common) < (8 if ransac_cfg.use_eight_point else 5):
             st.usable = False
-            stats.append(st)
             continue
-        px0 = np.array([anchor[k] for k in common])
-        px1 = np.array([window[t][k] for k in common])
-        b0 = normalize_bearings(px0, K)
-        b1 = normalize_bearings(px1, K)
+        px0, px1 = pix[0, common], pix[t, common]
+        b0, b1 = normalize_bearings(px0, K), normalize_bearings(px1, K)
         try:
-            R, tdir, mask = estimate_relative_pose(b0, b1, ransac_cfg,
-                                                   min_parallax=min(
-                                                       ransac_cfg.min_parallax,
-                                                       cfg.theta_min))
+            R, tdir, mask = estimate_relative_pose(
+                b0, b1, ransac_cfg, min_parallax=min(ransac_cfg.min_parallax, cfg.theta_min))
         except (DegenerateGeometry, TooFewCorrespondences):
             st.usable = False
-            stats.append(st)
             continue
         pose_t = Pose(quat_from_matrix(R.T), -R.T @ tdir)
         X, ok = triangulate(px0[mask], px1[mask], anchor_pose, pose_t, K)
         errs = 0.5 * (reprojection_errors(anchor_pose, X[ok], px0[mask][ok], intr)
                       + reprojection_errors(pose_t, X[ok], px1[mask][ok], intr))
         st.count = int(mask.sum())
-        st.parallax = float(np.median(
-            rotation_compensated_parallax(b0[mask], b1[mask], R)))
+        st.parallax = float(np.median(rotation_compensated_parallax(b0[mask], b1[mask], R)))
         st.mean_reproj = float(np.mean(errs)) if len(errs) else np.inf
         st.pos_depth_ratio = float(ok.mean())
-        stats.append(st)
-        cache[t] = (mask, common, pose_t, list(compress(compress(common, mask), ok)),
-                    X[ok])
+        cache[t] = (pose_t, common[mask][ok], X[ok])
 
     try:
         t_star = select_terminal_frame(stats, cfg)
     except NoValidTerminal as exc:
         raise InitializationFailed("no-valid-terminal", str(exc)) from exc
 
-    mask, common, pose_term, tracks, X = cache[t_star]
-    poses = {0: anchor_pose, t_star: pose_term}
-    inlier_tracks = list(compress(common, mask))
+    pose_term, cols, X = cache[t_star]
+    poses = [anchor_pose] + [None] * (T - 1)
+    poses[t_star] = pose_term
 
     # --- landmarks and inverse depths from the anchor-terminal pair --------
     depths = _depth(anchor_pose, X)
-    keep = depth_gate(tracks, depths)
-    tracks, depths = list(compress(tracks, keep)), depths[keep]
-    var, _, ok = sigma_obs_from_reproj([anchor[tr] for tr in tracks],
-                                       [window[t_star][tr] for tr in tracks],
-                                       anchor_pose, pose_term, K, sigma_pix)
-    good = ok & (var > 0)
-    estimates = {}
-    observations = {}
-    for tr, z, var_obs in zip(compress(tracks, good), depths[good], var[good]):
-        est = InverseDepthEstimate(1.0 / z, var_obs)
-        est.stable = est.var < (cfg.stability_factor * est.mu) ** 2
-        estimates[tr] = est
-        observations[(0, tr)] = np.asarray(anchor[tr], float)
-        observations[(t_star, tr)] = np.asarray(window[t_star][tr], float)
-    landmarks = list(estimates)
-    if len(landmarks) < 4:
+    keep = depth_gate(cols, depths)
+    cols, depths = cols[keep], depths[keep]
+    var_obs, _, ok = sigma_obs_from_reproj(pix[0, cols], pix[t_star, cols],
+                                           anchor_pose, pose_term, K, PROBE_PX)
+    good = ok & (var_obs > 0)
+    lm = cols[good]                   # the landmark columns, ascending
+    if len(lm) < 4:
         raise InitializationFailed("triangulation", "fewer than 4 gated landmarks")
+    mu, var = np.zeros(n), np.zeros(n)
+    mu[lm], var[lm] = 1.0 / depths[good], var_obs[good]
+    kept = np.zeros((T, n), dtype=bool)
+    kept[0, lm] = kept[t_star, lm] = True
 
-    q0 = normalize_bearings([anchor[tr] for tr in landmarks], K)
-    unit_ray = dict(zip(landmarks, q0 / q0[:, 2:]))
+    q0 = normalize_bearings(pix[0, lm], K)
+    unit_ray = np.zeros((n, 3))
+    unit_ray[lm] = q0 / q0[:, 2:]
 
-    def landmarks_from_depth(trs):
-        """World points of tracks at their inverse depths along anchor rays."""
-        pts = np.reshape([unit_ray[tr] * (1.0 / estimates[tr].mu) for tr in trs],
-                         (-1, 3))
+    def landmarks_from_depth(c):
+        """World points of columns c at their inverse depths along anchor rays."""
+        pts = unit_ray[c] * (1.0 / mu[c])[:, None]
         return pts @ anchor_pose.rotation_matrix().T + anchor_pose.t
 
     # --- PnP for the remaining frames with re-triangulation sweeps ---------
     for j in range(1, T):
-        if j in poses:
+        if j == t_star:
             continue
-        before = sorted(i for i in poses if i < j)
-        pose_init, prev = poses[before[-1]], [poses[i] for i in before[-2:]]
-        usable = [tr for tr in landmarks
-                  if tr in window[j] and estimates[tr].stable]
+        prev = poses[max(j - 2, 0):j]
+        stable = var[lm] < np.square(cfg.stability_factor * mu[lm])
+        usable = lm[seen[j, lm] & stable]
         if len(usable) < 4:
-            usable = [tr for tr in landmarks if tr in window[j]]
-        pts = landmarks_from_depth(usable)
-        pix = np.reshape([window[j][tr] for tr in usable], (-1, 2))
+            usable = lm[seen[j, lm]]
+        pts, pix_j = landmarks_from_depth(usable), pix[j, usable]
         try:
             # lenient first fit, one rejection pass against gross outliers,
             # then the gated refit on the surviving observations
-            pose_j = pnp_pose(pts, pix, K, pose_init, prev, eps_max=np.inf)
+            pose_j = pnp_pose(pts, pix_j, K, poses[j - 1], prev, eps_max=np.inf)
             good = np.ones(len(usable), dtype=bool)
             if len(usable) >= 4:
-                good = reprojection_errors(pose_j, pts, pix, intr) <= reject_px
+                good = (reprojection_errors(pose_j, pts, pix_j, intr)
+                        <= REJECT_FACTOR * cfg.eps_max)
                 if good.sum() >= 4 and not good.all():
-                    pose_j = pnp_pose(pts[good], pix[good], K, pose_j, prev,
+                    pose_j = pnp_pose(pts[good], pix_j[good], K, pose_j, prev,
                                       eps_max=cfg.eps_max)
         except TooFewPoints as exc:
             raise InitializationFailed("pnp", f"frame {j}: {exc}") from exc
         poses[j] = pose_j
-        for k, tr in enumerate(usable):
-            if good[k]:
-                observations[(j, tr)] = np.asarray(window[j][tr], float)
+        sweep = usable[good]
+        kept[j, sweep] = True
 
-        # fusion sweep against the anchor reference
-        sweep = [tr for tr in landmarks if (j, tr) in observations]
-        var, X, ok = sigma_obs_from_reproj([anchor[tr] for tr in sweep],
-                                           [window[j][tr] for tr in sweep],
-                                           anchor_pose, poses[j], K, sigma_pix)
-        good = ok & (var > 0)
-        rhos = 1.0 / _depth(anchor_pose, X[good])
-        for tr, rho, var_obs in zip(compress(sweep, good), rhos, var[good]):
-            est = estimates[tr]
-            if (rho - est.mu) ** 2 > 9.0 * (est.var + var_obs):
-                # inconsistent with the running belief; drop this observation
-                observations.pop((j, tr), None)
-                continue
-            estimates[tr] = fuse_inverse_depth(est, rho, var_obs,
-                                               cfg.stability_factor)
+        # fusion sweep against the anchor reference; an observation
+        # inconsistent with its track's running belief is dropped
+        var_obs, X, ok = sigma_obs_from_reproj(pix[0, sweep], pix[j, sweep],
+                                               anchor_pose, pose_j, K, PROBE_PX)
+        good = ok & (var_obs > 0)
+        c, rho, v = sweep[good], 1.0 / _depth(anchor_pose, X[good]), var_obs[good]
+        drop = np.square(rho - mu[c]) > 9.0 * (var[c] + v)
+        kept[j, c[drop]] = False
+        c, rho, v = c[~drop], rho[~drop], v[~drop]
+        post = fuse_inverse_depth(InverseDepthEstimate(mu[c], var[c]), rho, v,
+                                  cfg.stability_factor)
+        mu[c], var[c] = post.mu, post.var
 
     # --- final track filtering and state assembly --------------------------
     # a track keeps the frames that see its landmark in front, if two or more
-    track_ids = sorted(landmarks)
-    positions = landmarks_from_depth(track_ids)
-    _, front, rows = _observed(np.array([poses[f].q for f in range(T)]),
-                               np.array([poses[f].t for f in range(T)]), track_ids,
-                               positions, observations, intr)
-    kept = np.bincount(rows[front], minlength=len(track_ids)) >= 2
-    for key in compress(list(observations), ~(front & kept[rows])):
-        observations.pop(key)
-    track_ids = list(compress(track_ids, kept))
-    if not track_ids:
+    points = np.zeros((n, 3))
+    points[lm] = landmarks_from_depth(lm)
+    f, c = np.nonzero(kept)
+    _, front = _pixels(quat_to_matrix(np.array([p.q for p in poses]))[f],
+                       np.array([p.t for p in poses])[f], intr, points[c])
+    kept[f[~front], c[~front]] = False
+    kept &= kept.sum(axis=0) >= 2
+    cols = np.flatnonzero(kept.any(axis=0))
+    if not len(cols):
         raise InitializationFailed("filtering", "no track observed in 2+ frames")
 
-    state = StateVector([poses[i] for i in range(T)], positions[kept],
-                        fixed_poses=[True] + [False] * (T - 1))
-    result = InitResult(state, track_ids, estimates, observations, t_star,
-                        inlier_tracks)
-    result.diagnostics["mean_reprojection_px"] = mean_reprojection_error(
-        state, K, track_ids, observations)
-    result.diagnostics["n_tracks"] = len(track_ids)
-    return result
+    track_ids = [ids[k] for k in cols]
+    state = StateVector(poses, points[cols], fixed_poses=[True] + [False] * (T - 1))
+    f, c = np.nonzero(kept)
+    observations = {(i, ids[k]): pix[i, k] for i, k in zip(f.tolist(), c.tolist())}
+    mean = mean_reprojection_error(state, K, track_ids, observations)
+    return InitResult(state, track_ids, observations, t_star,
+                      {"mean_reprojection_px": mean, "n_tracks": len(track_ids)})

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import temporal
 from .errors import DimensionMismatch
-from .geometry import CameraIntrinsics, Pose, normalized, pinhole, quat_to_matrix, so3_hat
+from .geometry import Pose, normalized, pinhole, quat_to_matrix, so3_hat
 
 DEFAULT_HUBER_DELTA = 2.0  # pixels
 
@@ -414,14 +414,13 @@ class Problem:
     row per observation: parallel frame, track and landmark indices, an
     optional (k, 2, 2) stack of pixel covariances (identity without one),
     and one robust kernel for every factor (None for the plain quadratic
-    cost). The rows must not change after construction."""
+    cost). Every pose shares one CameraIntrinsics. The rows must not change
+    after construction."""
 
     def __init__(self, state, intrinsics, frames, tracks, landmarks, obs_model,
                  covs=None, kernel=None, temporal_terms=None, scale_prior=None):
         self.state = state
-        if isinstance(intrinsics, CameraIntrinsics):
-            intrinsics = [intrinsics] * state.n_poses
-        self.intrinsics = list(intrinsics)
+        self.intrinsics = intrinsics
         self.frame_idx, self.track_idx, self.lm_idx = (
             np.array(a, dtype=int).ravel() for a in (frames, tracks, landmarks))
         nf = len(self.frame_idx)
@@ -436,12 +435,9 @@ class Problem:
         self.temporal_terms = temporal_terms
         self.scale_prior = scale_prior
         self.validate()
-        self.intrinsics_table = np.array([c.row() for c in self.intrinsics]).reshape(-1, 4)
 
     def validate(self):
         n, m = self.state.n_poses, self.state.n_landmarks
-        if len(self.intrinsics) != n:
-            raise ValueError("need one intrinsics entry per pose")
         frames, tracks, lms = self.frame_idx, self.track_idx, self.lm_idx
         bad = (frames < 0) | (frames >= n) | (lms < 0) | (lms >= m)
         if bad.any():
@@ -482,7 +478,7 @@ def project_factors(problem, state):
     """
     f = problem.frame_idx
     rot = quat_to_matrix(state.q)[f]
-    pix, c, active = pinhole(rot, state.t[f], problem.intrinsics_table[f],
+    pix, c, active = pinhole(rot, state.t[f], problem.intrinsics.row(),
                              state.landmarks[problem.lm_idx])
     return np.where(active[:, None], pix, 0.0), c, rot, active
 

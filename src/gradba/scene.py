@@ -316,13 +316,13 @@ def scene_window(scene):
     return window
 
 
-def gt_state(scene, fix_first=True):
+def gt_state(scene):
     if any(f.get("pose_gt") is None for f in scene["frames"]):
         raise SceneFormatError("scene has no ground-truth poses")
     if any(l.get("position_gt") is None for l in scene["landmarks"]):
         raise SceneFormatError("scene has no ground-truth landmarks")
     lms = np.array([l["position_gt"] for l in scene["landmarks"]])
-    fixed = [fix_first and k == 0 for k in range(len(scene["frames"]))]
+    fixed = [k == 0 for k in range(len(scene["frames"]))]
     return StateVector(gt_poses(scene), lms, fixed_poses=fixed)
 
 
@@ -375,8 +375,7 @@ def load_state(path):
 # problem assembly
 # ---------------------------------------------------------------------------
 
-def build_problem(scene, model="static", kernel=None, state=None,
-                  track_ids=None, temporal_terms=None, scale_prior=True):
+def build_problem(scene, model="static", kernel=None, state=None, track_ids=None):
     """Factor-graph problem over a scene's observations.
 
     ``state`` defaults to the ground-truth state (all landmarks). When an
@@ -416,12 +415,11 @@ def build_problem(scene, model="static", kernel=None, state=None,
         obs_model = descriptor_field_model(scene, frames, tracks, pixels, ids)
 
     prior = None
-    if scale_prior and state.n_poses >= 2 and not state.fixed_poses[1]:
+    if state.n_poses >= 2 and not state.fixed_poses[1]:
         prior = ScalePrior(0, 1, float(np.linalg.norm(state.t[1] - state.t[0])))
 
-    attachment = temporal_terms
-    if attachment is None and "temporal" in scene:
-        attachment = temporal_attachment(scene, set(zip(frames.tolist(), tracks.tolist())))
+    attachment = (temporal_attachment(scene, set(zip(frames.tolist(), tracks.tolist())))
+                  if "temporal" in scene else None)
     return Problem(state, intr, frames, tracks, landmarks, obs_model, covs=covs,
                    kernel=kernel, temporal_terms=attachment, scale_prior=prior)
 
@@ -505,12 +503,15 @@ def descriptor_field_model(scene, frames, tracks, pixels, track_ids):
 # temporal section
 # ---------------------------------------------------------------------------
 
+DRIFT_PX = 1.5    # per-axis sigma of a chained endpoint about the truth, px
+SIGMA_LONG = 0.2  # per-axis sigma of a long-baseline reference about the truth, px
+
+
 def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
-                    drift_px=1.5, grid_shape=(9, 9, 8), sigma_long=0.2,
-                    seed=0):
-    """Synthetic-tracker temporal section: chained endpoints with
-    controllable drift against near-truth long-baseline references, plus
-    descriptor patches for the dense losses."""
+                    grid_shape=(9, 9, 8), seed=0):
+    """Synthetic-tracker temporal section: chained endpoints that drift by
+    DRIFT_PX against near-truth long-baseline references, plus descriptor
+    patches for the dense losses."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     intr, _ = scene_intrinsics(scene)
     poses = gt_poses(scene)
@@ -527,8 +528,8 @@ def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
         items = []
         for t in tracks:
             true_px = project(poses[frame], intr, lms[t])
-            rec = true_px + drift_px * rng.normal(size=2)
-            long = true_px + sigma_long * rng.normal(size=2)
+            rec = true_px + DRIFT_PX * rng.normal(size=2)
+            long = true_px + SIGMA_LONG * rng.normal(size=2)
             _, grid = _drifting_grid(rng, grid_shape, 0.2, 0.3)
             origin = long - np.array([(W - 1) / 2.0, (H - 1) / 2.0])
             items.append({"track": int(t),

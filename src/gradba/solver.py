@@ -229,9 +229,9 @@ def _rows(mask):
 
 class LinearizationPlan:
     """The structure of ``linearize`` for one active mask: the layout, the
-    active factors' rows, slots, focal lengths and information and their
-    segment-sum bins. It reads the state's fixed masks, not its values, so
-    one plan serves every state of a solve with the active mask ``active``.
+    active factors' rows, slots and information and their segment-sum bins.
+    It reads the state's fixed masks, not its values, so one plan serves
+    every state of a solve with the active mask ``active``.
     """
 
     def __init__(self, problem, state, active):
@@ -243,7 +243,6 @@ class LinearizationPlan:
         self.pose_slot, self.lm_slot = lay.pose_slot[self.frames], lay.lm_slot[self.lms]
         self.info = problem.info_stack[self.rows]
         self.info_t = np.ascontiguousarray(self.info.transpose(1, 2, 0))
-        self.focal_t = np.ascontiguousarray(problem.intrinsics_table[self.frames, :2].T)
         n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
         self.pose_bins = np.where(self.pose_slot < 0, n_p, self.pose_slot)
         self.lm_bins = np.where(self.lm_slot < 0, n_l, self.lm_slot)
@@ -281,7 +280,7 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
     Wt = plan.info_t * w
     et, pt, ct = e.T, p.T, c.T
     iz = 1.0 / ct[2]
-    At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (plan.focal_t * iz)
+    At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (problem.intrinsics.row()[:2, None] * iz)
     WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
     M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
     b = WA[0] * et[0] + WA[1] * et[1]

@@ -14,18 +14,29 @@ with the scalar arithmetic ``gradba.geometry`` had before it broadcast.
 ``loop_triangulate``, ``loop_sigma_obs`` and ``loop_cheirality_depths`` are
 the initializer's two-view geometry one pixel pair at a time, as
 ``gradba.initializer`` solved it before its batched normal equations: a 6x3
-or 3x2 ``lstsq`` per pair.
+or 3x2 ``lstsq`` per pair. ``loop_run_initialization`` is the window
+initialization on per-frame dicts, per-track inverse-depth estimates and an
+observation dict, as it ran before the (frame x track) table.
 """
 
 import copy
+from itertools import compress
 
 import numpy as np
 
 from gradba import temporal
-from gradba.errors import CheiralityViolation
-from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project,
+from gradba.errors import (CheiralityViolation, DegenerateGeometry, InitializationFailed,
+                           NoValidTerminal, TooFewCorrespondences, TooFewPoints)
+from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project, quat_from_matrix,
                              quat_to_matrix, so3_hat)
-from gradba.initializer import RAY_PARALLEL_EPS, normalize_bearings
+from gradba.initializer import (PROBE_PX, RAY_PARALLEL_EPS, REJECT_FACTOR, CandidateStats,
+                                InitResult, InverseDepthEstimate, RansacConfig, WindowConfig,
+                                _depth, _pixels, depth_gate, estimate_relative_pose,
+                                fuse_inverse_depth, mean_reprojection_error,
+                                normalize_bearings, pnp_pose, reprojection_errors,
+                                rotation_compensated_parallax, select_terminal_frame,
+                                sigma_obs_from_reproj, triangulate)
+from gradba.problem import StateVector
 from gradba.problem import DescriptorFieldModel, TrackBiasModel, softargmax
 from gradba.solver import (LinearizedSystem, SystemLayout,
                            _translation_curvature, apply_step)
@@ -125,7 +136,7 @@ def residual(problem, k, state, theta):
     """
     frame = int(problem.frame_idx[k])
     pred = loop_observe(problem.obs_model, frame, problem.track_idx[k], theta)
-    proj = project(state.poses[frame], problem.intrinsics[frame],
+    proj = project(state.poses[frame], problem.intrinsics,
                    state.landmarks[problem.lm_idx[k]])
     return pred - proj
 
@@ -160,7 +171,7 @@ def loop_residuals(problem, state, theta):
     e = np.zeros((nf, 2))
     active = np.zeros(nf, dtype=bool)
     for i, idx in _by_frame(problem).items():
-        pix, c = _project_frame(state.poses[i], problem.intrinsics[i],
+        pix, c = _project_frame(state.poses[i], problem.intrinsics,
                                 state.landmarks[problem.lm_idx[idx]])
         ok = c[:, 2] > DEPTH_EPS
         active[idx] = ok
@@ -210,7 +221,7 @@ def loop_linearize(problem, state, theta):
     active = np.zeros(nf, dtype=bool)
     for i, idx in _by_frame(problem).items():
         pose = state.poses[i]
-        intr = problem.intrinsics[i]
+        intr = problem.intrinsics
         pts = state.landmarks[problem.lm_idx[idx]]
         pix, c = _project_frame(pose, intr, pts)
         ok = c[:, 2] > DEPTH_EPS
@@ -317,7 +328,7 @@ def loop_exact_hessian(problem, state, sys_):
         frame = int(sys_.rec_frame[k])
         pose = state.poses[frame]
         p = state.landmarks[problem.lm_idx[sys_.rec_factor[k]]]
-        intr = problem.intrinsics[frame]
+        intr = problem.intrinsics
         R = quat_to_matrix(pose.q)
         c = R.T @ (p - pose.t)
         X, Y, Z = c
@@ -525,3 +536,152 @@ def loop_cheirality_depths(R, t, q_a, q_b):
         sol, *_ = np.linalg.lstsq(A, -t, rcond=None)
         za[k], zb[k] = sol[0], sol[1]
     return za, zb
+
+
+def _loop_observed(q, t, track_ids, points, observations, intr):
+    """Pixels and in-front flags of every (frame, track) key of
+    ``observations``, in order, and the row of each key's track."""
+    index = {tr: k for k, tr in enumerate(track_ids)}
+    frames = np.array([f for f, _ in observations], dtype=int)
+    rows = np.array([index[tr] for _, tr in observations], dtype=int)
+    uv, front = _pixels(quat_to_matrix(q)[frames], t[frames], intr, points[rows])
+    return uv, front, rows
+
+
+def loop_run_initialization(window, K, cfg=None, ransac_cfg=None):
+    """``run_initialization`` over dict windows, one track at a time."""
+    cfg = WindowConfig() if cfg is None else cfg
+    ransac_cfg = RansacConfig() if ransac_cfg is None else ransac_cfg
+    reject_px = REJECT_FACTOR * cfg.eps_max
+    K = np.asarray(K, dtype=float)
+    T = len(window)
+    if T < 3:
+        raise InitializationFailed("window-too-short", f"{T} frames")
+
+    anchor = window[0]
+    anchor_pose = Pose()
+    intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])
+
+    stats = []
+    cache = {}
+    for t in range(1, T):
+        common = sorted(set(anchor) & set(window[t]))
+        st = CandidateStats(frame=t)
+        if len(common) < (8 if ransac_cfg.use_eight_point else 5):
+            st.usable = False
+            stats.append(st)
+            continue
+        px0 = np.array([anchor[k] for k in common])
+        px1 = np.array([window[t][k] for k in common])
+        b0 = normalize_bearings(px0, K)
+        b1 = normalize_bearings(px1, K)
+        try:
+            R, tdir, mask = estimate_relative_pose(
+                b0, b1, ransac_cfg, min_parallax=min(ransac_cfg.min_parallax, cfg.theta_min))
+        except (DegenerateGeometry, TooFewCorrespondences):
+            st.usable = False
+            stats.append(st)
+            continue
+        pose_t = Pose(quat_from_matrix(R.T), -R.T @ tdir)
+        X, ok = triangulate(px0[mask], px1[mask], anchor_pose, pose_t, K)
+        errs = 0.5 * (reprojection_errors(anchor_pose, X[ok], px0[mask][ok], intr)
+                      + reprojection_errors(pose_t, X[ok], px1[mask][ok], intr))
+        st.count = int(mask.sum())
+        st.parallax = float(np.median(rotation_compensated_parallax(b0[mask], b1[mask], R)))
+        st.mean_reproj = float(np.mean(errs)) if len(errs) else np.inf
+        st.pos_depth_ratio = float(ok.mean())
+        stats.append(st)
+        cache[t] = (pose_t, list(compress(compress(common, mask), ok)), X[ok])
+
+    try:
+        t_star = select_terminal_frame(stats, cfg)
+    except NoValidTerminal as exc:
+        raise InitializationFailed("no-valid-terminal", str(exc)) from exc
+
+    pose_term, tracks, X = cache[t_star]
+    poses = {0: anchor_pose, t_star: pose_term}
+
+    depths = _depth(anchor_pose, X)
+    keep = depth_gate(tracks, depths)
+    tracks, depths = list(compress(tracks, keep)), depths[keep]
+    var, _, ok = sigma_obs_from_reproj([anchor[tr] for tr in tracks],
+                                       [window[t_star][tr] for tr in tracks],
+                                       anchor_pose, pose_term, K, PROBE_PX)
+    good = ok & (var > 0)
+    estimates = {}
+    observations = {}
+    for tr, z, var_obs in zip(compress(tracks, good), depths[good], var[good]):
+        est = InverseDepthEstimate(1.0 / z, var_obs)
+        est.stable = est.var < (cfg.stability_factor * est.mu) ** 2
+        estimates[tr] = est
+        observations[(0, tr)] = np.asarray(anchor[tr], float)
+        observations[(t_star, tr)] = np.asarray(window[t_star][tr], float)
+    landmarks = list(estimates)
+    if len(landmarks) < 4:
+        raise InitializationFailed("triangulation", "fewer than 4 gated landmarks")
+
+    q0 = normalize_bearings([anchor[tr] for tr in landmarks], K)
+    unit_ray = dict(zip(landmarks, q0 / q0[:, 2:]))
+
+    def landmarks_from_depth(trs):
+        pts = np.reshape([unit_ray[tr] * (1.0 / estimates[tr].mu) for tr in trs],
+                         (-1, 3))
+        return pts @ anchor_pose.rotation_matrix().T + anchor_pose.t
+
+    for j in range(1, T):
+        if j in poses:
+            continue
+        before = sorted(i for i in poses if i < j)
+        pose_init, prev = poses[before[-1]], [poses[i] for i in before[-2:]]
+        usable = [tr for tr in landmarks
+                  if tr in window[j] and estimates[tr].stable]
+        if len(usable) < 4:
+            usable = [tr for tr in landmarks if tr in window[j]]
+        pts = landmarks_from_depth(usable)
+        pix = np.reshape([window[j][tr] for tr in usable], (-1, 2))
+        try:
+            pose_j = pnp_pose(pts, pix, K, pose_init, prev, eps_max=np.inf)
+            good = np.ones(len(usable), dtype=bool)
+            if len(usable) >= 4:
+                good = reprojection_errors(pose_j, pts, pix, intr) <= reject_px
+                if good.sum() >= 4 and not good.all():
+                    pose_j = pnp_pose(pts[good], pix[good], K, pose_j, prev,
+                                      eps_max=cfg.eps_max)
+        except TooFewPoints as exc:
+            raise InitializationFailed("pnp", f"frame {j}: {exc}") from exc
+        poses[j] = pose_j
+        for k, tr in enumerate(usable):
+            if good[k]:
+                observations[(j, tr)] = np.asarray(window[j][tr], float)
+
+        sweep = [tr for tr in landmarks if (j, tr) in observations]
+        var, X, ok = sigma_obs_from_reproj([anchor[tr] for tr in sweep],
+                                           [window[j][tr] for tr in sweep],
+                                           anchor_pose, poses[j], K, PROBE_PX)
+        good = ok & (var > 0)
+        rhos = 1.0 / _depth(anchor_pose, X[good])
+        for tr, rho, var_obs in zip(compress(sweep, good), rhos, var[good]):
+            est = estimates[tr]
+            if (rho - est.mu) ** 2 > 9.0 * (est.var + var_obs):
+                observations.pop((j, tr), None)
+                continue
+            estimates[tr] = fuse_inverse_depth(est, rho, var_obs,
+                                               cfg.stability_factor)
+
+    track_ids = sorted(landmarks)
+    positions = landmarks_from_depth(track_ids)
+    _, front, rows = _loop_observed(np.array([poses[f].q for f in range(T)]),
+                                    np.array([poses[f].t for f in range(T)]), track_ids,
+                                    positions, observations, intr)
+    kept = np.bincount(rows[front], minlength=len(track_ids)) >= 2
+    for key in compress(list(observations), ~(front & kept[rows])):
+        observations.pop(key)
+    track_ids = list(compress(track_ids, kept))
+    if not track_ids:
+        raise InitializationFailed("filtering", "no track observed in 2+ frames")
+
+    state = StateVector([poses[i] for i in range(T)], positions[kept],
+                        fixed_poses=[True] + [False] * (T - 1))
+    mean = mean_reprojection_error(state, K, track_ids, observations)
+    return InitResult(state, track_ids, observations, t_star,
+                      {"mean_reprojection_px": mean, "n_tracks": len(track_ids)})

@@ -103,9 +103,9 @@ class TestImplicitGradient:
         target = np.array([0.0, 0.0, 3.1])
         loss = LandmarkTargetLoss(0, target)
         xs, rep = solve_and_grad(prob, state, loss)
-        _, J0 = projection_jacobians(prob.state.poses[0], prob.intrinsics[0],
+        _, J0 = projection_jacobians(prob.state.poses[0], prob.intrinsics,
                                      xs.landmarks[0])
-        _, J1 = projection_jacobians(prob.state.poses[1], prob.intrinsics[1],
+        _, J1 = projection_jacobians(prob.state.poses[1], prob.intrinsics,
                                      xs.landmarks[0])
         J = np.vstack([J0, J1])
         dp = np.vstack([np.eye(2), np.eye(2)])

@@ -4,7 +4,8 @@ against their one-row calls, the component cross product against
 ``np.cross``, the analytic pose-loss gradient, the batched vector-jacobian
 products, the problem table of ``build_problem``, the solver's segment sums,
 the Schur solve and the initializer's batched two-view geometry against
-their references on generated inputs, and the round trips of the scene file
+their references on generated inputs, the broadcasting inverse-depth fusion
+against its scalar calls, and the round trips of the scene file
 (with descriptor-field and temporal sections), of the TUM trajectory file
 and of se3_exp / se3_log.
 
@@ -26,7 +27,8 @@ from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose,  # noqa: E402
                              quat_to_matrix, quat_to_rotvec, retract, se3_exp, se3_log,
                              se3_retract, so3_hat)
 from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
-from gradba.initializer import (_cheirality_depths, normalize_bearings,  # noqa: E402
+from gradba.initializer import (InverseDepthEstimate, _cheirality_depths,  # noqa: E402
+                                fuse_inverse_depth, normalize_bearings,
                                 reprojection_errors, sigma_obs_from_reproj,
                                 triangulate)
 from gradba.problem import (DescriptorFieldModel, RobustKernel,  # noqa: E402
@@ -523,6 +525,29 @@ def test_cheirality_depths_match_per_pair_lstsq(seed, n, pure_rotation):
     theta = np.linalg.norm(np.cross(q_a @ R.T, q_b), axis=1)
     err = np.hypot(za - ra, zb - rb)
     assert np.all(err <= COND_TOL * np.hypot(ra, rb) / theta ** 2)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 16),
+       factor=st.sampled_from([0.01, 0.05, 0.3]))
+def test_fuse_inverse_depth_rows_equal_scalar_calls(seed, n, factor):
+    """One broadcasting fusion of n beliefs gives the mu, var and stable of n
+    scalar calls bit for bit, with stable and unstable posteriors mixed; an
+    observation variance <= 0 anywhere raises ValueError."""
+    rng = np.random.default_rng(seed)
+    mu, rho = rng.normal(size=(2, n))
+    var, var_obs = 10.0 ** rng.uniform(-8.0, 2.0, size=(2, n))
+    post = fuse_inverse_depth(InverseDepthEstimate(mu, var), rho, var_obs, factor)
+    for k in range(n):
+        ref = fuse_inverse_depth(InverseDepthEstimate(float(mu[k]), float(var[k])),
+                                 float(rho[k]), float(var_obs[k]), factor)
+        assert post.mu[k].tobytes() == np.float64(ref.mu).tobytes()
+        assert post.var[k].tobytes() == np.float64(ref.var).tobytes()
+        assert post.stable[k] == ref.stable
+    if n:
+        var_obs[rng.integers(n)] = rng.choice([0.0, -0.0, -1e-300, -1.0])
+        with pytest.raises(ValueError):
+            fuse_inverse_depth(InverseDepthEstimate(mu, var), rho, var_obs, factor)
 
 
 EPS = np.finfo(float).eps

@@ -40,7 +40,7 @@ def dense_reference(problem, state, theta=None):
     for k, info in enumerate(problem.info_stack):
         frame, landmark = int(problem.frame_idx[k]), int(problem.lm_idx[k])
         e = residual(problem, k, state, theta)
-        Jp, Jx = projection_jacobians(state.poses[frame], problem.intrinsics[frame],
+        Jp, Jx = projection_jacobians(state.poses[frame], problem.intrinsics,
                                       state.landmarks[landmark])
         # Huber IRLS weight, written out independently of gradba.problem
         root = np.sqrt(float(e @ info @ e))
