@@ -106,10 +106,11 @@ def implicit_gradient(request):
 
     # dL/dtheta = -y^T J^T W (d obs/d theta), one vector-jacobian product
     jy = sys_.jacobian_times(y)
-    v = np.einsum("kab,kb->ka", sys_.rec_W, jy)
+    info = problem.info_stack[sys_.rec_factor]
+    v = np.einsum("kab,kb->ka", sys_.weights[:, None, None] * info, jy)
     if request.hessian_mode == "exact" and sys_.rec_curvature.any():
         # rho'' part of the mixed Hessian on the Huber outlier branch
-        ie = np.einsum("kab,kb->ka", problem.info_stack[sys_.rec_factor], sys_.residuals)
+        ie = np.einsum("kab,kb->ka", info, sys_.residuals)
         a = np.einsum("ka,ka->k", jy, ie)
         v = v + 2.0 * (sys_.rec_curvature * a)[:, None] * ie
     dldtheta = -problem.obs_model.observe_vjp(

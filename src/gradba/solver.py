@@ -26,9 +26,10 @@ the number of BLAS threads.
 ``evaluate_residuals`` serves both its energy test and, when the trial is
 kept or ranked by its gradient, its linearization. Theta is fixed during a
 solve, so the model's predictions are made once per solve. The structure of
-``linearize`` (layout, slots, bins, the gathered focal lengths and
-information) is a LinearizationPlan that ``optimize``
-holds for the solve and rebuilds only when the active mask changes.
+``linearize`` (layout, slots, bins, the Hpl index of each factor's block) and
+the scratch of its per-factor intermediates are a LinearizationPlan that
+``optimize`` holds for the solve and rebuilds only when the active mask
+changes. A system owns its arrays; each concurrent solve needs its own plan.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ class LinearizedSystem:
         self.rec_lm_slot = np.zeros(0, dtype=int)     # -1 where fixed
         self.rec_A = np.zeros((0, 2, 3))       # d pixel / d world point
         self.rec_axis = np.zeros((0, 3))       # R[:, 2] / z, world frame
-        self.rec_W = np.zeros((0, 2, 2))
         self.rec_point = np.zeros((0, 3))      # landmark position, world frame
         self.residuals = np.zeros((0, 2))
         self.weights = np.zeros(0)             # IRLS weights rho'
@@ -172,12 +172,13 @@ class LinearizedSystem:
         return 2.0 * float(np.abs(self.g).max()) if self.layout.dim else 0.0
 
 
-def _hat_times(p, X):
-    """[p]x X, p crossed with every column of X, for factor-last p (3, k) and X (3, m, k)."""
-    out = np.empty(X.shape)
+def _hat_times(p, X, out=None, tmp=None):
+    """[p]x X, p crossed with every column of X, for factor-last p (3, k) and
+    X (3, m, k); into ``out``, with ``tmp`` (m, k) for products, when given."""
+    out = np.empty(X.shape) if out is None else out
     for r, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(p[a], X[b], out=out[r])
-        out[r] -= p[b] * X[a]
+        np.subtract(out[r], np.multiply(p[b], X[a], out=tmp), out=out[r])
     return out
 
 
@@ -200,23 +201,36 @@ def _bin_sums(bins, n, cols):
     return np.array([np.bincount(bins, col, minlength=n + 1)[:n] for col in cols]).T
 
 
-def _add_pair_blocks(Hpl, pose_slot, lm_slot, blocks):
-    """Add (k, 6, 3) blocks to ``Hpl`` at their (pose slot, landmark slot)
-    pairs, dropping those with a fixed side. A pair holds one block, added in
-    place, unless the problem repeats a row; repeated pairs are summed in
-    factor order."""
-    n_l = Hpl.shape[1] // 3
-    both = _rows((pose_slot >= 0) & (lm_slot >= 0))
-    ps, ls, blocks = pose_slot[both], lm_slot[both], blocks[both]
+class PairIndex:
+    """The flat Hpl index (6, 3, kb), factor-last, of the 6x3 block of each
+    factor in ``both``, whose pose and landmark are free; with a repeated
+    pair, each factor's pair number ``order`` and each pair's ``first`` index."""
+
+    def __init__(self, n_l, pose_slot, lm_slot):
+        self.both = _rows((pose_slot >= 0) & (lm_slot >= 0))
+        ps, ls = pose_slot[self.both], lm_slot[self.both]
+        self.idx = (3 * n_l * np.arange(6)[:, None, None] + np.arange(3)[:, None]
+                    + (18 * n_l * ps + 3 * ls))
+        pairs, self.order = ps * n_l + ls, None
+        if len(pairs) and np.bincount(pairs).max() > 1:
+            _, first, self.order = np.unique(pairs, return_index=True, return_inverse=True)
+            self.first = self.idx[..., first]
+
+
+def _add_pair_blocks(Hpl, pairs, blocks):
+    """Add factor-last (6, 3, k) blocks to ``Hpl`` at the places a PairIndex
+    gives, dropping those with a fixed side. A pair holds one block, added in
+    place one entry of the 6x3 at a time, so that no gathered copy is near
+    Hpl's size, unless the problem repeats a row; repeated pairs are summed
+    in factor order."""
     flat = Hpl.reshape(-1)
-    idx = ((18 * n_l) * ps + 3 * ls)[:, None, None] + (3 * n_l * np.arange(6)[:, None]
-                                                       + np.arange(3))
-    pairs = ps * n_l + ls
-    if len(pairs) and np.bincount(pairs).max() > 1:
-        _, first, order = np.unique(pairs, return_index=True, return_inverse=True)
-        flat[idx[first]] = segment_sum(order, blocks, flat[idx[first]])
+    if pairs.order is None:
+        for i in np.ndindex(6, 3):
+            flat[pairs.idx[i]] += blocks[i][pairs.both]
     else:
-        flat[idx] += blocks
+        idx = pairs.first
+        flat[idx] = segment_sum(pairs.order, blocks[..., pairs.both].transpose(2, 0, 1),
+                                flat[idx].transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def _rows(mask):
@@ -229,9 +243,11 @@ def _rows(mask):
 
 class LinearizationPlan:
     """The structure of ``linearize`` for one active mask: the layout, the
-    active factors' rows, slots and information and their segment-sum bins.
-    It reads the state's fixed masks, not its values, so one plan serves
-    every state of a solve with the active mask ``active``.
+    active factors' rows, slots, information, segment-sum bins and Hpl
+    PairIndex, and a scratch for their intermediates. It reads the state's
+    fixed masks, not its values, so one plan serves every state of a solve
+    with the active mask ``active``. Systems own their arrays, but the
+    scratch serves one call at a time: each concurrent solve needs its plan.
     """
 
     def __init__(self, problem, state, active):
@@ -241,11 +257,25 @@ class LinearizationPlan:
         self.rows = _rows(active)
         self.frames, self.lms = problem.frame_idx[self.rows], problem.lm_idx[self.rows]
         self.pose_slot, self.lm_slot = lay.pose_slot[self.frames], lay.lm_slot[self.lms]
-        self.info = problem.info_stack[self.rows]
-        self.info_t = np.ascontiguousarray(self.info.transpose(1, 2, 0))
+        self.info_t = np.ascontiguousarray(problem.info_stack[self.rows].transpose(1, 2, 0))
         n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
         self.pose_bins = np.where(self.pose_slot < 0, n_p, self.pose_slot)
         self.lm_bins = np.where(self.lm_slot < 0, n_l, self.lm_slot)
+        self.pairs = PairIndex(n_l, self.pose_slot, self.lm_slot)
+
+        # Factor-last scratch: Z = [PM | Pb; M | b] in rows 0-23, which hold R
+        # and 1/z, then W rho' and WA, before it; -PMP in 24-32 and products in
+        # 24-35. The bincount rows, read in place, are per pose [upper -PMP,
+        # PM, upper M, Pb, b] and per landmark [upper M, -b].
+        k = len(self.sel)
+        w = np.empty((36, k))
+        self.Z, self.R, self.iz = w[:24].reshape(6, 4, k), w[:9].reshape(3, 3, k), w[9]
+        self.Wt, self.WA = w[:4].reshape(2, 2, k), w[4:10].reshape(2, 3, k)
+        self.PMP, self.tmp = w[24:33].reshape(3, 3, k), w[24:]
+        m_upper = [self.Z[3 + u // 3, u % 3] for u in _UPPER]
+        self.lm_rows = m_upper + list(self.Z[3:, 3])
+        self.pose_rows = ([self.PMP[u // 3, u % 3] for u in _UPPER]
+                          + [r for X in self.Z[:3, :3] for r in X] + m_upper + list(self.Z[:, 3]))
 
     def fits(self, active):
         return np.array_equal(self.active, active)
@@ -267,48 +297,51 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
     sys_ = LinearizedSystem(layout)
     sys_.inactive_count = int(len(ev.active) - len(plan.sel))
     rows = plan.rows
-    e, c, rot, w = ev.e[rows], ev.campoint[rows], ev.rot[rows], ev.weight[rows]
+    e, c, w = ev.e[rows], ev.campoint[rows], ev.weight[rows]
     p = state.landmarks[plan.lms]
 
-    # Factor-last copies (k on the last axis), so that every array operation
-    # below runs along the factors. A = dh/dc R^T is d pixel / d world point:
+    # Factor-last (k on the last axis), so that every array operation below
+    # runs along the factors. A = dh/dc R^T is d pixel / d world point:
     # At[r, i] = A[i, r] = f_i / z (R[r, i] - c_i / z R[r, 2]). With P = [p]x
     # the residual jacobians, which carry the minus sign of e = obs -
     # projection, are Jl = -A and Jp = [-A P, A], so every block of J^T W J
     # and J^T W e follows from M = A^T W A and b = A^T W e.
-    R = np.ascontiguousarray(rot.transpose(1, 2, 0))
-    Wt = plan.info_t * w
+    R, iz, Z, tmp = plan.R, plan.iz, plan.Z, plan.tmp
+    np.copyto(R, ev.rot[rows].transpose(1, 2, 0))
     et, pt, ct = e.T, p.T, c.T
-    iz = 1.0 / ct[2]
-    At = (R[:, :2] - ct[:2] * iz * R[:, 2:]) * (problem.intrinsics.row()[:2, None] * iz)
-    WA = Wt[:, :1] * At[None, :, 0] + Wt[:, 1:] * At[None, :, 1]
-    M = At[:, :1] * WA[None, 0] + At[:, 1:] * WA[None, 1]
-    b = WA[0] * et[0] + WA[1] * et[1]
-    # P M and P b in one product
-    PX = _hat_times(pt, np.concatenate([M, b[:, None]], axis=1))
-    PM, Pb = PX[:, :3], PX[:, 3]
+    np.divide(1.0, ct[2], out=iz)
+    At = np.multiply(np.multiply(ct[:2], iz, out=tmp[:2]), R[:, 2:])
+    np.subtract(R[:, :2], At, out=At)
+    At *= np.multiply(problem.intrinsics.row()[:2, None], iz, out=tmp[:2])
+    rec_axis = (R[:, 2] * iz).T
+    Wt, WA = np.multiply(plan.info_t, w, out=plan.Wt), plan.WA  # R is spent
+    np.add(np.multiply(Wt[:, :1], At[None, :, 0], out=WA),
+           np.multiply(Wt[:, 1:], At[None, :, 1], out=tmp[:6].reshape(WA.shape)), out=WA)
+    PM, M, b = Z[:3, :3], Z[3:, :3], Z[3:, 3]
+    np.add(np.multiply(At[:, :1], WA[None, 0], out=M),
+           np.multiply(At[:, 1:], WA[None, 1], out=tmp[:9].reshape(M.shape)), out=M)
+    np.add(np.multiply(WA[0], et[0], out=b), np.multiply(WA[1], et[1], out=tmp[:3]), out=b)
+    # P M and P b in one product, then -PMP
+    _hat_times(pt, Z[3:], Z[:3], tmp[:4])
+    _hat_times(pt, PM.swapaxes(0, 1), plan.PMP, tmp[9:])
 
     # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose; the
     # symmetric -PMP and M are summed by their upper triangles
     n_p, n_l = len(layout.free_pose_ids), len(layout.free_lm_ids)
-    M6 = M.reshape(9, -1)[_UPPER]
-    per_pose = _bin_sums(plan.pose_bins, n_p, np.concatenate(
-        [_hat_times(pt, PM.swapaxes(0, 1)).reshape(9, -1)[_UPPER], PM.reshape(9, -1),
-         M6, Pb, b]))
+    per_pose = _bin_sums(plan.pose_bins, n_p, plan.pose_rows)
     d = np.arange(n_p)
     sys_.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] = per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
     sys_.g[:layout.n_pose_params] = per_pose[:, 21:].ravel()
     # Hll = M and gl = -b per landmark; Hpl = [-PM; -M] per pair
-    per_lm = _bin_sums(plan.lm_bins, n_l, np.concatenate([M6, -b]))
+    np.negative(b, out=b)
+    per_lm = _bin_sums(plan.lm_bins, n_l, plan.lm_rows)
     sys_.Hll = per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
     sys_.g[layout.n_pose_params:] = per_lm[:, 6:].ravel()
-    _add_pair_blocks(sys_.Hpl, plan.pose_slot, plan.lm_slot,
-                     -np.concatenate([PM, M]).transpose(2, 0, 1))
+    _add_pair_blocks(sys_.Hpl, plan.pairs, np.negative(Z[:, :3], out=Z[:, :3]))
 
     vars(sys_).update(
         rec_factor=plan.sel, rec_frame=plan.frames, rec_pose_slot=plan.pose_slot,
-        rec_lm_slot=plan.lm_slot, rec_A=At.T, rec_axis=(R[:, 2] * iz).T,
-        rec_W=w[:, None, None] * plan.info, rec_point=p,
+        rec_lm_slot=plan.lm_slot, rec_A=At.T, rec_axis=rec_axis, rec_point=p,
         residuals=e, weights=w, rec_curvature=ev.curvature[rows])
 
     if problem.scale_prior is not None:
@@ -372,8 +405,8 @@ def exact_hessian_system(problem, state, sys_):
     out.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] += per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
     per_lm = _bin_sums(np.where(ls < 0, n_l, ls), n_l, X6)
     out.Hll = sys_.Hll + per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
-    _add_pair_blocks(out.Hpl, ps, ls,
-                     -np.concatenate([PX + hat_psi, X9]).reshape(6, 3, -1).transpose(2, 0, 1))
+    _add_pair_blocks(out.Hpl, PairIndex(n_l, ps, ls),
+                     -np.concatenate([PX + hat_psi, X9]).reshape(6, 3, -1))
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior

@@ -1,0 +1,101 @@
+"""One sha256 per benchmark workload over everything its operations output.
+
+    python3 tests/output_digest.py 1 2 16401
+
+Run from the root of a gradba checkout: gradba is imported from its
+``src/`` and the workloads from its ``perfbench/``, which this script only
+reads. For each seed it sets up every input of each workload and runs one
+operation on each, then hashes
+
+- ``solve-large``: the solved state and the SolveReport;
+- ``train-windows``: the solved state, the SolveReport, dL/dtheta, the
+  adjoint solve residual and condition number, and the temporal gradient;
+- ``cli-pipeline``: the exit codes and the bytes of every file the pipeline
+  writes.
+
+Two checkouts whose digests agree on a seed produced byte-identical outputs
+on it. The file is not named ``test_*``, so pytest does not collect it.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+CLI_FILES = ("scene.json", "state.json", "init.tum", "est.tum", "report.json",
+             "metrics.json")
+
+
+def _state(h, xs):
+    for a in (xs.q, xs.t, xs.landmarks, xs.fixed_poses, xs.fixed_landmarks):
+        h.update(a.tobytes())
+
+
+def _report(h, rep):
+    h.update(repr((rep.iterations, rep.final_energy, rep.energies,
+                   rep.final_gradient_norm, rep.termination,
+                   rep.inactive_factors)).encode())
+
+
+def _solve_large(h, k, inp, output):
+    xs, rep = output
+    _state(h, xs)
+    _report(h, rep)
+
+
+def _train_windows(h, k, inp, output):
+    xs, rep, grad, g_temporal = output
+    _state(h, xs)
+    _report(h, rep)
+    h.update(grad.dldtheta.tobytes())
+    h.update(repr((grad.solve_residual, grad.hessian_condition)).encode())
+    h.update(g_temporal.tobytes())
+
+
+def _cli_pipeline(h, k, inp, output):
+    h.update(repr(output).encode())
+    for name in CLI_FILES:
+        with open(os.path.join(inp["dir"], name), "rb") as fh:
+            h.update(fh.read())
+
+
+DIGESTS = {"solve-large": _solve_large, "train-windows": _train_windows,
+           "cli-pipeline": _cli_pipeline}
+
+
+def digest(workload_cls, seeds, workdir):
+    h = hashlib.sha256()
+    for seed in seeds:
+        wl = workload_cls(seed, os.path.join(workdir, f"{workload_cls.name}-{seed}"))
+        try:
+            for k in range(wl.n_inputs):
+                inp = wl.setup(k)
+                _, output = wl.run(k, inp)
+                DIGESTS[wl.name](h, k, inp, output)
+        finally:
+            wl.close()
+    return h.hexdigest()
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("seeds", type=int, nargs="+")
+    p.add_argument("--workload", choices=sorted(DIGESTS), action="append",
+                   help="digest only this workload (repeatable)")
+    args = p.parse_args(argv)
+    root = os.getcwd()
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    from workloads import WORKLOADS
+
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in args.workload or DIGESTS:
+            print(name, digest(WORKLOADS[name], args.seeds, workdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
