@@ -18,8 +18,7 @@ from .problem import (Problem, RobustKernel, ScalePrior, StateVector,
                       robust_terms, total_energy)
 from .solver import SolverSettings, SolveReport, linearize, lm_step, optimize, schur_solve
 from .implicit import (ImplicitGradRequest, ImplicitGradReport,
-                       implicit_gradient, optimality_residual,
-                       unrolled_gradient_oracle)
+                       implicit_gradient, unrolled_gradient_oracle)
 
 __all__ = [
     "GradbaError", "CameraIntrinsics", "Pose", "project",
@@ -27,6 +26,6 @@ __all__ = [
     "ScalePrior", "StateVector", "robust_terms",
     "total_energy", "SolverSettings", "SolveReport", "linearize", "lm_step",
     "optimize", "schur_solve", "ImplicitGradRequest", "ImplicitGradReport",
-    "implicit_gradient", "optimality_residual", "unrolled_gradient_oracle",
+    "implicit_gradient", "unrolled_gradient_oracle",
 ]
 __version__ = "0.1.0"

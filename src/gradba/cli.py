@@ -133,6 +133,7 @@ def cmd_solve(args):
     config = load_config(args.config)
     scene = scn.load_scene(args.scene)
     state, track_ids = scn.load_state(args.state)
+    scn.check_state_fits(scene, state, track_ids)
     problem = scn.build_problem(scene, model="static", kernel=_kernel(config),
                                 state=state, track_ids=track_ids)
     solved, report = optimize(problem, state, settings=_settings(config))

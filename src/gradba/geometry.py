@@ -11,7 +11,7 @@ Conventions, fixed once for the whole package:
   rounds as it does alone; ``retract`` moves many poses in one call.
 - Tangent vectors are 6-vectors ``[omega, v]``: rotation part first (axis-angle,
   radians), translation part second (scene units).
-- The retraction is left-multiplicative: ``retract(T, d) = se3_exp(d) * T``,
+- The retraction is left-multiplicative: ``retract(T, d) = exp(d) * T``,
   exact for all tangent magnitudes; all pose jacobians are taken with respect
   to this tangent at zero.
 - ``pinhole`` is the one world -> camera -> pixel map: the solver's factors,
@@ -153,16 +153,6 @@ def _so3_left_jacobian(w):
     return V
 
 
-def _so3_left_jacobian_inv(w):
-    theta2 = float(np.dot(w, w))
-    W = so3_hat(w)
-    if theta2 < 1e-16:
-        return np.eye(3) - 0.5 * W + W @ W / 12.0
-    theta = np.sqrt(theta2)
-    coef = 1.0 / theta2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) - 0.5 * W + W @ W * coef
-
-
 # ---------------------------------------------------------------------------
 # pose
 # ---------------------------------------------------------------------------
@@ -233,11 +223,11 @@ def quat_from_matrix(R):
 
 
 # ---------------------------------------------------------------------------
-# SE(3) exponential / logarithm / retraction
+# SE(3) retraction
 # ---------------------------------------------------------------------------
 
 def retract(q, t, delta):
-    """Left-multiplicative update se3_exp(delta) * (q, t) of unit quaternions
+    """Left-multiplicative update exp(delta) * (q, t) of unit quaternions
     q (..., 4) and translations t (..., 3) by tangents delta (..., 6). Each
     row rounds as it does alone, and the new q is normalized once."""
     if q.ndim == 2 and len(q) == 1:  # a lone row runs as cheaper scalar arithmetic
@@ -248,19 +238,8 @@ def retract(q, t, delta):
     return normalized(quat_mul(dq, q)), quat_rotate(dq, t) + dt
 
 
-def se3_exp(delta):
-    """Group exponential of a tangent [omega, v] -> Pose."""
-    return se3_retract(Pose(), delta)
-
-
-def se3_log(pose):
-    """Inverse of se3_exp; returns the tangent [omega, v]."""
-    w = quat_to_rotvec(pose.q)
-    return np.concatenate([w, _so3_left_jacobian_inv(w) @ pose.t])
-
-
 def se3_retract(pose, delta):
-    """Left-multiplicative update se3_exp(delta) * pose."""
+    """Left-multiplicative update exp(delta) * pose."""
     return Pose.of_unit(*retract(pose.q, pose.t, np.asarray(delta, dtype=float)))
 
 

@@ -41,15 +41,6 @@ def max_rel_error(a, b, floor=1e-12):
     return float(np.abs(a - b).max() / denom)
 
 
-def optimality_residual(problem, state, theta=None):
-    """Infinity norm of the energy gradient over the free variables.
-
-    Computed through the same IRLS-weighted linearization the solver uses, so
-    the solver's gradient-tolerance termination bounds this quantity.
-    """
-    return linearize(problem, state, theta).gradient_inf_norm()
-
-
 @dataclass
 class ImplicitGradRequest:
     """Inputs of one implicit-gradient evaluation.
@@ -127,27 +118,6 @@ def implicit_gradient(request):
 # ---------------------------------------------------------------------------
 # downstream losses
 # ---------------------------------------------------------------------------
-
-class LandmarkTargetLoss:
-    """L = ||landmark - target||^2 with an analytic tangent gradient."""
-
-    def __init__(self, landmark_index, target):
-        self.landmark_index = landmark_index
-        self.target = np.asarray(target, dtype=float)
-
-    def value(self, state):
-        d = state.landmarks[self.landmark_index] - self.target
-        return float(d @ d)
-
-    def grad_tangent(self, state, layout):
-        g = np.zeros(layout.dim)
-        slot = layout.lm_slot[self.landmark_index]
-        if slot < 0:
-            raise ValueError(f"landmark {self.landmark_index} is fixed")
-        o = layout.lm_offset(slot)
-        g[o:o + 3] = 2.0 * (state.landmarks[self.landmark_index] - self.target)
-        return g
-
 
 class PoseErrorLoss:
     """Gauge-aligned squared pose error against reference poses.
@@ -247,22 +217,27 @@ def check_unique_alignment(est, ref):
 # oracles
 # ---------------------------------------------------------------------------
 
-def fd_gradient(problem, x0, theta, settings, loss, h=1e-5, indices=None):
-    """Central finite differences of theta -> L(X*(theta)), re-solving fully.
-
-    ``indices`` selects the theta coordinates to differentiate (all by
-    default); the result holds one entry per selected coordinate.
-    """
+def _central_differences(solve, theta, loss, h, indices):
+    """(L(solve(theta + h e_k)) - L(solve(theta - h e_k))) / 2h for each
+    selected theta coordinate k (all by default), one entry per selected k."""
     theta = np.asarray(theta, dtype=float)
     indices = np.arange(theta.size) if indices is None else indices
     g = np.zeros(len(indices))
     for n, k in enumerate(indices):
         dt = np.zeros_like(theta)
         dt[k] = h
-        xp, _ = optimize(problem, x0, theta + dt, settings)
-        xm, _ = optimize(problem, x0, theta - dt, settings)
-        g[n] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
+        g[n] = (loss.value(solve(theta + dt)) - loss.value(solve(theta - dt))) / (2.0 * h)
     return g
+
+
+def fd_gradient(problem, x0, theta, settings, loss, h=1e-5, indices=None):
+    """Central finite differences of theta -> L(X*(theta)), re-solving fully.
+
+    ``indices`` selects the theta coordinates to differentiate (all by
+    default); the result holds one entry per selected coordinate.
+    """
+    return _central_differences(lambda th: optimize(problem, x0, th, settings)[0],
+                                theta, loss, h, indices)
 
 
 def _fixed_schedule_solve(problem, x0, theta, n_iters, lam):
@@ -291,13 +266,6 @@ def unrolled_gradient_oracle(problem, x0, theta, settings, loss,
                             or problem.state.n_landmarks > 100):
         raise ValueError("unrolled oracle over all of theta is restricted "
                          "to small problems")
-    theta = np.asarray(theta, dtype=float)
-    indices = np.arange(theta.size) if indices is None else indices
-    g = np.zeros(len(indices))
-    for n, k in enumerate(indices):
-        dt = np.zeros_like(theta)
-        dt[k] = h
-        xp = _fixed_schedule_solve(problem, x0, theta + dt, n_iters, lam)
-        xm = _fixed_schedule_solve(problem, x0, theta - dt, n_iters, lam)
-        g[n] = (loss.value(xp) - loss.value(xm)) / (2.0 * h)
-    return g
+    return _central_differences(
+        lambda th: _fixed_schedule_solve(problem, x0, th, n_iters, lam),
+        theta, loss, h, indices)

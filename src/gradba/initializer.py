@@ -69,7 +69,6 @@ class RansacConfig:
     confidence: float = 0.999
     seed: int = 0
     min_parallax: float = 1e-4   # degeneracy gate on median inlier parallax, rad
-    use_eight_point: bool = False  # cross-checking solver behind a switch
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -141,7 +140,7 @@ def _eight_point(q_a, q_b):
     U, s, Vt2 = np.linalg.svd(E0)
     m = 0.5 * (s[0] + s[1])
     E = U @ np.diag([m, m, 0.0]) @ Vt2
-    return [E / np.linalg.norm(E)]
+    return E / np.linalg.norm(E)
 
 
 def _cheirality_depths(R, t, q_a, q_b):
@@ -182,14 +181,12 @@ def estimate_relative_pose(bearings_anchor, bearings_terminal, cfg,
     q_a = np.asarray(bearings_anchor, dtype=float)
     q_b = np.asarray(bearings_terminal, dtype=float)
     n = len(q_a)
-    min_sample = 8 if cfg.use_eight_point else 5
-    if n < min_sample:
-        raise TooFewCorrespondences(f"{n} < {min_sample} correspondences")
+    if n < 5:
+        raise TooFewCorrespondences(f"{n} < 5 correspondences")
     if min_parallax is None:
         min_parallax = cfg.min_parallax
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    solver = _eight_point if cfg.use_eight_point else fivepoint.essential_from_five
     best_E = None
     best_mask = None
     best_count = -1
@@ -197,8 +194,8 @@ def estimate_relative_pose(bearings_anchor, bearings_terminal, cfg,
     it = 0
     while it < max_iter:
         it += 1
-        sample = rng.choice(n, size=min_sample, replace=False)
-        for E in solver(q_a[sample], q_b[sample]):
+        sample = rng.choice(n, size=5, replace=False)
+        for E in fivepoint.essential_from_five(q_a[sample], q_b[sample]):
             errs = fivepoint.epipolar_errors(E, q_a, q_b)
             mask = errs < cfg.threshold
             count = int(mask.sum())
@@ -206,17 +203,17 @@ def estimate_relative_pose(bearings_anchor, bearings_terminal, cfg,
                 best_E, best_mask, best_count = E, mask, count
                 ratio = count / n
                 if 0 < ratio < 1:
-                    denom = np.log(max(1.0 - ratio ** min_sample, 1e-16))
+                    denom = np.log(max(1.0 - ratio ** 5, 1e-16))
                     needed = int(np.ceil(np.log(1.0 - cfg.confidence) / denom))
                     max_iter = min(cfg.max_iterations, max(needed, 1))
                 elif ratio == 1.0:
                     max_iter = it
-    if best_E is None or best_count < min_sample:
+    if best_E is None or best_count < 5:
         raise DegenerateGeometry("RANSAC produced no valid essential matrix")
 
     # linear refit on the inliers, then re-score
     if best_count >= 8:
-        E_ref = _eight_point(q_a[best_mask], q_b[best_mask])[0]
+        E_ref = _eight_point(q_a[best_mask], q_b[best_mask])
         errs = fivepoint.epipolar_errors(E_ref, q_a, q_b)
         mask = errs < cfg.threshold
         if int(mask.sum()) >= best_count:
@@ -468,7 +465,7 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None):
         common = np.flatnonzero(seen[0] & seen[t])
         st = CandidateStats(frame=t)
         stats.append(st)
-        if len(common) < (8 if ransac_cfg.use_eight_point else 5):
+        if len(common) < 5:
             st.usable = False
             continue
         px0, px1 = pix[0, common], pix[t, common]

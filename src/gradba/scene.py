@@ -365,10 +365,29 @@ def load_state(path):
         _finite_vector(p, "t", 3, f"{path}: pose")
     for l in lm_docs:
         _finite_vector(l, "position", 3, f"{path}: landmark")
+    if not all(isinstance(d["fixed"], bool) for d in pose_docs + lm_docs):
+        raise SceneFormatError(f"{path}: each fixed must be true or false")
+    tracks = [l["track"] for l in lm_docs]
+    if not all(type(t) is int for t in tracks):
+        raise SceneFormatError(f"{path}: each landmark track must be an integer")
+    if len(set(tracks)) < len(tracks):
+        raise SceneFormatError(f"{path}: a landmark track is repeated")
     state = StateVector([Pose(p["q_wxyz"], p["t"]) for p in pose_docs],
                         np.array([l["position"] for l in lm_docs]).reshape(-1, 3),
                         [p["fixed"] for p in pose_docs], [l["fixed"] for l in lm_docs])
-    return state, [l["track"] for l in lm_docs]
+    return state, tracks
+
+
+def check_state_fits(scene, state, track_ids):
+    """Raise SceneFormatError unless the state has one pose per scene frame
+    and each of its tracks is a landmark id of the scene."""
+    if state.n_poses != len(scene["frames"]):
+        raise SceneFormatError(f"state has {state.n_poses} poses for "
+                               f"{len(scene['frames'])} scene frames")
+    unknown = set(track_ids) - {l["id"] for l in scene["landmarks"]}
+    if unknown:
+        raise SceneFormatError(f"state tracks {sorted(unknown)} are not landmark ids "
+                               "of the scene")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,14 @@ the initializer's two-view geometry one pixel pair at a time, as
 or 3x2 ``lstsq`` per pair. ``loop_run_initialization`` is the window
 initialization on per-frame dicts, per-track inverse-depth estimates and an
 observation dict, as it ran before the (frame x track) table.
+
+The library runs none of the following; the tests use them as oracles.
+``se3_exp`` and ``se3_log`` are the SE(3) group exponential and logarithm
+(``se3_log`` through ``_so3_left_jacobian_inv``), with which tests draw poses
+and measure pose differences. ``optimality_residual`` is the infinity norm
+of the energy gradient at a state, and ``LandmarkTargetLoss`` a squared
+landmark-to-target distance with an analytic tangent gradient: the
+implicit-gradient tests' stationarity check and downstream loss.
 """
 
 import copy
@@ -28,7 +36,7 @@ from gradba import temporal
 from gradba.errors import (CheiralityViolation, DegenerateGeometry, InitializationFailed,
                            NoValidTerminal, TooFewCorrespondences, TooFewPoints)
 from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project, quat_from_matrix,
-                             quat_to_matrix, so3_hat)
+                             quat_to_matrix, quat_to_rotvec, se3_retract, so3_hat)
 from gradba.initializer import (PROBE_PX, RAY_PARALLEL_EPS, REJECT_FACTOR, CandidateStats,
                                 InitResult, InverseDepthEstimate, RansacConfig, WindowConfig,
                                 _depth, _pixels, depth_gate, estimate_relative_pose,
@@ -39,7 +47,7 @@ from gradba.initializer import (PROBE_PX, RAY_PARALLEL_EPS, REJECT_FACTOR, Candi
 from gradba.problem import StateVector
 from gradba.problem import DescriptorFieldModel, TrackBiasModel, softargmax
 from gradba.solver import (LinearizedSystem, SystemLayout,
-                           _translation_curvature, apply_step)
+                           _translation_curvature, apply_step, linearize)
 
 
 def loop_observe(model, frame, track, theta):
@@ -423,6 +431,36 @@ def fd_tangent_gradient(value_fn, state, layout, h=1e-6):
     return g
 
 
+def optimality_residual(problem, state, theta=None):
+    """Infinity norm of the energy gradient over the free variables.
+
+    Computed through the same IRLS-weighted linearization the solver uses, so
+    the solver's gradient-tolerance termination bounds this quantity.
+    """
+    return linearize(problem, state, theta).gradient_inf_norm()
+
+
+class LandmarkTargetLoss:
+    """L = ||landmark - target||^2 with an analytic tangent gradient."""
+
+    def __init__(self, landmark_index, target):
+        self.landmark_index = landmark_index
+        self.target = np.asarray(target, dtype=float)
+
+    def value(self, state):
+        d = state.landmarks[self.landmark_index] - self.target
+        return float(d @ d)
+
+    def grad_tangent(self, state, layout):
+        g = np.zeros(layout.dim)
+        slot = layout.lm_slot[self.landmark_index]
+        if slot < 0:
+            raise ValueError(f"landmark {self.landmark_index} is fixed")
+        o = layout.lm_offset(slot)
+        g[o:o + 3] = 2.0 * (state.landmarks[self.landmark_index] - self.target)
+        return g
+
+
 def loop_drifting_grid(rng, grid_shape, base, slope):
     """``gradba.scene._drifting_grid`` drawn and normalized one cell at a time."""
     H, W, C = grid_shape
@@ -437,6 +475,27 @@ def loop_drifting_grid(rng, grid_shape, base, slope):
             noise /= np.linalg.norm(noise)
             grid[y, x] = ref + (base + slope * d) * noise
     return ref, grid
+
+
+def se3_exp(delta):
+    """Group exponential of a tangent [omega, v] -> Pose."""
+    return se3_retract(Pose(), delta)
+
+
+def _so3_left_jacobian_inv(w):
+    theta2 = float(np.dot(w, w))
+    W = so3_hat(w)
+    if theta2 < 1e-16:
+        return np.eye(3) - 0.5 * W + W @ W / 12.0
+    theta = np.sqrt(theta2)
+    coef = 1.0 / theta2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+    return np.eye(3) - 0.5 * W + W @ W * coef
+
+
+def se3_log(pose):
+    """Inverse of se3_exp; returns the tangent [omega, v]."""
+    w = quat_to_rotvec(pose.q)
+    return np.concatenate([w, _so3_left_jacobian_inv(w) @ pose.t])
 
 
 def loop_retract(pose, delta):
@@ -567,7 +626,7 @@ def loop_run_initialization(window, K, cfg=None, ransac_cfg=None):
     for t in range(1, T):
         common = sorted(set(anchor) & set(window[t]))
         st = CandidateStats(frame=t)
-        if len(common) < (8 if ransac_cfg.use_eight_point else 5):
+        if len(common) < 5:
             st.usable = False
             stats.append(st)
             continue

@@ -11,14 +11,20 @@ operation on each, then hashes
 - ``train-windows``: the solved state, the SolveReport, dL/dtheta, the
   adjoint solve residual and condition number, and the temporal gradient;
 - ``cli-pipeline``: the exit codes and the bytes of every file the pipeline
-  writes.
+  writes;
+- ``gradcheck``, which no workload runs: the exit codes, the scene and the
+  ``gradcheck`` reports (``trackbias`` and ``descfield``, ``--fd-subset 6``)
+  of a 6-camera arc scene with a descriptor field, drawn with the seed.
 
 Two checkouts whose digests agree on a seed produced byte-identical outputs
 on it. The file is not named ``test_*``, so pytest does not collect it.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
 import tempfile
@@ -65,6 +71,7 @@ def _cli_pipeline(h, k, inp, output):
 
 DIGESTS = {"solve-large": _solve_large, "train-windows": _train_windows,
            "cli-pipeline": _cli_pipeline}
+GRADCHECK_MODELS = ("trackbias", "descfield")
 
 
 def digest(workload_cls, seeds, workdir):
@@ -81,19 +88,47 @@ def digest(workload_cls, seeds, workdir):
     return h.hexdigest()
 
 
+def gradcheck_digest(seeds, workdir):
+    from gradba.cli import main as cli
+
+    h = hashlib.sha256()
+    for seed in seeds:
+        base = os.path.join(workdir, f"gradcheck-{seed}")
+        os.makedirs(base)
+        config, scene = os.path.join(base, "config.json"), os.path.join(base, "scene.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"scene": {"n_cameras": 6, "n_landmarks": 40, "trajectory": "arc",
+                                 "seed": seed},
+                       "noise": {"sigma": 0.6}, "descriptor_field": {"attach": True}}, fh)
+        reports = [os.path.join(base, f"{model}.json") for model in GRADCHECK_MODELS]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli(["synth", "--config", config, "--out", scene])]
+            codes += [cli(["gradcheck", "--scene", scene, "--model", model,
+                           "--fd-subset", "6", "--report", report])
+                      for model, report in zip(GRADCHECK_MODELS, reports)]
+        h.update(repr(codes).encode())
+        for path in [scene] + reports:
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("seeds", type=int, nargs="+")
-    p.add_argument("--workload", choices=sorted(DIGESTS), action="append",
-                   help="digest only this workload (repeatable)")
+    p.add_argument("--workload", choices=sorted(DIGESTS) + ["gradcheck"], action="append",
+                   help="digest only this workload, or gradcheck (repeatable)")
     args = p.parse_args(argv)
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     from workloads import WORKLOADS
 
     with tempfile.TemporaryDirectory() as workdir:
-        for name in args.workload or DIGESTS:
-            print(name, digest(WORKLOADS[name], args.seeds, workdir), flush=True)
+        for name in args.workload or [*DIGESTS, "gradcheck"]:
+            value = (gradcheck_digest(args.seeds, workdir) if name == "gradcheck"
+                     else digest(WORKLOADS[name], args.seeds, workdir))
+            print(name, value, flush=True)
     return 0
 
 

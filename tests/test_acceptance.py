@@ -12,10 +12,10 @@ import pytest
 from gradba.alignment import align, apply_alignment
 from gradba.geometry import (CameraIntrinsics, Pose, project,
                              projection_jacobians, quat_conj, quat_from_matrix,
-                             quat_mul, quat_to_rotvec, se3_exp, se3_retract)
-from gradba.implicit import (ImplicitGradRequest, LandmarkTargetLoss,
-                             PoseErrorLoss, fd_gradient, implicit_gradient,
-                             max_rel_error, unrolled_gradient_oracle)
+                             quat_mul, quat_to_rotvec, se3_retract)
+from gradba.implicit import (ImplicitGradRequest, PoseErrorLoss, fd_gradient,
+                             implicit_gradient, max_rel_error,
+                             unrolled_gradient_oracle)
 from gradba.initializer import (InverseDepthEstimate, RansacConfig,
                                 estimate_relative_pose, fuse_inverse_depth,
                                 normalize_bearings, run_initialization)
@@ -27,6 +27,7 @@ from gradba.temporal import (TemporalEnergy, TrackPair, gaussian_target,
                              loss_hot, loss_mrp, loss_sim, temporal_energy)
 
 from conftest import build_ba_problem, build_window, problem_like
+from loop_reference import LandmarkTargetLoss, se3_exp
 from test_temporal import random_transition
 
 TIGHT = SolverSettings(gradient_tolerance=1e-11, max_iterations=300)

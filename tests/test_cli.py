@@ -120,6 +120,23 @@ def error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines() if line]
 
 
+# each edit of an init state file that solve must refuse with error[harness]
+STATE_EDITS = {
+    "q_wxyz": lambda doc: doc["poses"][1].pop("q_wxyz"),
+    "q_wxyz_not_numbers": lambda doc: doc["poses"][1].update(q_wxyz="abc"),
+    "short_position": lambda doc: doc["landmarks"][0].update(position=[1, 2]),
+    "pose_fixed_string": lambda doc: doc["poses"][1].update(fixed="yes"),
+    "landmark_fixed_string": lambda doc: doc["landmarks"][0].update(fixed="no"),
+    "pose_fixed_list": lambda doc: doc["poses"][1].update(fixed=[1]),
+    "track_list": lambda doc: doc["landmarks"][0].update(track=[3]),
+    "track_string": lambda doc: doc["landmarks"][0].update(track="3"),
+    "track_repeated": lambda doc: doc["landmarks"][1].update(track=doc["landmarks"][0]["track"]),
+    "track_not_in_scene": lambda doc: doc["landmarks"][0].update(track=10 ** 6),
+    "extra_pose": lambda doc: doc["poses"].append(dict(doc["poses"][-1])),
+    "missing_pose": lambda doc: doc["poses"].pop(),
+}
+
+
 class TestFailureContract:
     def test_nan_observation_fails_in_solver(self, workdir, capsys):
         tmp_path, cfg = workdir
@@ -230,8 +247,7 @@ class TestFailureContract:
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
 
-    @pytest.mark.parametrize("case", ["missing", "malformed", "q_wxyz",
-                                      "q_wxyz_not_numbers", "short_position"])
+    @pytest.mark.parametrize("case", ["missing", "malformed"] + sorted(STATE_EDITS))
     def test_state_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc, st = str(tmp_path / "scene.json"), tmp_path / "state.json"
@@ -240,17 +256,12 @@ class TestFailureContract:
                      str(st), "--out-traj", str(tmp_path / "init.tum")]) == 0
         if case == "missing":
             st.unlink()
-        elif case in ("q_wxyz", "q_wxyz_not_numbers", "short_position"):
-            doc = json.loads(st.read_text())
-            if case == "q_wxyz":
-                del doc["poses"][1]["q_wxyz"]
-            elif case == "q_wxyz_not_numbers":
-                doc["poses"][1]["q_wxyz"] = "abc"
-            else:
-                doc["landmarks"][0]["position"] = [1, 2]
-            st.write_text(json.dumps(doc))
-        else:
+        elif case == "malformed":
             st.write_text(st.read_text()[:-10])
+        else:
+            doc = json.loads(st.read_text())
+            STATE_EDITS[case](doc)
+            st.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["solve", "--scene", sc, "--state", str(st),
                    "--out-traj", str(tmp_path / "est.tum")])

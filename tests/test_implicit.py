@@ -6,15 +6,14 @@ import pytest
 from gradba import scene as scn
 from gradba.errors import NonUniqueAlignment, NotAtOptimum
 from gradba.geometry import CameraIntrinsics, Pose, project, projection_jacobians
-from gradba.implicit import (ImplicitGradRequest, LandmarkTargetLoss,
-                             PoseErrorLoss, fd_gradient, implicit_gradient,
-                             max_rel_error, optimality_residual,
+from gradba.implicit import (ImplicitGradRequest, PoseErrorLoss, fd_gradient,
+                             implicit_gradient, max_rel_error,
                              unrolled_gradient_oracle)
 from gradba.problem import Problem, StateVector, TrackBiasModel
 from gradba.solver import SolverSettings, SystemLayout, linearize, optimize
 
 from conftest import build_ba_problem, problem_like
-from loop_reference import fd_tangent_gradient
+from loop_reference import LandmarkTargetLoss, fd_tangent_gradient, optimality_residual
 
 TIGHT = SolverSettings(gradient_tolerance=1e-11, max_iterations=300)
 

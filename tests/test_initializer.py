@@ -7,8 +7,9 @@ from gradba.errors import (DegenerateGeometry, InitializationFailed,
 from gradba.geometry import (CameraIntrinsics, Pose, project, quat_conj,
                              quat_from_matrix, quat_mul, quat_to_rotvec,
                              se3_retract)
+from gradba.fivepoint import decompose_essential, essential_from_five
 from gradba.initializer import (CandidateStats, InverseDepthEstimate,
-                                RansacConfig, WindowConfig,
+                                RansacConfig, WindowConfig, _eight_point,
                                 constant_velocity_extrapolation, depth_gate,
                                 estimate_relative_pose, fuse_inverse_depth,
                                 mean_reprojection_error, normalize_bearings,
@@ -79,7 +80,7 @@ class TestNormalizeBearings:
 class TestEstimateRelativePose:
     def test_noise_free_recovery(self):
         rng = np.random.default_rng(0)
-        from gradba.geometry import se3_exp
+        from loop_reference import se3_exp
         Rgt = se3_exp(np.array([0.05, -0.1, 0.08, 0, 0, 0])).rotation_matrix()
         tgt = np.array([1.0, 0.2, -0.1])
         tgt = tgt / np.linalg.norm(tgt)
@@ -93,7 +94,7 @@ class TestEstimateRelativePose:
 
     def test_outliers_recovered_exactly(self):
         rng = np.random.default_rng(3)
-        from gradba.geometry import se3_exp
+        from loop_reference import se3_exp
         Rgt = se3_exp(np.array([0.03, -0.06, 0.02, 0, 0, 0])).rotation_matrix()
         tgt = np.array([1.0, 0.0, 0.2])
         tgt = tgt / np.linalg.norm(tgt)
@@ -113,24 +114,30 @@ class TestEstimateRelativePose:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pure_rotation_degenerate(self):
         rng = np.random.default_rng(1)
-        from gradba.geometry import se3_exp
+        from loop_reference import se3_exp
         Rgt = se3_exp(np.array([0.1, 0.2, -0.05, 0, 0, 0])).rotation_matrix()
         ba, bb, *_ = bearings_for_pair(rng, 40, Rgt, np.zeros(3))
         with pytest.raises(DegenerateGeometry):
             estimate_relative_pose(ba, bb, RansacConfig(seed=2))
 
-    def test_eight_point_switch_agrees(self):
+    def test_eight_point_on_inliers_agrees(self):
+        # the linear solver on the five-point RANSAC's inliers: one of its
+        # four decompositions is the relative pose the RANSAC returned, and
+        # one of the five-point solver's own, on five of those inliers
         rng = np.random.default_rng(4)
-        from gradba.geometry import se3_exp
+        from loop_reference import se3_exp
         Rgt = se3_exp(np.array([0.04, -0.02, 0.06, 0, 0, 0])).rotation_matrix()
         tgt = np.array([0.5, -0.3, 0.1])
         tgt = tgt / np.linalg.norm(tgt)
         ba, bb, *_ = bearings_for_pair(rng, 50, Rgt, tgt)
-        R5, t5, _ = estimate_relative_pose(ba, bb, RansacConfig(seed=6))
-        R8, t8, _ = estimate_relative_pose(
-            ba, bb, RansacConfig(seed=6, use_eight_point=True))
-        assert np.abs(R5 - R8).max() < 1e-8
-        assert np.abs(t5 - t8).max() < 1e-8
+        R5, t5, mask = estimate_relative_pose(ba, bb, RansacConfig(seed=6))
+        poses8 = decompose_essential(_eight_point(ba[mask], bb[mask]))
+        poses5 = [(R, t) for E in essential_from_five(ba[mask][:5], bb[mask][:5])
+                  for R, t in decompose_essential(E)]
+        assert any(np.abs(R5 - R8).max() < 1e-8 and np.abs(t5 - t8).max() < 1e-8
+                   for R8, t8 in poses8)
+        assert any(np.abs(R - R8).max() < 1e-8 and np.abs(t - t8).max() < 1e-8
+                   for R, t in poses5 for R8, t8 in poses8)
 
 
 class TestTriangulate:
@@ -428,6 +435,25 @@ class TestRunInitialization:
                 pose = res.state.poses[f]
                 c = pose.world_to_camera(res.state.landmarks[index[t]])
                 assert c[2] > 0
+
+    def test_final_filter_drops_a_landmark_behind_a_fallback_pose(self):
+        # frame 2 sees only 3 landmark tracks, so PnP takes the
+        # constant-velocity pose and keeps all three observations; the camera
+        # has moved past the near landmark, and its pixel there, the anchor's,
+        # gives parallel rays that the fusion sweep skips
+        intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+        rng = np.random.default_rng(7)
+        lms = np.column_stack([rng.uniform(-2, 2, 40), rng.uniform(-1.5, 1.5, 40),
+                               rng.uniform(4, 9, 40)])
+        lms[0] = [0.1, 0.05, 0.8]
+        poses = [Pose(t=[0.3 * i, 0.0, 0.5 * i]) for i in range(3)]
+        window = [{t: project(P, intr, X) for t, X in enumerate(lms)} for P in poses[:2]]
+        window.append({0: window[0][0], 1: project(poses[2], intr, lms[1]),
+                       2: project(poses[2], intr, lms[2])})
+        res = run_initialization(window, intr.matrix())
+        assert res.terminal_index == 1 and 0 in res.track_ids
+        assert (2, 0) not in res.observations
+        assert (2, 1) in res.observations and (2, 2) in res.observations
 
 
 # acceptance 11's arc scenes, and cli-pipeline's with 3 % outliers: tracks

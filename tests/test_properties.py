@@ -24,8 +24,8 @@ from gradba.errors import CheiralityViolation  # noqa: E402
 from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose,  # noqa: E402
                              _so3_left_jacobian, cross, normalized, pinhole, project,
                              quat_conj, quat_from_rotvec, quat_mul, quat_rotate,
-                             quat_to_matrix, quat_to_rotvec, retract, se3_exp, se3_log,
-                             se3_retract, so3_hat)
+                             quat_to_matrix, quat_to_rotvec, retract, se3_retract,
+                             so3_hat)
 from gradba.implicit import PoseErrorLoss, max_rel_error  # noqa: E402
 from gradba.initializer import (InverseDepthEstimate, _cheirality_depths,  # noqa: E402
                                 fuse_inverse_depth, normalize_bearings,
@@ -40,7 +40,7 @@ from gradba.trajectory import read_tum, records_from_poses, write_tum  # noqa: E
 from loop_reference import (fd_tangent_gradient, loop_cheirality_depths,  # noqa: E402
                             loop_drifting_grid, loop_observe_vjp,
                             loop_problem_table, loop_retract, loop_sigma_obs,
-                            loop_triangulate)
+                            loop_triangulate, se3_exp, se3_log)
 
 GRAD_RTOL = 1e-6
 VJP_RTOL = 1e-12

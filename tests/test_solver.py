@@ -11,14 +11,14 @@ from gradba import temporal
 from gradba.alignment import align, apply_alignment
 from gradba.errors import Diverged, SingularSystem
 from gradba.geometry import (CameraIntrinsics, Pose, projection_jacobians,
-                             se3_exp, se3_retract)
+                             se3_retract)
 from gradba.problem import (Problem, RobustKernel, StateVector, StaticModel,
                             total_energy)
 from gradba.solver import (SolverSettings, apply_step, exact_hessian_system,
                            linearize, lm_step, optimize, schur_solve)
 
 from conftest import build_ba_problem, problem_like
-from loop_reference import residual
+from loop_reference import residual, se3_exp
 
 # a unit quaternion that six repeated renormalizations q / |q| each move in
 # its last bits (found by a seeded search over random unit quaternions)

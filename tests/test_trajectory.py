@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from gradba.errors import LengthMismatch, SceneFormatError, TimestampMismatch
-from gradba.geometry import Pose, quat_from_rotvec, se3_exp
+from gradba.geometry import Pose, quat_from_rotvec
 from gradba.trajectory import (TrajectoryRecord, compute_are, compute_ate,
                                read_tum, records_from_poses, write_tum)
+
+from loop_reference import se3_exp
 
 
 def random_trajectory(rng, n=10):
