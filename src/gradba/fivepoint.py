@@ -21,50 +21,33 @@ import scipy.linalg
 
 from .errors import TooFewCorrespondences
 
-# monomial orders
-# lin:   [x, y, z, 1]
-# quad:  [x^2, xy, y^2, xz, yz, z^2, x, y, z, 1]
-# cubic: [x^3, x^2 y, x y^2, y^3, x^2 z, x y z, y^2 z, x z^2, y z^2, z^3,
-#         x^2, x y, y^2, x z, y z, z^2, x, y, z, 1]
-
-_QL = {  # (quad index, lin index) -> cubic index
-    (0, 0): 0, (0, 1): 1, (0, 2): 4, (0, 3): 10,
-    (1, 0): 1, (1, 1): 2, (1, 2): 5, (1, 3): 11,
-    (2, 0): 2, (2, 1): 3, (2, 2): 6, (2, 3): 12,
-    (3, 0): 4, (3, 1): 5, (3, 2): 7, (3, 3): 13,
-    (4, 0): 5, (4, 1): 6, (4, 2): 8, (4, 3): 14,
-    (5, 0): 7, (5, 1): 8, (5, 2): 9, (5, 3): 15,
-    (6, 0): 10, (6, 1): 11, (6, 2): 13, (6, 3): 16,
-    (7, 0): 11, (7, 1): 12, (7, 2): 14, (7, 3): 17,
-    (8, 0): 13, (8, 1): 14, (8, 2): 15, (8, 3): 18,
-    (9, 0): 16, (9, 1): 17, (9, 2): 18, (9, 3): 19,
-}
-_LL = {  # (lin, lin) -> quad index
-    (0, 0): 0, (0, 1): 1, (0, 2): 3, (0, 3): 6,
-    (1, 0): 1, (1, 1): 2, (1, 2): 4, (1, 3): 7,
-    (2, 0): 3, (2, 1): 4, (2, 2): 5, (2, 3): 8,
-    (3, 0): 6, (3, 1): 7, (3, 2): 8, (3, 3): 9,
-}
+# monomial orders as (x, y, z) exponents
+_LIN = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]                    # x, y, z, 1
+_QUAD = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2),
+         *_LIN]                                                         # x^2 ... z^2, lin
+_CUBIC = [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (2, 0, 1), (1, 1, 1),
+          (0, 2, 1), (1, 0, 2), (0, 1, 2), (0, 0, 3), *_QUAD]           # x^3 ... z^3, quad
 
 
-def _tensor(index_map, shape):
-    T = np.zeros(shape)
-    for (i, j), k in index_map.items():
-        T[i, j, k] = 1.0
+def _product(a, b, out):
+    """(len(a), len(b), len(out)) tensor with a 1 where monomial a[i] times
+    b[j] is out[k]."""
+    index = {m: k for k, m in enumerate(out)}
+    T = np.zeros((len(a), len(b), len(out)))
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            T[i, j, index[tuple(u + v for u, v in zip(p, q))]] = 1.0
     return T
 
 
-_M_LL = _tensor(_LL, (4, 4, 10))
-_M_QL = _tensor(_QL, (10, 4, 20))
+_M_LL = _product(_LIN, _LIN, _QUAD)
+_M_QL = _product(_QUAD, _LIN, _CUBIC)
 
 # cubic-coefficient partition by z-degree onto the (x, y)-monomial basis
-# m = [x^3, x^2 y, x y^2, y^3, x^2, x y, y^2, x, y, 1]
-_Z_PARTS = (
-    ([0, 1, 2, 3, 10, 11, 12, 16, 17, 19], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
-    ([4, 5, 6, 13, 14, 18], [4, 5, 6, 7, 8, 9]),
-    ([7, 8, 15], [7, 8, 9]),
-    ([9], [9]),
-)
+# m = [x^3, x^2 y, x y^2, y^3, x^2, x y, y^2, x, y, 1], the z-free cubics
+_XY = [(i, j) for i, j, k in _CUBIC if k == 0]
+_Z_PARTS = tuple(([c for c, (_, _, k) in enumerate(_CUBIC) if k == d],
+                  [_XY.index((i, j)) for i, j, k in _CUBIC if k == d]) for d in range(4))
 
 
 def _mul_ll(a, b):

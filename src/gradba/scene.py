@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleConfig, SceneFormatError
-from .geometry import (CameraIntrinsics, DEPTH_EPS, Pose, pinhole, project, quat_conj,
-                       quat_from_matrix, quat_rotate, quat_to_matrix)
+from .geometry import (CameraIntrinsics, Pose, pinhole, project, quat_from_matrix,
+                       quat_to_matrix)
 from .problem import (DescriptorFieldModel, Problem, ScalePrior, StateVector,
                       StaticModel, TemporalAttachment, TemporalObservation,
                       TrackBiasModel, softargmax)
@@ -73,72 +72,64 @@ def _look_at(eye, target, up=(0.0, 1.0, 0.0)):
 
 
 def _trajectory_poses(cfg):
+    """The camera poses, and the box (base, lo, hi) that landmarks are drawn
+    from: base plus a uniform draw in [lo, hi) per axis."""
     n = cfg.n_cameras
     mid = 0.5 * (cfg.depth_min + cfg.depth_max)
+    half = 0.5 * (cfg.depth_max - cfg.depth_min)
     if cfg.trajectory == "line":
         # lateral sweep looking down +z
         span = 0.35 * mid
         xs = np.linspace(-span / 2, span / 2, n)
-        return [Pose(t=[x, 0.0, 0.0]) for x in xs], np.array([0.0, 0.0, mid])
+        return [Pose(t=[x, 0.0, 0.0]) for x in xs], (
+            0.0, [-0.6 * half - 1, -0.5 * half, cfg.depth_min],
+            [0.6 * half + 1, 0.5 * half, cfg.depth_max])
     if cfg.trajectory == "arc":
         span = np.deg2rad(25.0)
         center = np.array([0.0, 0.0, mid])
         return [_look_at(center + mid * np.array([np.sin(a), 0.0, -np.cos(a)]), center)
-                for a in np.linspace(-span / 2, span / 2, n)], center
+                for a in np.linspace(-span / 2, span / 2, n)], (center, -half, half)
     # orbit: cameras on a circle around the scene, looking at its center
     return [_look_at(mid * np.array([np.sin(a), 0.12 * np.sin(2 * a), -np.cos(a)]), np.zeros(3))
-            for a in np.linspace(0.0, 0.9 * np.pi, n)], np.zeros(3)
+            for a in np.linspace(0.0, 0.9 * np.pi, n)], (np.zeros(3), -half, half)
 
 
 def generate_scene(cfg):
     """Scene with every landmark visible in at least two frames.
 
-    Deterministic given the seed; raises InfeasibleConfig when a landmark
-    cannot be placed after 1000 attempts.
+    Candidates are drawn in blocks, one per missing landmark, and projected
+    into every frame by one ``pinhole`` call; a candidate in front of two or
+    more cameras with its pixel in the image is kept, in draw order. A block
+    holds the doubles of as many single draws and nothing draws after the
+    last landmark, so the scene is the same as one drawn a candidate at a
+    time, and deterministic given the seed. Raises InfeasibleConfig after
+    1000 rejected candidates in a row.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    intr = CameraIntrinsics(cfg.fx, cfg.fy, cfg.cx, cfg.cy)
-    poses, center = _trajectory_poses(cfg)
-    half = 0.5 * (cfg.depth_max - cfg.depth_min)
-
+    poses, (base, lo, hi) = _trajectory_poses(cfg)
     qs = np.array([P.q for P in poses])
-    conj = quat_conj(qs)
-    centres = np.array([P.t for P in poses])
-
-    def visible(p):  # in each pose's image, as Pose.world_to_camera rounds
-        c = quat_rotate(conj, p - centres)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = cfg.fx * c[:, 0] / c[:, 2] + cfg.cx
-            v = cfg.fy * c[:, 1] / c[:, 2] + cfg.cy
-        return ((c[:, 2] > DEPTH_EPS) & (0.0 <= u) & (u <= cfg.width - 1)
-                & (0.0 <= v) & (v <= cfg.height - 1))
-
-    landmarks = []
-    seen = []
-    attempts = 0
-    while len(landmarks) < cfg.n_landmarks:
-        if attempts >= 1000:
+    rot, centres = quat_to_matrix(qs), np.array([P.t for P in poses])
+    row = CameraIntrinsics(cfg.fx, cfg.fy, cfg.cx, cfg.cy).row()
+    blocks, placed, misses = [], 0, 0  # misses: rejections since the last landmark
+    while placed < cfg.n_landmarks:
+        cand = base + rng.uniform(lo, hi, size=(cfg.n_landmarks - placed, 3))
+        pix, _, front = pinhole(rot, centres, row, cand[:, None, :])
+        vis = front & ((0.0 <= pix) & (pix <= [cfg.width - 1, cfg.height - 1])).all(axis=-1)
+        kept = np.flatnonzero(vis.sum(axis=1) >= 2)
+        # attempts since the last landmark placed, at each kept candidate and the next draw
+        tries = np.diff(kept, prepend=-1 - misses, append=len(cand))
+        late = np.flatnonzero(tries > 1000)
+        if late.size and placed + late[0] < cfg.n_landmarks:
             raise InfeasibleConfig(
-                f"could not place landmark {len(landmarks)} in 1000 attempts")
-        attempts += 1
-        if cfg.trajectory == "line":
-            p = np.array([rng.uniform(-0.6 * half - 1, 0.6 * half + 1),
-                          rng.uniform(-0.5 * half, 0.5 * half),
-                          rng.uniform(cfg.depth_min, cfg.depth_max)])
-        else:
-            p = center + rng.uniform(-half, half, size=3)
-        vis = visible(p)
-        if vis.sum() >= 2:
-            landmarks.append(p)
-            seen.append(vis)
-            attempts = 0
+                f"could not place landmark {placed + late[0]} in 1000 attempts")
+        blocks.append((cand[kept], pix[kept], vis[kept]))
+        placed, misses = placed + len(kept), tries[-1] - 1
 
     # every visible (pose, landmark) pair, pose-major
-    frame, track = np.nonzero(np.array(seen).T)
-    pix, _, _ = pinhole(quat_to_matrix(qs)[frame],
-                        centres[frame], intr.row(), np.array(landmarks)[track])
+    landmarks, pix, seen = (np.concatenate(b) for b in zip(*blocks))
+    frame, track = np.nonzero(seen.T)
     observations = [{"frame": i, "track": j, "u": u, "v": v} for i, j, (u, v) in
-                    zip(frame.tolist(), track.tolist(), pix.tolist())]
+                    zip(frame.tolist(), track.tolist(), pix[track, frame].tolist())]
 
     scene = {
         "version": SCENE_VERSION,
@@ -147,8 +138,8 @@ def generate_scene(cfg):
         "frames": [{"id": i, "timestamp": round(0.1 * i, 6),
                     "pose_gt": {"q_wxyz": P.q.tolist(), "t": P.t.tolist()}}
                    for i, P in enumerate(poses)],
-        "landmarks": [{"id": j, "position_gt": p.tolist()}
-                      for j, p in enumerate(landmarks)],
+        "landmarks": [{"id": j, "position_gt": p}
+                      for j, p in enumerate(landmarks.tolist())],
         "observations": observations,
         "outlier_indices": [],
     }
@@ -254,16 +245,31 @@ def _is_sigma(value):
 
 
 def load_scene(path):
-    """The scene in a file. Observation pixels must be numbers, each (frame,
-    track) pair is observed once, and a ``sigma`` is absent, null or a
-    finite number > 0; a NaN pixel is left for the solver to reject."""
+    """The scene in a file. Frame, landmark and observation ids must be
+    integers, frame timestamps finite and strictly increasing numbers (as TUM
+    files need), observation pixels numbers, each (frame, track) pair is
+    observed once, and a ``sigma`` is absent, null or a finite number > 0; a
+    NaN pixel is left for the solver to reject."""
     scene = read_json(path, "scene")
     if "version" not in scene:
         raise SceneFormatError(f"{path}: missing version field")
-    ids = {f["id"] for f in _records(scene, "frames", ("id", "timestamp"))}
-    tracks = {l["id"] for l in _records(scene, "landmarks", ("id",))}
+    frames = _records(scene, "frames", ("id", "timestamp"))
+    landmarks = _records(scene, "landmarks", ("id",))
+    for item in frames + landmarks:
+        if type(item["id"]) is not int:
+            raise SceneFormatError(f"frame and landmark ids must be integers, "
+                                   f"got {reprlib.repr(item['id'])}")
+    stamps = [f["timestamp"] for f in frames]
+    values = _finite_numbers(stamps, len(stamps))
+    if values is None or (np.diff(values) <= 0).any():
+        raise SceneFormatError("frame timestamps must be finite, strictly increasing "
+                               f"numbers, got {reprlib.repr(stamps)}")
+    ids = {f["id"] for f in frames}
+    tracks = {l["id"] for l in landmarks}
     seen = set()
     for o in _records(scene, "observations", ("frame", "track", "u", "v")):
+        if type(o["frame"]) is not int or type(o["track"]) is not int:
+            raise SceneFormatError(f"observation frame and track must be integers: {o}")
         if o["frame"] not in ids or o["track"] not in tracks:
             raise SceneFormatError(
                 f"observation references unknown frame/track: {o}")
@@ -530,7 +536,9 @@ def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
                     grid_shape=(9, 9, 8), seed=0):
     """Synthetic-tracker temporal section: chained endpoints that drift by
     DRIFT_PX against near-truth long-baseline references, plus descriptor
-    patches for the dense losses."""
+    patches centred on the references for the dense losses. A chained
+    endpoint that drifts out of its patch is clamped to the patch's edge, so
+    every endpoint can be sampled."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     intr, _ = scene_intrinsics(scene)
     poses = gt_poses(scene)
@@ -539,6 +547,7 @@ def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
     for o in scene["observations"]:
         observed.setdefault(o["frame"], {})[o["track"]] = np.array([o["u"], o["v"]])
     H, W, C = grid_shape
+    reach = np.array([W - 1, H - 1], dtype=float)  # a patch's far corner from its origin
     transitions = []
     frames = sorted(observed)
     for k in range(n_transitions):
@@ -550,7 +559,10 @@ def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
             rec = true_px + DRIFT_PX * rng.normal(size=2)
             long = true_px + SIGMA_LONG * rng.normal(size=2)
             _, grid = _drifting_grid(rng, grid_shape, 0.2, 0.3)
-            origin = long - np.array([(W - 1) / 2.0, (H - 1) / 2.0])
+            origin = long - reach / 2.0
+            # the chained endpoint is clamped into the patch; its far bound is
+            # the float below origin + reach, which can round past the edge
+            rec = np.clip(rec, origin, np.nextafter(origin + reach, origin))
             items.append({"track": int(t),
                           "recursive": rec.tolist(),
                           "long": long.tolist(),
@@ -564,7 +576,7 @@ def attach_temporal(scene, n_transitions=3, tracks_per_transition=4,
 
 
 def _known(value, ids):
-    return isinstance(value, Hashable) and value in ids
+    return type(value) is int and value in ids
 
 
 def _temporal_item(item, tracks, where):

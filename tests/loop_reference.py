@@ -8,9 +8,11 @@ the theta gradients that ``gradba.scene``, ``gradba.solver``,
 code. ``test_batched_kernel`` and ``test_properties`` compare the library
 against them.
 ``fd_tangent_gradient`` is the central-difference oracle of the analytic
-state-loss gradients, and ``loop_drifting_grid`` the cell-by-cell draw of a
-synthetic descriptor grid. ``loop_retract`` is the per-pose retraction
-with the scalar arithmetic ``gradba.geometry`` had before it broadcast.
+state-loss gradients, ``loop_drifting_grid`` the cell-by-cell draw of a
+synthetic descriptor grid, and ``loop_generate_scene`` the scene generator
+that draws and tests one landmark candidate at a time. ``loop_retract`` is
+the per-pose retraction with the scalar arithmetic ``gradba.geometry`` had
+before it broadcast.
 ``loop_triangulate``, ``loop_sigma_obs`` and ``loop_cheirality_depths`` are
 the initializer's two-view geometry one pixel pair at a time, as
 ``gradba.initializer`` solved it before its batched normal equations: a 6x3
@@ -33,10 +35,12 @@ from itertools import compress
 import numpy as np
 
 from gradba import temporal
-from gradba.errors import (CheiralityViolation, DegenerateGeometry, InitializationFailed,
-                           NoValidTerminal, TooFewCorrespondences, TooFewPoints)
-from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, project, quat_from_matrix,
-                             quat_to_matrix, quat_to_rotvec, se3_retract, so3_hat)
+from gradba.errors import (CheiralityViolation, DegenerateGeometry, InfeasibleConfig,
+                           InitializationFailed, NoValidTerminal, TooFewCorrespondences,
+                           TooFewPoints)
+from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, pinhole, project, quat_conj,
+                             quat_from_matrix, quat_rotate, quat_to_matrix, quat_to_rotvec,
+                             se3_retract, so3_hat)
 from gradba.initializer import (PROBE_PX, RAY_PARALLEL_EPS, REJECT_FACTOR, CandidateStats,
                                 InitResult, InverseDepthEstimate, RansacConfig, WindowConfig,
                                 _depth, _pixels, depth_gate, estimate_relative_pose,
@@ -46,6 +50,7 @@ from gradba.initializer import (PROBE_PX, RAY_PARALLEL_EPS, REJECT_FACTOR, Candi
                                 sigma_obs_from_reproj, triangulate)
 from gradba.problem import StateVector
 from gradba.problem import DescriptorFieldModel, TrackBiasModel, softargmax
+from gradba.scene import SCENE_VERSION, _trajectory_poses, inject_noise
 from gradba.solver import (LinearizedSystem, SystemLayout,
                            _translation_curvature, apply_step, linearize)
 
@@ -475,6 +480,72 @@ def loop_drifting_grid(rng, grid_shape, base, slope):
             noise /= np.linalg.norm(noise)
             grid[y, x] = ref + (base + slope * d) * noise
     return ref, grid
+
+
+def loop_generate_scene(cfg):
+    """``gradba.scene.generate_scene`` one candidate at a time: each drawn
+    alone (three scalar draws for ``line``), tested by rotating it into
+    every camera by quaternions, and kept or counted as one attempt; the
+    observations are then projected by ``pinhole``."""
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    intr = CameraIntrinsics(cfg.fx, cfg.fy, cfg.cx, cfg.cy)
+    poses, (center, _, _) = _trajectory_poses(cfg)
+    half = 0.5 * (cfg.depth_max - cfg.depth_min)
+
+    qs = np.array([P.q for P in poses])
+    conj = quat_conj(qs)
+    centres = np.array([P.t for P in poses])
+
+    def visible(p):  # in each pose's image, as Pose.world_to_camera rounds
+        c = quat_rotate(conj, p - centres)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = cfg.fx * c[:, 0] / c[:, 2] + cfg.cx
+            v = cfg.fy * c[:, 1] / c[:, 2] + cfg.cy
+        return ((c[:, 2] > DEPTH_EPS) & (0.0 <= u) & (u <= cfg.width - 1)
+                & (0.0 <= v) & (v <= cfg.height - 1))
+
+    landmarks = []
+    seen = []
+    attempts = 0
+    while len(landmarks) < cfg.n_landmarks:
+        if attempts >= 1000:
+            raise InfeasibleConfig(
+                f"could not place landmark {len(landmarks)} in 1000 attempts")
+        attempts += 1
+        if cfg.trajectory == "line":
+            p = np.array([rng.uniform(-0.6 * half - 1, 0.6 * half + 1),
+                          rng.uniform(-0.5 * half, 0.5 * half),
+                          rng.uniform(cfg.depth_min, cfg.depth_max)])
+        else:
+            p = center + rng.uniform(-half, half, size=3)
+        vis = visible(p)
+        if vis.sum() >= 2:
+            landmarks.append(p)
+            seen.append(vis)
+            attempts = 0
+
+    frame, track = np.nonzero(np.array(seen).T)
+    pix, _, _ = pinhole(quat_to_matrix(qs)[frame],
+                        centres[frame], intr.row(), np.array(landmarks)[track])
+    observations = [{"frame": i, "track": j, "u": u, "v": v} for i, j, (u, v) in
+                    zip(frame.tolist(), track.tolist(), pix.tolist())]
+
+    scene = {
+        "version": SCENE_VERSION,
+        "intrinsics": {"fx": cfg.fx, "fy": cfg.fy, "cx": cfg.cx, "cy": cfg.cy,
+                       "width": cfg.width, "height": cfg.height},
+        "frames": [{"id": i, "timestamp": round(0.1 * i, 6),
+                    "pose_gt": {"q_wxyz": P.q.tolist(), "t": P.t.tolist()}}
+                   for i, P in enumerate(poses)],
+        "landmarks": [{"id": j, "position_gt": p.tolist()}
+                      for j, p in enumerate(landmarks)],
+        "observations": observations,
+        "outlier_indices": [],
+    }
+    if cfg.pixel_sigma > 0 or cfg.outlier_ratio > 0:
+        scene = inject_noise(scene, cfg.pixel_sigma, cfg.outlier_ratio,
+                             cfg.outlier_px, cfg.seed + 1)
+    return scene
 
 
 def se3_exp(delta):

@@ -14,7 +14,12 @@ operation on each, then hashes
   writes;
 - ``gradcheck``, which no workload runs: the exit codes, the scene and the
   ``gradcheck`` reports (``trackbias`` and ``descfield``, ``--fd-subset 6``)
-  of a 6-camera arc scene with a descriptor field, drawn with the seed.
+  of a 6-camera arc scene with a descriptor field, drawn with the seed;
+- ``scenes``, only when asked for: the ``dumps_scene`` bytes of every scene
+  that ``scene.generate_scene`` returns while each workload sets up its
+  inputs. It runs no operation, so it checks the generator alone, quickly:
+
+    python3 tests/output_digest.py --workload scenes 1 2 16401
 
 Two checkouts whose digests agree on a seed produced byte-identical outputs
 on it. The file is not named ``test_*``, so pytest does not collect it.
@@ -114,11 +119,38 @@ def gradcheck_digest(seeds, workdir):
     return h.hexdigest()
 
 
+def scenes_digest(workloads, seeds, workdir):
+    from gradba import scene
+
+    h = hashlib.sha256()
+    generate = scene.generate_scene
+
+    def recorded(cfg):
+        sc = generate(cfg)
+        h.update(scene.dumps_scene(sc).encode())
+        return sc
+
+    scene.generate_scene = recorded
+    try:
+        for seed in seeds:
+            for cls in workloads:
+                wl = cls(seed, os.path.join(workdir, f"scenes-{cls.name}-{seed}"))
+                try:
+                    for k in range(wl.n_inputs):
+                        wl.setup(k)
+                finally:
+                    wl.close()
+    finally:
+        scene.generate_scene = generate
+    return h.hexdigest()
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("seeds", type=int, nargs="+")
-    p.add_argument("--workload", choices=sorted(DIGESTS) + ["gradcheck"], action="append",
-                   help="digest only this workload, or gradcheck (repeatable)")
+    p.add_argument("--workload", choices=sorted(DIGESTS) + ["gradcheck", "scenes"],
+                   action="append",
+                   help="digest only this workload, gradcheck or scenes (repeatable)")
     args = p.parse_args(argv)
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -126,8 +158,12 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as workdir:
         for name in args.workload or [*DIGESTS, "gradcheck"]:
-            value = (gradcheck_digest(args.seeds, workdir) if name == "gradcheck"
-                     else digest(WORKLOADS[name], args.seeds, workdir))
+            if name == "gradcheck":
+                value = gradcheck_digest(args.seeds, workdir)
+            elif name == "scenes":
+                value = scenes_digest(WORKLOADS.values(), args.seeds, workdir)
+            else:
+                value = digest(WORKLOADS[name], args.seeds, workdir)
             print(name, value, flush=True)
     return 0
 

@@ -101,6 +101,18 @@ class TestPipeline:
         assert payload["phi_sum"] >= 0
         assert len(payload["transitions"]) == 3
 
+    def test_synth_scenes_pass_temporal_loss(self, tmp_path):
+        # the chained endpoints of every synthesized temporal section lie in
+        # their patches; unclamped, seeds 5, 6, 11, 21, 26, 31, 34 and 35 failed
+        cfg, sc = tmp_path / "config.json", str(tmp_path / "scene.json")
+        for seed in range(40):
+            cfg.write_text(json.dumps({
+                "scene": {"n_cameras": 6, "n_landmarks": 40, "trajectory": "arc",
+                          "seed": seed},
+                "temporal": {"attach": True}, "descriptor_field": {"attach": True}}))
+            assert main(["synth", "--config", str(cfg), "--out", sc]) == 0
+            assert main(["temporal-loss", "--scene", sc]) == 0, seed
+
     def test_error_path_stage_tagged(self, tmp_path, capsys):
         # a two-frame window cannot be initialized: expect exit 1 with a
         # stage-tagged line on stderr
@@ -119,6 +131,21 @@ class TestPipeline:
 def error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines() if line]
 
+
+# each edit of a synthesized scene that init must refuse with error[harness]:
+# ids are JSON integers, timestamps finite and strictly increasing numbers
+SCENE_EDITS = {
+    "landmark_id_list": lambda sc: sc["landmarks"][0].update(id=[0]),
+    "frame_id_dict": lambda sc: sc["frames"][0].update(id={"id": 0}),
+    "frame_id_bool": lambda sc: sc["frames"][1].update(id=True),
+    "frame_id_float": lambda sc: sc["frames"][0].update(id=0.0),
+    "observation_track_list": lambda sc: sc["observations"][0].update(track=[0]),
+    "observation_frame_bool": lambda sc: sc["observations"][0].update(frame=False),
+    "timestamp_string": lambda sc: sc["frames"][1].update(timestamp="0.1"),
+    "timestamp_nan": lambda sc: sc["frames"][1].update(timestamp=float("nan")),
+    "timestamp_repeated": lambda sc: sc["frames"][1].update(timestamp=0.0),
+    "timestamp_decreasing": lambda sc: sc["frames"][2].update(timestamp=0.05),
+}
 
 # each edit of an init state file that solve must refuse with error[harness]
 STATE_EDITS = {
@@ -206,7 +233,8 @@ class TestFailureContract:
                                       "malformed", "frame_id", "negative_fx",
                                       "u_not_a_number", "nan_cx", "repeated_observation",
                                       "sigma_zero", "sigma_string", "sigma_negative",
-                                      "sigma_nan", "track_bias_empty", "track_bias_short"])
+                                      "sigma_nan", "track_bias_empty", "track_bias_short",
+                                      *sorted(SCENE_EDITS)])
     def test_scene_errors_are_stage_tagged(self, workdir, capsys, case):
         tmp_path, cfg = workdir
         sc = tmp_path / "scene.json"
@@ -228,6 +256,8 @@ class TestFailureContract:
             elif case == "repeated_observation":
                 first = scene["observations"][0]
                 scene["observations"].append(dict(first, u=first["u"] + 50.0))
+            elif case in SCENE_EDITS:
+                SCENE_EDITS[case](scene)
             elif case == "track_bias_empty":
                 scene["track_bias"] = {}
             elif case == "track_bias_short":

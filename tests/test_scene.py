@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from gradba import scene as scn
 from gradba.errors import InfeasibleConfig, SceneFormatError
-from gradba.geometry import project
+from gradba.geometry import pinhole, project
 from gradba.problem import RobustKernel
 from gradba.scene import (SyntheticSceneConfig, attach_descriptor_field,
                           attach_temporal, build_problem, dumps_scene,
@@ -13,7 +14,7 @@ from gradba.scene import (SyntheticSceneConfig, attach_descriptor_field,
                           load_scene, load_state, save_scene, save_state,
                           scene_intrinsics, scene_window, temporal_transitions)
 
-from loop_reference import loop_problem_table
+from loop_reference import loop_generate_scene, loop_problem_table
 
 
 class TestGenerateScene:
@@ -31,13 +32,15 @@ class TestGenerateScene:
          "329824e721bff5a2201ca8ddc601e5bf332aa1f268d8f9ef47b1642d5fab1bc2"),
         (dict(n_cameras=8, n_landmarks=60, trajectory="orbit", seed=2,
               pixel_sigma=0.3), True,
-         "1aec44a6d9e5c729ec478b0b93cdf6a6e392cf048b33365e727f109e07b1ad1f"),
+         "008216064ca59b508b5dbe7722efedf0cd8de433b904cf770bd43d2e3e7cff2d"),
         (dict(n_cameras=20, n_landmarks=300, trajectory="line", seed=4), False,
          "2db60c09377e64274dbe5a6fac4aa07cfa185f9731a71990b350f9c17a834d1b"),
     ])
     def test_pinned_bytes(self, fields, attach, sha256):
         # digests of the per-landmark, per-pose generator these scenes were
-        # first written with: a faster generator must draw the same scenes
+        # first written with: a faster generator must draw the same scenes.
+        # The third scene's temporal section holds one chained endpoint that
+        # the patch clamp moved onto its patch's edge.
         scene = generate_scene(SyntheticSceneConfig(**fields))
         if attach:
             scene = attach_temporal(attach_descriptor_field(scene, seed=2), seed=2)
@@ -69,6 +72,38 @@ class TestGenerateScene:
         assert len(counts) == 100
         assert min(counts.values()) >= 2
         assert np.mean(list(counts.values())) >= 2.0
+
+    @pytest.mark.parametrize("traj", ["line", "arc", "orbit"])
+    @pytest.mark.parametrize("noise", [{}, dict(pixel_sigma=0.5, outlier_ratio=0.05)])
+    def test_equals_loop_reference(self, traj, noise):
+        for seed in range(4):
+            cfg = SyntheticSceneConfig(n_cameras=8, n_landmarks=60, trajectory=traj,
+                                       seed=seed, **noise)
+            assert dumps_scene(generate_scene(cfg)) == dumps_scene(loop_generate_scene(cfg))
+
+    @pytest.mark.parametrize("traj", ["line", "arc", "orbit"])
+    def test_many_blocks_equal_loop_reference(self, traj, monkeypatch):
+        # a small image rejects most candidates, so placement takes many blocks
+        blocks = []
+        monkeypatch.setattr(scn, "pinhole", lambda *a: blocks.append(a) or pinhole(*a))
+        cfg = SyntheticSceneConfig(n_cameras=5, n_landmarks=40, trajectory=traj, width=160,
+                                   height=120, cx=80.0, cy=60.0, seed=6)
+        scene = generate_scene(cfg)
+        assert len(blocks) > 3
+        assert dumps_scene(scene) == dumps_scene(loop_generate_scene(cfg))
+
+    @pytest.mark.parametrize("size, seed, landmark", [(16, 2, 2), (2, 2, 0), (32, 5, 1)])
+    def test_infeasible_message_equals_loop_reference(self, size, seed, landmark):
+        # (32, 5): the 1000th rejection in a row falls in a block that keeps a
+        # later candidate; (16, 2) and (2, 2): the rest of that block is rejected too
+        cfg = SyntheticSceneConfig(n_cameras=2, n_landmarks=8, trajectory="orbit",
+                                   width=size, height=size, cx=size / 2, cy=size / 2,
+                                   seed=seed)
+        message = f"could not place landmark {landmark} in 1000 attempts"
+        for generate in (generate_scene, loop_generate_scene):
+            with pytest.raises(InfeasibleConfig) as info:
+                generate(cfg)
+            assert str(info.value) == message
 
     def test_infeasible_config(self):
         cfg = SyntheticSceneConfig(n_cameras=2, n_landmarks=8, width=2,
