@@ -1,14 +1,14 @@
 """Minimal five-point essential-matrix solver.
 
-Follows the classical construction: a 4-dimensional nullspace basis of the
-epipolar constraints, the ten cubic polynomial constraints (det E = 0 and the
-trace constraint 2 E E^T E - tr(E E^T) E = 0) over E = x E1 + y E2 + z E3 + E4,
-and a degree-10 univariate root solve in z. The root solve is phrased as a
-generalized (QZ) eigenproblem of the hidden-variable pencil
-C0 + z C1 + z^2 C2 + z^3 C3 acting on the ten (x, y)-monomials; its finite
-eigenvalues are the roots of the degree-10 determinant polynomial. Spurious
-pencil roots are rejected by validating the epipolar and internal constraints
-of each candidate.
+Follows the Gröbner-basis construction of Stewénius, Engels & Nistér
+(ISPRS J. 2006): a 4-dimensional nullspace basis of the epipolar
+constraints, the ten cubic polynomial constraints (det E = 0 and the trace
+constraint 2 E E^T E - tr(E E^T) E = 0) over E = x E1 + y E2 + z E3 + E4,
+and elimination of the ten degree-3 monomials, which leaves the ten
+monomials of degree <= 2 as a basis of the quotient ring. Multiplication by
+x on that basis is a 10 x 10 action matrix; its real eigenvectors are the
+monomial vectors of the real roots. Spurious roots are rejected by
+validating the epipolar and internal constraints of all candidates at once.
 
 Conventions: bearings q_a (first camera) and q_b (second camera) satisfy
 q_b^T E q_a = 0 with E ~ [t]x R and X_b = R X_a + t.
@@ -17,7 +17,6 @@ q_b^T E q_a = 0 with E ~ [t]x R and X_b = R X_a + t.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import TooFewCorrespondences
 
@@ -43,11 +42,8 @@ def _product(a, b, out):
 _M_LL = _product(_LIN, _LIN, _QUAD)
 _M_QL = _product(_QUAD, _LIN, _CUBIC)
 
-# cubic-coefficient partition by z-degree onto the (x, y)-monomial basis
-# m = [x^3, x^2 y, x y^2, y^3, x^2, x y, y^2, x, y, 1], the z-free cubics
-_XY = [(i, j) for i, j, k in _CUBIC if k == 0]
-_Z_PARTS = tuple(([c for c, (_, _, k) in enumerate(_CUBIC) if k == d],
-                  [_XY.index((i, j)) for i, j, k in _CUBIC if k == d]) for d in range(4))
+# row of x * _QUAD[j] among the _CUBIC monomials: the action of x on the basis
+_X_ACT = [_CUBIC.index((i + 1, j, k)) for i, j, k in _QUAD]
 
 
 def _mul_ll(a, b):
@@ -85,8 +81,15 @@ def _constraint_matrix(basis):
 def essential_from_five(q_a, q_b):
     """All real essential matrices consistent with five bearing pairs.
 
+    The cubic constraints C [cubics; quads] = 0 write each degree-3 monomial
+    in the basis of lower monomials, cubics = -G quads with
+    G = C[:, :10]^-1 C[:, 10:], so x * quads = M quads with M the rows of
+    [-G; I] that hold x times each basis monomial. The right eigenvectors of
+    M are the basis monomials at the roots, whose last four entries are
+    (x, y, z, 1) up to scale.
+
     Returns a list of 3x3 matrices with unit Frobenius norm. The list is
-    empty if the pencil produced no valid real solution (degenerate sample).
+    empty if the sample gave no valid real solution (degenerate sample).
     """
     q_a = np.asarray(q_a, dtype=float)
     q_b = np.asarray(q_b, dtype=float)
@@ -98,63 +101,31 @@ def essential_from_five(q_a, q_b):
     basis = Vt[-4:][::-1].reshape(4, 3, 3)  # E = x B1 + y B2 + z B3 + B4
 
     C = _constraint_matrix(basis)
-    C0 = np.zeros((10, 10))
-    C1 = np.zeros((10, 10))
-    C2 = np.zeros((10, 10))
-    C3 = np.zeros((10, 10))
-    for mat, (src, dst) in zip((C0, C1, C2, C3), _Z_PARTS):
-        mat[:, dst] = C[:, src]
-
-    # companion linearization of the cubic pencil
-    Al = np.zeros((30, 30))
-    Bl = np.zeros((30, 30))
-    Al[:10, 10:20] = np.eye(10)
-    Al[10:20, 20:] = np.eye(10)
-    Al[20:, :10] = -C0
-    Al[20:, 10:20] = -C1
-    Al[20:, 20:] = -C2
-    Bl[:10, :10] = np.eye(10)
-    Bl[10:20, 10:20] = np.eye(10)
-    Bl[20:, 20:] = C3
     try:
-        w, vr = scipy.linalg.eig(Al, Bl, right=True, check_finite=False,
-                                 homogeneous_eigvals=True)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return []
-    alpha, beta = w[0], w[1]
+        G = np.linalg.solve(C[:, :10], C[:, 10:])
+        w, V = np.linalg.eig(np.vstack([-G, np.eye(10)])[_X_ACT])
+    except np.linalg.LinAlgError:
+        return []  # singular cubic block, or no eigendecomposition
 
-    out = []
+    # real roots, each monomial vector scaled by its largest entry
+    V = V[:, np.abs(w.imag) <= 1e-8 * (1.0 + np.abs(w.real))]
+    V = (V / V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]).real
+    V = V[:, np.abs(V[9]) >= 1e-10]
+    xyz1 = np.vstack([V[6:9] / V[9], np.ones(V.shape[1])])
+    E = np.einsum("ck,cij->kij", xyz1, basis)  # norm >= 1: the basis is orthonormal
+    E = E / np.linalg.norm(E, axis=(1, 2))[:, None, None]
+
+    # reject spurious roots
     scale = max(np.abs(A).max(), 1.0)
-    for k in range(30):
-        if abs(beta[k]) < 1e-12 * max(abs(alpha[k]), 1.0):
-            continue  # infinite pencil eigenvalue
-        z = alpha[k] / beta[k]
-        if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
-            continue
-        m = vr[:10, k]
-        j = int(np.argmax(np.abs(m)))
-        if abs(m[j]) < 1e-12:
-            continue
-        m = (m / m[j]).real
-        if abs(m[9]) < 1e-10:
-            continue
-        x = m[7] / m[9]
-        y = m[8] / m[9]
-        E = x * basis[0] + y * basis[1] + z.real * basis[2] + basis[3]
-        norm = np.linalg.norm(E)
-        if not np.isfinite(norm) or norm < 1e-12:
-            continue
-        E = E / norm
-        # reject spurious pencil roots
-        if np.abs(np.einsum("ni,ij,nj->n", q_b, E, q_a)).max() > 1e-7 * scale:
-            continue
-        EEt = E @ E.T
-        internal = 2.0 * EEt @ E - np.trace(EEt) * E
-        if abs(np.linalg.det(E)) > 1e-7 or np.abs(internal).max() > 1e-6:
-            continue
-        if any(min(np.abs(E - F).max(), np.abs(E + F).max()) < 1e-8 for F in out):
-            continue
-        out.append(E)
+    EEt = E @ np.swapaxes(E, 1, 2)
+    internal = 2.0 * EEt @ E - np.trace(EEt, axis1=1, axis2=2)[:, None, None] * E
+    valid = ((np.abs(np.einsum("ni,kij,nj->kn", q_b, E, q_a)).max(axis=1) <= 1e-7 * scale)
+             & (np.abs(np.linalg.det(E)) <= 1e-7)
+             & (np.abs(internal).max(axis=(1, 2)) <= 1e-6))
+    out = []
+    for F in E[valid]:
+        if not any(min(np.abs(F - D).max(), np.abs(F + D).max()) < 1e-8 for D in out):
+            out.append(F)
     return out
 
 
@@ -173,10 +144,12 @@ def decompose_essential(E):
 
 
 def epipolar_errors(E, q_a, q_b):
-    """Angular epipolar residual per pair: angle of q_b off the plane of E q_a."""
-    n = q_a @ E.T  # rows: E q_a
-    num = np.abs(np.einsum("ni,ni->n", q_b, n))
-    den = np.linalg.norm(n, axis=1) * np.linalg.norm(q_b, axis=1)
+    """Angular epipolar residual per pair: angle of q_b off the plane of E q_a.
+
+    E is one matrix (3, 3), giving (n,), or a stack (k, 3, 3), giving (k, n)."""
+    n = q_a @ np.swapaxes(E, -1, -2)  # rows: E q_a
+    num = np.abs(np.einsum("ni,...ni->...n", q_b, n))
+    den = np.linalg.norm(n, axis=-1) * np.linalg.norm(q_b, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.where(den > 0, num / den, np.inf)
     return np.arcsin(np.clip(s, 0.0, 1.0))

@@ -195,10 +195,11 @@ def estimate_relative_pose(bearings_anchor, bearings_terminal, cfg,
     while it < max_iter:
         it += 1
         sample = rng.choice(n, size=5, replace=False)
-        for E in fivepoint.essential_from_five(q_a[sample], q_b[sample]):
-            errs = fivepoint.epipolar_errors(E, q_a, q_b)
-            mask = errs < cfg.threshold
-            count = int(mask.sum())
+        sols = fivepoint.essential_from_five(q_a[sample], q_b[sample])
+        if not sols:
+            continue
+        masks = fivepoint.epipolar_errors(np.stack(sols), q_a, q_b) < cfg.threshold
+        for E, mask, count in zip(sols, masks, masks.sum(axis=1).tolist()):
             if count > best_count:
                 best_E, best_mask, best_count = E, mask, count
                 ratio = count / n

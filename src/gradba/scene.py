@@ -246,10 +246,11 @@ def _is_sigma(value):
 
 def load_scene(path):
     """The scene in a file. Frame, landmark and observation ids must be
-    integers, frame timestamps finite and strictly increasing numbers (as TUM
-    files need), observation pixels numbers, each (frame, track) pair is
-    observed once, and a ``sigma`` is absent, null or a finite number > 0; a
-    NaN pixel is left for the solver to reject."""
+    integers, no frame id or landmark id repeated, frame timestamps finite
+    and strictly increasing numbers (as TUM files need), observation pixels
+    numbers, each (frame, track) pair is observed once, and a ``sigma`` is
+    absent, null or a finite number > 0; a NaN pixel is left for the solver
+    to reject."""
     scene = read_json(path, "scene")
     if "version" not in scene:
         raise SceneFormatError(f"{path}: missing version field")
@@ -266,6 +267,11 @@ def load_scene(path):
                                f"numbers, got {reprlib.repr(stamps)}")
     ids = {f["id"] for f in frames}
     tracks = {l["id"] for l in landmarks}
+    for what, items, unique in (("frame", frames, ids), ("landmark", landmarks, tracks)):
+        if len(unique) < len(items):
+            listed = [item["id"] for item in items]
+            repeated = next(i for k, i in enumerate(listed) if i in listed[:k])
+            raise SceneFormatError(f"{what} id {repeated} is repeated")
     seen = set()
     for o in _records(scene, "observations", ("frame", "track", "u", "v")):
         if type(o["frame"]) is not int or type(o["track"]) is not int:

@@ -19,6 +19,9 @@ the initializer's two-view geometry one pixel pair at a time, as
 or 3x2 ``lstsq`` per pair. ``loop_run_initialization`` is the window
 initialization on per-frame dicts, per-track inverse-depth estimates and an
 observation dict, as it ran before the (frame x track) table.
+``loop_essential_from_five`` is the five-point solver as a 30x30 QZ pencil
+in the hidden variable z, validating one root at a time, as
+``gradba.fivepoint`` solved it before its 10x10 action matrix.
 
 The library runs none of the following; the tests use them as oracles.
 ``se3_exp`` and ``se3_log`` are the SE(3) group exponential and logarithm
@@ -33,11 +36,13 @@ import copy
 from itertools import compress
 
 import numpy as np
+import scipy.linalg
 
 from gradba import temporal
 from gradba.errors import (CheiralityViolation, DegenerateGeometry, InfeasibleConfig,
                            InitializationFailed, NoValidTerminal, TooFewCorrespondences,
                            TooFewPoints)
+from gradba.fivepoint import _CUBIC, _constraint_matrix
 from gradba.geometry import (DEPTH_EPS, CameraIntrinsics, Pose, pinhole, project, quat_conj,
                              quat_from_matrix, quat_rotate, quat_to_matrix, quat_to_rotvec,
                              se3_retract, so3_hat)
@@ -546,6 +551,85 @@ def loop_generate_scene(cfg):
         scene = inject_noise(scene, cfg.pixel_sigma, cfg.outlier_ratio,
                              cfg.outlier_px, cfg.seed + 1)
     return scene
+
+
+# cubic-coefficient partition by z-degree onto the (x, y)-monomial basis
+# m = [x^3, x^2 y, x y^2, y^3, x^2, x y, y^2, x, y, 1], the z-free cubics
+_XY = [(i, j) for i, j, k in _CUBIC if k == 0]
+_Z_PARTS = tuple(([c for c, (_, _, k) in enumerate(_CUBIC) if k == d],
+                  [_XY.index((i, j)) for i, j, k in _CUBIC if k == d]) for d in range(4))
+
+
+def loop_essential_from_five(q_a, q_b):
+    """All real essential matrices of five bearing pairs, from the finite
+    eigenvalues z of the pencil C0 + z C1 + z^2 C2 + z^3 C3 acting on the
+    ten (x, y)-monomials, in its companion linearization."""
+    q_a = np.asarray(q_a, dtype=float)
+    q_b = np.asarray(q_b, dtype=float)
+    if q_a.shape[0] < 5 or q_b.shape[0] != q_a.shape[0]:
+        raise TooFewCorrespondences("five bearing pairs required")
+
+    A = np.einsum("ni,nj->nij", q_b, q_a).reshape(len(q_a), 9)
+    _, _, Vt = np.linalg.svd(A)
+    basis = Vt[-4:][::-1].reshape(4, 3, 3)  # E = x B1 + y B2 + z B3 + B4
+
+    C = _constraint_matrix(basis)
+    C0 = np.zeros((10, 10))
+    C1 = np.zeros((10, 10))
+    C2 = np.zeros((10, 10))
+    C3 = np.zeros((10, 10))
+    for mat, (src, dst) in zip((C0, C1, C2, C3), _Z_PARTS):
+        mat[:, dst] = C[:, src]
+
+    Al = np.zeros((30, 30))
+    Bl = np.zeros((30, 30))
+    Al[:10, 10:20] = np.eye(10)
+    Al[10:20, 20:] = np.eye(10)
+    Al[20:, :10] = -C0
+    Al[20:, 10:20] = -C1
+    Al[20:, 20:] = -C2
+    Bl[:10, :10] = np.eye(10)
+    Bl[10:20, 10:20] = np.eye(10)
+    Bl[20:, 20:] = C3
+    try:
+        w, vr = scipy.linalg.eig(Al, Bl, right=True, check_finite=False,
+                                 homogeneous_eigvals=True)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return []
+    alpha, beta = w[0], w[1]
+
+    out = []
+    scale = max(np.abs(A).max(), 1.0)
+    for k in range(30):
+        if abs(beta[k]) < 1e-12 * max(abs(alpha[k]), 1.0):
+            continue  # infinite pencil eigenvalue
+        z = alpha[k] / beta[k]
+        if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
+            continue
+        m = vr[:10, k]
+        j = int(np.argmax(np.abs(m)))
+        if abs(m[j]) < 1e-12:
+            continue
+        m = (m / m[j]).real
+        if abs(m[9]) < 1e-10:
+            continue
+        x = m[7] / m[9]
+        y = m[8] / m[9]
+        E = x * basis[0] + y * basis[1] + z.real * basis[2] + basis[3]
+        norm = np.linalg.norm(E)
+        if not np.isfinite(norm) or norm < 1e-12:
+            continue
+        E = E / norm
+        if np.abs(np.einsum("ni,ij,nj->n", q_b, E, q_a)).max() > 1e-7 * scale:
+            continue
+        EEt = E @ E.T
+        internal = 2.0 * EEt @ E - np.trace(EEt) * E
+        if abs(np.linalg.det(E)) > 1e-7 or np.abs(internal).max() > 1e-6:
+            continue
+        if any(min(np.abs(E - F).max(), np.abs(E + F).max()) < 1e-8 for F in out):
+            continue
+        out.append(E)
+    return out
 
 
 def se3_exp(delta):

@@ -132,13 +132,22 @@ def error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines() if line]
 
 
+def _repeat_frame_id(sc):
+    """The last frame takes the id of the one before it; its observations go."""
+    last = sc["frames"][-1]
+    sc["observations"] = [o for o in sc["observations"] if o["frame"] != last["id"]]
+    last["id"] = sc["frames"][-2]["id"]
+
+
 # each edit of a synthesized scene that init must refuse with error[harness]:
-# ids are JSON integers, timestamps finite and strictly increasing numbers
+# ids are unique JSON integers, timestamps finite and strictly increasing numbers
 SCENE_EDITS = {
     "landmark_id_list": lambda sc: sc["landmarks"][0].update(id=[0]),
     "frame_id_dict": lambda sc: sc["frames"][0].update(id={"id": 0}),
     "frame_id_bool": lambda sc: sc["frames"][1].update(id=True),
     "frame_id_float": lambda sc: sc["frames"][0].update(id=0.0),
+    "frame_id_repeated": _repeat_frame_id,
+    "landmark_id_repeated": lambda sc: sc["landmarks"].append(dict(sc["landmarks"][0])),
     "observation_track_list": lambda sc: sc["observations"][0].update(track=[0]),
     "observation_frame_bool": lambda sc: sc["observations"][0].update(frame=False),
     "timestamp_string": lambda sc: sc["frames"][1].update(timestamp="0.1"),

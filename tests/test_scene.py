@@ -189,6 +189,21 @@ class TestSerialization:
         with pytest.raises(SceneFormatError):
             load_scene(p)
 
+    @pytest.mark.parametrize("what", ["frame", "landmark"])
+    def test_repeated_id_rejected(self, tmp_path, what):
+        # a repeated id would map to its last copy and strand the first
+        scene = generate_scene(SyntheticSceneConfig(seed=13))
+        items = scene[what + "s"]
+        repeated = items[-2]["id"]
+        if what == "frame":
+            scene["observations"] = [o for o in scene["observations"]
+                                     if o["frame"] != items[-1]["id"]]
+        items[-1]["id"] = repeated
+        p = tmp_path / "bad.json"
+        save_scene(scene, p)
+        with pytest.raises(SceneFormatError, match=f"^{what} id {repeated} is repeated$"):
+            load_scene(p)
+
     @pytest.mark.parametrize("sigma, ok", [(None, True), (2, True), (0.5, True),
                                            (0, False), (-1, False), (True, False),
                                            ("x", False), (float("nan"), False),
