@@ -9,8 +9,10 @@ where each field falls back to the package defaults. ``scene`` configures the
 synthetic generator geometry; ``noise`` configures the pixel noise and
 outliers applied by ``synth``; ``kernel`` selects the robust kernel used by
 ``solve``, Huber unless ``"kind": "none"``. A missing or malformed config
-file, an unknown section or key, and a value the section's settings reject
-fail with ``error[harness]``.
+file, an unknown section or key, a value not of its field's JSON type (an
+integer, not a boolean, for an int field; a finite number for a float
+field; a boolean or a string for a bool or str field) and a value the
+section's settings reject fail with ``error[harness]``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+import typing
 
 import numpy as np
 
@@ -36,7 +40,9 @@ from .solver import SolverSettings, linearize, optimize
 GRADCHECK_SETTINGS = dict(gradient_tolerance=1e-11, max_iterations=300)
 CONFIG_SECTIONS = ("scene", "noise", "solver", "window", "ransac", "temporal",
                    "kernel", "descriptor_field")
-NOISE_KEYS = ("sigma", "outlier_ratio", "outlier_px", "seed")
+_NOISE_TYPES = {"sigma": float, "outlier_ratio": float, "outlier_px": float, "seed": int}
+_ATTACH_TYPES = {"attach": bool}
+_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
 
 
 def load_config(path):
@@ -57,12 +63,34 @@ def _check_keys(fields, where, known):
         raise SceneFormatError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def _section(config, name, cls, extra_keys=(), **defaults):
-    """Build ``cls`` from a config section; unknown keys and rejected values
-    raise SceneFormatError. ``extra_keys`` are read elsewhere and skipped."""
-    fields = config.get(name, {})
-    known = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(fields, f"config section {name!r}", known + list(extra_keys))
+def _of_json_type(value, kind):
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
+
+
+def _fields(config, name, types):
+    """The config section ``name``, whose keys must be those of ``types``
+    and whose values must be of their key's JSON type; raises
+    SceneFormatError otherwise."""
+    fields, where = config.get(name, {}), f"config section {name!r}"
+    _check_keys(fields, where, types)
+    for key, value in fields.items():
+        if not _of_json_type(value, types[key]):
+            raise SceneFormatError(f"{where}: {key} must be {_JSON_TYPES[types[key]]}, "
+                                   f"not {json.dumps(value)}")
+    return fields
+
+
+def _section(config, name, cls, extra=None, **defaults):
+    """Build ``cls`` from a config section; unknown keys, values not of their
+    field's type and rejected values raise SceneFormatError. ``extra`` maps
+    keys read elsewhere to their types; they are checked and skipped."""
+    hints = typing.get_type_hints(cls)
+    known = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    fields = _fields(config, name, {**known, **(extra or {})})
     kwargs = {**defaults, **{k: v for k, v in fields.items() if k in known}}
     try:
         return cls(**kwargs)
@@ -81,7 +109,7 @@ def _kernel(config):
 
 
 def _temporal_terms(config):
-    return _section(config, "temporal", tmp.TemporalEnergy, extra_keys=("attach",))
+    return _section(config, "temporal", tmp.TemporalEnergy, extra=_ATTACH_TYPES)
 
 
 def _write_json(payload, path):
@@ -93,16 +121,17 @@ def _write_json(payload, path):
 
 def cmd_synth(args):
     config = load_config(args.config)
-    noise = config.get("noise", {})
-    _check_keys(noise, "config section 'noise'", NOISE_KEYS)
+    noise = _fields(config, "noise", _NOISE_TYPES)
     defaults = {"pixel_sigma": noise.get("sigma", 0.0),
                 "outlier_ratio": noise.get("outlier_ratio", 0.0),
                 "outlier_px": noise.get("outlier_px", 20.0)}
     if "seed" in noise:
         defaults["seed"] = noise["seed"]
     cfg = _section(config, "scene", scn.SyntheticSceneConfig, **defaults)
+    _temporal_terms(config)  # synth reads only its attach, but checks it all
+    field = _fields(config, "descriptor_field", _ATTACH_TYPES).get("attach")
     scene = scn.generate_scene(cfg)
-    if config.get("descriptor_field", {}).get("attach"):
+    if field:
         scn.attach_descriptor_field(scene, seed=cfg.seed + 2)
     if config.get("temporal", {}).get("attach"):
         scn.attach_temporal(scene, seed=cfg.seed + 3)
@@ -146,6 +175,10 @@ def cmd_solve(args):
 
 
 def cmd_gradcheck(args):
+    if not (math.isfinite(args.fd_step) and args.fd_step > 0):
+        raise SceneFormatError(f"--fd-step must be finite and > 0, not {args.fd_step}")
+    if args.fd_subset < 1:
+        raise SceneFormatError(f"--fd-subset must be >= 1, not {args.fd_subset}")
     config = load_config(args.config)
     scene = scn.load_scene(args.scene)
     problem = scn.build_problem(scene, model=args.model, kernel=None)

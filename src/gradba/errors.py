@@ -96,7 +96,7 @@ class TimestampMismatch(GradbaError):
 
 
 class SceneFormatError(GradbaError):
-    """Malformed scene / state / config file."""
+    """Malformed scene / state / config file or command-line argument."""
 
     stage = "harness"
 

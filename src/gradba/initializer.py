@@ -446,7 +446,8 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None):
     """Full window initialization; see the module docstring for the stages.
 
     ``window`` is a list of per-frame dicts mapping track id -> pixel (2,).
-    Raises InitializationFailed with a stage tag on unrecoverable errors.
+    Raises InitializationFailed with a stage tag on unrecoverable errors and
+    on a non-finite pixel.
     """
     cfg = WindowConfig() if cfg is None else cfg
     ransac_cfg = RansacConfig() if ransac_cfg is None else ransac_cfg
@@ -456,6 +457,11 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None):
         raise InitializationFailed("window-too-short", f"{T} frames")
 
     ids, seen, pix = _window_table(window)
+    bad = np.argwhere(seen & ~np.isfinite(pix).all(axis=2))
+    if len(bad):
+        f, col = bad[0]
+        raise InitializationFailed("non-finite-pixel",
+                                   f"frame {f}, track {ids[col]}: {pix[f, col].tolist()}")
     n = len(ids)
     anchor_pose = Pose()
     intr = CameraIntrinsics(K[0, 0], K[1, 1], K[0, 2], K[1, 2])

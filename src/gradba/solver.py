@@ -13,14 +13,14 @@ gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 ``linearize`` forms one 3x3 block M = A^T W A and one 3-vector b = A^T W e
 per active factor, where A = dh/dc R^T is the factor's d pixel / d world
 point; every pose and landmark block follows from them in closed form.
-The blocks are summed per variable in factor order (``np.bincount`` in
-``segment_sum`` and ``linearize``), so results are the same from run to run
-for a fixed BLAS thread count. ``exact_hessian_system`` derives its
-second-order correction the same way, from one symmetric 3x3 X per factor,
-and the adjoint's J y is A (v - y_l - p x omega); both read only A, the
-optical axis and the landmark from the records. The reduced camera system
-S = Hpp - Hpl C^-1 Hpl^T is one matrix product, whose rounding depends on
-the number of BLAS threads.
+One block adder sums them per variable in factor order (``np.bincount``)
+and places them, so results are the same from run to run for a fixed BLAS
+thread count. ``exact_hessian_system`` forms its second-order correction
+from one symmetric 3x3 X per factor and adds it through that adder and the
+plan the system keeps; it and the adjoint's J y = A (v - y_l - p x omega)
+read only A, the optical axis and the landmark from the records. The
+reduced camera system S = Hpp - Hpl C^-1 Hpl^T is one matrix product, whose
+rounding depends on the number of BLAS threads.
 
 ``optimize`` evaluates the factors once per trial state: the trial's
 ``evaluate_residuals`` serves both its energy test and, when the trial is
@@ -107,11 +107,11 @@ class SystemLayout:
 class LinearizedSystem:
     """H = J^T W J and g = J^T W e in block form over the free variables.
 
-    Per-factor records of the active factors are kept for the exact Hessian
-    and the adjoint of the implicit-gradient module: A = dh/dc R^T (d pixel /
-    d world point, from which with P = [p]x the residual jacobians are
-    Jp = [-A P, A] and Jl = -A), the optical axis over the depth, the
-    landmark, the robust-kernel terms and the residuals.
+    ``linearize`` keeps its plan and per-factor records of the active factors
+    for the exact Hessian and the adjoint of the implicit-gradient module:
+    A = dh/dc R^T (d pixel / d world point, from which with P = [p]x the
+    residual jacobians are Jp = [-A P, A] and Jl = -A), the optical axis over
+    the depth, the landmark, the robust-kernel terms and the residuals.
     """
 
     def __init__(self, layout):
@@ -121,17 +121,6 @@ class LinearizedSystem:
         self.Hpl = np.zeros((layout.n_pose_params, layout.n_lm_params))
         self.g = np.zeros(layout.dim)
         self.inactive_count = 0
-        # active-factor records
-        self.rec_factor = np.zeros(0, dtype=int)
-        self.rec_frame = np.zeros(0, dtype=int)
-        self.rec_pose_slot = np.zeros(0, dtype=int)   # -1 where fixed
-        self.rec_lm_slot = np.zeros(0, dtype=int)     # -1 where fixed
-        self.rec_A = np.zeros((0, 2, 3))       # d pixel / d world point
-        self.rec_axis = np.zeros((0, 3))       # R[:, 2] / z, world frame
-        self.rec_point = np.zeros((0, 3))      # landmark position, world frame
-        self.residuals = np.zeros((0, 2))
-        self.weights = np.zeros(0)             # IRLS weights rho'
-        self.rec_curvature = np.zeros(0)       # rho''
 
     # -- dense views -------------------------------------------------------
 
@@ -217,6 +206,23 @@ class PairIndex:
             self.first = self.idx[..., first]
 
 
+def _add_blocks(sys_, plan, pose_rows, lm_rows, pair_blocks):
+    """Add per-factor rows to the blocks of ``sys_`` through a plan; returns
+    their per-pose and per-landmark sums. ``pose_rows`` begin [upper -PMP,
+    PM, upper M] and ``lm_rows`` [upper M], gradient rows may follow; the
+    (6, 3, k) ``pair_blocks`` [PM; M] are negated in place and added to Hpl.
+    Each sum starts at +0.0 and adds its rows in factor order, so adding it
+    to a zero block changes no bit."""
+    n_p, n_l = len(plan.layout.free_pose_ids), len(plan.layout.free_lm_ids)
+    per_pose = _bin_sums(plan.pose_bins, n_p, pose_rows)
+    d = np.arange(n_p)
+    sys_.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] += per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
+    per_lm = _bin_sums(plan.lm_bins, n_l, lm_rows)
+    sys_.Hll += per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
+    _add_pair_blocks(sys_.Hpl, plan.pairs, np.negative(pair_blocks, out=pair_blocks))
+    return per_pose, per_lm
+
+
 def _add_pair_blocks(Hpl, pairs, blocks):
     """Add factor-last (6, 3, k) blocks to ``Hpl`` at the places a PairIndex
     gives, dropping those with a fixed side. A pair holds one block, added in
@@ -265,15 +271,15 @@ class LinearizationPlan:
 
         # Factor-last scratch: Z = [PM | Pb; M | b] in rows 0-23, which hold R
         # and 1/z, then W rho' and WA, before it; -PMP in 24-32 and products in
-        # 24-35. The bincount rows, read in place, are per pose [upper -PMP,
-        # PM, upper M, Pb, b] and per landmark [upper M, -b].
+        # 24-35, then -b in 33-35. The bincount rows, read in place, are per
+        # pose [upper -PMP, PM, upper M, Pb, b] and per landmark [upper M, -b].
         k = len(self.sel)
         w = np.empty((36, k))
         self.Z, self.R, self.iz = w[:24].reshape(6, 4, k), w[:9].reshape(3, 3, k), w[9]
         self.Wt, self.WA = w[:4].reshape(2, 2, k), w[4:10].reshape(2, 3, k)
-        self.PMP, self.tmp = w[24:33].reshape(3, 3, k), w[24:]
+        self.PMP, self.tmp, self.neg_b = w[24:33].reshape(3, 3, k), w[24:], w[33:]
         m_upper = [self.Z[3 + u // 3, u % 3] for u in _UPPER]
-        self.lm_rows = m_upper + list(self.Z[3:, 3])
+        self.lm_rows = m_upper + list(self.neg_b)
         self.pose_rows = ([self.PMP[u // 3, u % 3] for u in _UPPER]
                           + [r for X in self.Z[:3, :3] for r in X] + m_upper + list(self.Z[:, 3]))
 
@@ -325,22 +331,14 @@ def linearize(problem, state, theta=None, ev=None, plan=None):
     _hat_times(pt, Z[3:], Z[:3], tmp[:4])
     _hat_times(pt, PM.swapaxes(0, 1), plan.PMP, tmp[9:])
 
-    # Hpp = [[-PMP, PM], [(PM)^T, M]] and gp = [p x b, b] per pose; the
-    # symmetric -PMP and M are summed by their upper triangles
-    n_p, n_l = len(layout.free_pose_ids), len(layout.free_lm_ids)
-    per_pose = _bin_sums(plan.pose_bins, n_p, plan.pose_rows)
-    d = np.arange(n_p)
-    sys_.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] = per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
+    # gp = [p x b, b] per pose and gl = -b per landmark
+    np.negative(b, out=plan.neg_b)
+    per_pose, per_lm = _add_blocks(sys_, plan, plan.pose_rows, plan.lm_rows, Z[:, :3])
     sys_.g[:layout.n_pose_params] = per_pose[:, 21:].ravel()
-    # Hll = M and gl = -b per landmark; Hpl = [-PM; -M] per pair
-    np.negative(b, out=b)
-    per_lm = _bin_sums(plan.lm_bins, n_l, plan.lm_rows)
-    sys_.Hll = per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
     sys_.g[layout.n_pose_params:] = per_lm[:, 6:].ravel()
-    _add_pair_blocks(sys_.Hpl, plan.pairs, np.negative(Z[:, :3], out=Z[:, :3]))
 
     vars(sys_).update(
-        rec_factor=plan.sel, rec_frame=plan.frames, rec_pose_slot=plan.pose_slot,
+        plan=plan, rec_factor=plan.sel, rec_frame=plan.frames, rec_pose_slot=plan.pose_slot,
         rec_lm_slot=plan.lm_slot, rec_A=At.T, rec_axis=rec_axis, rec_point=p,
         residuals=e, weights=w, rec_curvature=ev.curvature[rows])
 
@@ -377,12 +375,11 @@ def exact_hessian_system(problem, state, sys_):
     += [[-PXP - T2, PX + [psi]x / 2], [., X]].
     """
     out = copy.copy(sys_)
-    out.Hpp = sys_.Hpp.copy()
-    out.Hpl = sys_.Hpl.copy()
+    out.Hpp, out.Hll, out.Hpl = sys_.Hpp.copy(), sys_.Hll.copy(), sys_.Hpl.copy()
 
     # factor-last, as in linearize
     At, et, pt, a = sys_.rec_A.T, sys_.residuals.T, sys_.rec_point.T, sys_.rec_axis.T
-    info = problem.info_stack[sys_.rec_factor].transpose(1, 2, 0)
+    info = sys_.plan.info_t
     ie = info[:, 0] * et[0] + info[:, 1] * et[1]
     q = At[:, 0] * ie[0] + At[:, 1] * ie[1]
     psi = sys_.weights * q
@@ -393,20 +390,11 @@ def exact_hessian_system(problem, state, sys_):
     T2 = (0.5 * (outer + outer.swapaxes(0, 1))).reshape(9, -1)
     T2[[0, 4, 8]] -= psi[0] * pt[0] + psi[1] * pt[1] + psi[2] * pt[2]
 
-    # summed by upper triangles, as linearize sums M
-    lay = sys_.layout
-    n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
-    ps, ls = sys_.rec_pose_slot, sys_.rec_lm_slot
+    # added as linearize adds M, through its plan
     X6 = X9[_UPPER]
     PXP = _hat_times(pt, PX.reshape(3, 3, -1).swapaxes(0, 1)).reshape(9, -1)  # -P X P
-    per_pose = _bin_sums(np.where(ps < 0, n_p, ps), n_p,
-                         np.concatenate([(PXP - T2)[_UPPER], PX + 0.5 * hat_psi, X6]))
-    d = np.arange(n_p)
-    out.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] += per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
-    per_lm = _bin_sums(np.where(ls < 0, n_l, ls), n_l, X6)
-    out.Hll = sys_.Hll + per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
-    _add_pair_blocks(out.Hpl, PairIndex(n_l, ps, ls),
-                     -np.concatenate([PX + hat_psi, X9]).reshape(6, 3, -1))
+    _add_blocks(out, sys_.plan, np.concatenate([(PXP - T2)[_UPPER], PX + 0.5 * hat_psi, X6]),
+                X6, np.concatenate([PX + hat_psi, X9]).reshape(6, 3, -1))
 
     if problem.scale_prior is not None:
         sp = problem.scale_prior

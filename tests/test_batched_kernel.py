@@ -243,6 +243,24 @@ def test_exact_hessian_matches_loop(hessian_case):
     assert_same_system(sys_, linearize(prob, x0, theta))
 
 
+def test_exact_hessian_adds_through_the_linearize_plan(case, monkeypatch):
+    """The exact Hessian builds no PairIndex of its own: it adds its blocks
+    through the plan that ``linearize`` keeps on the system, whose repeated
+    pair it sums as linearize does."""
+    prob, x0, theta = case
+    sys_ = linearize(prob, x0, theta)
+
+    def refuse(*args):
+        raise AssertionError("PairIndex built after linearize")
+
+    monkeypatch.setattr(solver_mod, "PairIndex", refuse)
+    new = exact_hessian_system(prob, x0, sys_)
+    ref = loop_exact_hessian(prob, x0, sys_)
+    for name in ("Hpp", "Hll", "Hpl"):
+        assert_rel(getattr(new, name), getattr(ref, name))
+    assert sys_.plan.pairs.order is not None
+
+
 def test_residuals_match_loop(case):
     prob, x0, theta = case
     ev = evaluate_residuals(prob, x0, theta)

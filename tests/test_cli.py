@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -6,6 +8,10 @@ import pytest
 from gradba import scene as scn
 from gradba import trajectory as trj
 from gradba.cli import _kernel, main
+from gradba.initializer import RansacConfig, WindowConfig
+from gradba.problem import RobustKernel
+from gradba.solver import SolverSettings
+from gradba.temporal import TemporalEnergy
 
 
 @pytest.fixture
@@ -173,7 +179,157 @@ STATE_EDITS = {
 }
 
 
+# every key of every config section that synth, init and solve read, by the
+# command that reads it, with its JSON type
+CONFIG_TYPES = {
+    "synth": {
+        "scene": dict(n_cameras=int, n_landmarks=int, trajectory=str, depth_min=float,
+                      depth_max=float, fx=float, fy=float, cx=float, cy=float, width=int,
+                      height=int, pixel_sigma=float, outlier_ratio=float,
+                      outlier_px=float, seed=int),
+        "noise": dict(sigma=float, outlier_ratio=float, outlier_px=float, seed=int),
+        "descriptor_field": dict(attach=bool),
+        "temporal": dict(attach=bool, alpha=float, beta=float, lambda_t=float, tau=float,
+                         mask_threshold=float, sigma=float),
+    },
+    "init": {
+        "window": dict(n_min=int, theta_min=float, eps_max=float, r_min=float,
+                       stability_factor=float),
+        "ransac": dict(max_iterations=int, threshold=float, confidence=float, seed=int,
+                       min_parallax=float),
+    },
+    "solve": {
+        "solver": dict(lm_lambda_init=float, lambda_up=float, lambda_down=float,
+                       max_iterations=int, gradient_tolerance=float,
+                       step_tolerance=float),
+        "kernel": dict(kind=str, delta=float),
+    },
+}
+# a value of another JSON type than the key's, and where a settings class's
+# own range check would refuse that one anyway, a value that passes it
+WRONG_TYPE = {int: 6.5, float: float("nan"), bool: "no", str: 3}
+IN_RANGE = {("scene", "n_landmarks"): 40.5, ("scene", "depth_min"): True,
+            ("scene", "depth_max"): float("inf"), ("scene", "cx"): True,
+            ("scene", "cy"): True, ("scene", "width"): 640.5, ("scene", "height"): 480.5,
+            ("scene", "outlier_ratio"): True, ("noise", "outlier_ratio"): True,
+            ("window", "n_min"): 30.5, ("window", "r_min"): True}
+# (command, config) of one wrong-typed value per key, then the other wrong
+# values of a type (a string or a boolean for an integer, a string or an
+# infinity for a number) and the key and range checks of the sections that
+# synth reads by hand
+CONFIG_CASES = [pytest.param(command, {name: {key: IN_RANGE.get((name, key), WRONG_TYPE[kind])}},
+                             id=f"{name}-{key}")
+                for command, sections in CONFIG_TYPES.items()
+                for name, types in sections.items() for key, kind in types.items()]
+CONFIG_CASES += [pytest.param(command, config, id=case) for case, command, config in [
+    ("max_iterations_string", "solve", {"solver": {"max_iterations": "10"}}),
+    ("max_iterations_bool", "solve", {"solver": {"max_iterations": True}}),
+    ("delta_infinite", "solve", {"kernel": {"delta": float("inf")}}),
+    ("fx_string", "synth", {"scene": {"fx": "500"}}),
+    ("noise_sigma_string", "synth", {"noise": {"sigma": "0.5"}}),
+    ("noise_seed_string", "synth", {"noise": {"seed": "a"}}),
+    ("noise_nan_outliers", "synth", {"noise": {"outlier_px": float("nan"),
+                                               "outlier_ratio": 0.1}}),
+    ("descriptor_field_unknown_key", "synth", {"descriptor_field": {"atach": True}}),
+    ("descriptor_field_attach_int", "synth", {"descriptor_field": {"attach": 1}}),
+    ("temporal_unknown_key", "synth", {"temporal": {"atach": True}}),
+    ("temporal_tau_zero", "synth", {"temporal": {"tau": 0.0}}),
+]]
+SECTION_CLASSES = {"scene": scn.SyntheticSceneConfig, "temporal": TemporalEnergy,
+                   "window": WindowConfig, "ransac": RansacConfig,
+                   "solver": SolverSettings, "kernel": RobustKernel}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A synthesized 6-camera arc scene and the state that init makes of it."""
+    d = tmp_path_factory.mktemp("inputs")
+    cfg = d / "config.json"
+    cfg.write_text(json.dumps({"scene": {"n_cameras": 6, "n_landmarks": 40,
+                                         "trajectory": "arc", "seed": 11},
+                               "noise": {"sigma": 0.6}}))
+    sc, st = str(d / "scene.json"), str(d / "state.json")
+    assert main(["synth", "--config", str(cfg), "--out", sc]) == 0
+    assert main(["init", "--scene", sc, "--config", str(cfg), "--out-state", st,
+                 "--out-traj", str(d / "init.tum")]) == 0
+    return sc, st
+
+
+def run_with_config(command, config, inputs, tmp_path):
+    """Exit code of ``command`` run with ``config`` on the inputs, and the
+    paths it was asked to write."""
+    sc, st = inputs
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    reads = {"synth": [], "init": ["--scene", sc],
+             "solve": ["--scene", sc, "--state", st]}[command]
+    writes = {"synth": ["--out"], "init": ["--out-state", "--out-traj"],
+              "solve": ["--out-traj", "--report"]}[command]
+    paths = [tmp_path / f"out{k}" for k in range(len(writes))]
+    rc = main([command, *reads, "--config", str(cfg),
+               *(a for flag, path in zip(writes, paths) for a in (flag, str(path)))])
+    return rc, paths
+
+
 class TestFailureContract:
+    def test_config_table_covers_every_field(self):
+        for sections in CONFIG_TYPES.values():
+            for name, types in sections.items():
+                if name in SECTION_CLASSES:
+                    cls = SECTION_CLASSES[name]
+                    hints = typing.get_type_hints(cls)
+                    fields = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+                    assert {k: t for k, t in types.items() if k != "attach"} == fields
+
+    @pytest.mark.parametrize("command, config", CONFIG_CASES)
+    def test_config_values_are_checked(self, cli_inputs, tmp_path, capsys, command, config):
+        capsys.readouterr()
+        rc, paths = run_with_config(command, config, cli_inputs, tmp_path)
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+        assert any(key in lines[0] for section in config.values() for key in section)
+        assert not any(p.exists() for p in paths)
+
+    def test_json_integer_is_a_number(self, cli_inputs, tmp_path):
+        config = {"scene": {"n_cameras": 6, "n_landmarks": 40, "fx": 500,
+                            "trajectory": "arc"},
+                  "noise": {"sigma": 1, "outlier_px": 20}, "temporal": {"attach": False}}
+        assert run_with_config("synth", config, cli_inputs, tmp_path)[0] == 0
+        assert run_with_config("solve", {"kernel": {"delta": 3}}, cli_inputs, tmp_path)[0] == 0
+
+    @pytest.mark.parametrize("args", [["--fd-step", "0"], ["--fd-step", "nan"],
+                                      ["--fd-step", "inf"], ["--fd-step=-1e-5"],
+                                      ["--fd-subset", "0"], ["--fd-subset", "-2"]])
+    def test_gradcheck_oracle_arguments_are_checked(self, cli_inputs, tmp_path, capsys,
+                                                    args):
+        capsys.readouterr()
+        report = tmp_path / "grad.json"
+        rc = main(["gradcheck", "--scene", cli_inputs[0], "--model", "trackbias", *args,
+                   "--report", str(report)])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("index", [0, 5, 100, 200])
+    def test_nan_observation_fails_in_init(self, workdir, capsys, index):
+        tmp_path, cfg = workdir
+        sc, st = str(tmp_path / "scene.json"), tmp_path / "state.json"
+        assert main(["synth", "--config", cfg, "--out", sc]) == 0
+        scene = scn.load_scene(sc)
+        obs = scene["observations"][index]
+        obs["u"] = float("nan")
+        scn.save_scene(scene, sc)
+        capsys.readouterr()
+        rc = main(["init", "--scene", sc, "--config", cfg, "--out-state", str(st),
+                   "--out-traj", str(tmp_path / "init.tum")])
+        assert rc == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[init]: ")
+        assert f"track {obs['track']}:" in lines[0]
+        assert not st.exists()
+
     def test_nan_observation_fails_in_solver(self, workdir, capsys):
         tmp_path, cfg = workdir
         sc, st = str(tmp_path / "scene.json"), str(tmp_path / "state.json")

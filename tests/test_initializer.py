@@ -369,6 +369,18 @@ class TestRunInitialization:
             run_initialization(window, K)
         assert exc.value.tag == "window-too-short"
 
+    @pytest.mark.parametrize("frame, track, value", [(0, 0, np.nan), (3, 17, np.inf),
+                                                     (7, 59, -np.inf)])
+    def test_non_finite_pixel_rejected(self, frame, track, value):
+        """A non-finite pixel, in the anchor or any later frame, is refused
+        with the frame and the track before any stage reads it."""
+        window, K, *_ = build_window(0)
+        window[frame][track] = np.array([320.0, value])
+        with pytest.raises(InitializationFailed) as exc:
+            run_initialization(window, K)
+        assert exc.value.tag == "non-finite-pixel"
+        assert f"frame {frame}, track {track}:" in str(exc.value)
+
     def test_noise_free_window(self):
         window, K, gt_poses, *_ = build_window(1, sigma=0.0)
         res = run_initialization(window, K)
