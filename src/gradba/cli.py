@@ -1,7 +1,8 @@
 """Command-line interface: synth / init / solve / gradcheck / temporal-loss / eval.
 
-All subcommands exit 0 on success and nonzero with a stage-tagged error line
-on failure. The shared config file is JSON with optional sections
+All subcommands exit 0 on success and 1 with a stage-tagged error line on
+failure, a malformed command line included. The shared config file is JSON
+with optional sections
 
     solver / window / ransac / temporal / noise / scene / kernel / descriptor_field
 
@@ -262,8 +263,16 @@ def cmd_eval(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise SceneFormatError, so that ``main``
+    reports them as every other failure, instead of exiting 2 with usage."""
+
+    def error(self, message):
+        raise SceneFormatError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gradba",
         description="differentiable sparse bundle adjustment toolbox")
     sub = p.add_subparsers(dest="command", required=True)
@@ -316,8 +325,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except GradbaError as exc:
         print(f"error[{exc.stage}]: {exc}", file=sys.stderr)

@@ -75,6 +75,8 @@ class RansacConfig:
             raise ValueError("threshold must be positive")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64)")
 
 
 @dataclass

@@ -59,6 +59,12 @@ class SyntheticSceneConfig:
             raise ValueError(f"unknown trajectory {self.trajectory!r}")
         if not 0 < self.depth_min < self.depth_max:
             raise ValueError("need 0 < depth_min < depth_max")
+        if not (self.fx > 0 and self.fy > 0):
+            raise ValueError("fx and fy must be positive")
+        if self.pixel_sigma < 0 or self.outlier_px < 0:
+            raise ValueError("pixel_sigma and outlier_px must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64)")
 
 
 def _look_at(eye, target, up=(0.0, 1.0, 0.0)):

@@ -13,11 +13,12 @@ gradient is 2 g; ``gradient_inf_norm`` reports it that way.
 ``linearize`` forms one 3x3 block M = A^T W A and one 3-vector b = A^T W e
 per active factor, where A = dh/dc R^T is the factor's d pixel / d world
 point; every pose and landmark block follows from them in closed form.
-One block adder sums them per variable in factor order (``np.bincount``)
-and places them, so results are the same from run to run for a fixed BLAS
-thread count. ``exact_hessian_system`` forms its second-order correction
-from one symmetric 3x3 X per factor and adds it through that adder and the
-plan the system keeps; it and the adjoint's J y = A (v - y_l - p x omega)
+One block adder sums them per variable in factor order (``np.bincount``,
+and ``np.add.at`` for a pose-landmark pair that occurs twice) and places
+them, so results are the same from run to run for a fixed BLAS thread
+count. ``exact_hessian_system`` forms its second-order correction from one
+symmetric 3x3 X per factor and adds it through that adder and the plan the
+system keeps; it and the adjoint's J y = A (v - y_l - p x omega)
 read only A, the optical axis and the landmark from the records. The
 reduced camera system S = Hpp - Hpl C^-1 Hpl^T is one matrix product, whose
 rounding depends on the number of BLAS threads.
@@ -68,6 +69,8 @@ class SolverSettings:
     def __post_init__(self):
         if self.lambda_up <= 1 or self.lambda_down <= 1:
             raise ValueError("lambda factors must be > 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         if min(self.gradient_tolerance, self.step_tolerance) <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -171,39 +174,10 @@ def _hat_times(p, X, out=None, tmp=None):
     return out
 
 
-def segment_sum(slots, values, start):
-    """``start`` (n, ...) plus the rows of ``values`` (k, ...) summed by slot.
-
-    Row r is added to ``start[slots[r]]``; a slot of -1 drops it. Each sum
-    begins at its start value and adds its rows in row order, as a loop over
-    rows does: ``np.bincount`` accumulates its input sequentially.
-    """
-    n, m = len(start), math.prod(start.shape[1:])
-    bins = np.concatenate([np.arange(n), np.where(slots < 0, n, slots)])
-    cols = np.concatenate([start.reshape(n, m).T, values.reshape(len(slots), m).T], axis=1)
-    return _bin_sums(bins, n, cols).reshape(start.shape)
-
-
 def _bin_sums(bins, n, cols):
     """(n, len(cols)) sums of each of the rows ``cols`` by ``bins``, in row
     order from zero; bin n collects the dropped entries."""
     return np.array([np.bincount(bins, col, minlength=n + 1)[:n] for col in cols]).T
-
-
-class PairIndex:
-    """The flat Hpl index (6, 3, kb), factor-last, of the 6x3 block of each
-    factor in ``both``, whose pose and landmark are free; with a repeated
-    pair, each factor's pair number ``order`` and each pair's ``first`` index."""
-
-    def __init__(self, n_l, pose_slot, lm_slot):
-        self.both = _rows((pose_slot >= 0) & (lm_slot >= 0))
-        ps, ls = pose_slot[self.both], lm_slot[self.both]
-        self.idx = (3 * n_l * np.arange(6)[:, None, None] + np.arange(3)[:, None]
-                    + (18 * n_l * ps + 3 * ls))
-        pairs, self.order = ps * n_l + ls, None
-        if len(pairs) and np.bincount(pairs).max() > 1:
-            _, first, self.order = np.unique(pairs, return_index=True, return_inverse=True)
-            self.first = self.idx[..., first]
 
 
 def _add_blocks(sys_, plan, pose_rows, lm_rows, pair_blocks):
@@ -219,24 +193,16 @@ def _add_blocks(sys_, plan, pose_rows, lm_rows, pair_blocks):
     sys_.Hpp.reshape(n_p, 6, n_p, 6)[d, :, d, :] += per_pose[:, _POSE_BLOCK].reshape(-1, 6, 6)
     per_lm = _bin_sums(plan.lm_bins, n_l, lm_rows)
     sys_.Hll += per_lm[:, _SYMMETRIC].reshape(n_l, 3, 3)
-    _add_pair_blocks(sys_.Hpl, plan.pairs, np.negative(pair_blocks, out=pair_blocks))
-    return per_pose, per_lm
-
-
-def _add_pair_blocks(Hpl, pairs, blocks):
-    """Add factor-last (6, 3, k) blocks to ``Hpl`` at the places a PairIndex
-    gives, dropping those with a fixed side. A pair holds one block, added in
-    place one entry of the 6x3 at a time, so that no gathered copy is near
-    Hpl's size, unless the problem repeats a row; repeated pairs are summed
-    in factor order."""
-    flat = Hpl.reshape(-1)
-    if pairs.order is None:
-        for i in np.ndindex(6, 3):
-            flat[pairs.idx[i]] += blocks[i][pairs.both]
+    # a pair's block goes in one entry of the 6x3 at a time, so that no
+    # gathered copy is near Hpl's size; a repeated pair's rows are added by
+    # np.add.at onto the entry in factor order
+    flat, blocks = sys_.Hpl.reshape(-1), np.negative(pair_blocks, out=pair_blocks)
+    if plan.pair_repeats:
+        np.add.at(flat, plan.pair_idx, blocks[..., plan.pair_rows])
     else:
-        idx = pairs.first
-        flat[idx] = segment_sum(pairs.order, blocks[..., pairs.both].transpose(2, 0, 1),
-                                flat[idx].transpose(2, 0, 1)).transpose(1, 2, 0)
+        for i in np.ndindex(6, 3):
+            flat[plan.pair_idx[i]] += blocks[i][plan.pair_rows]
+    return per_pose, per_lm
 
 
 def _rows(mask):
@@ -249,8 +215,9 @@ def _rows(mask):
 
 class LinearizationPlan:
     """The structure of ``linearize`` for one active mask: the layout, the
-    active factors' rows, slots, information, segment-sum bins and Hpl
-    PairIndex, and a scratch for their intermediates. It reads the state's
+    active factors' rows, slots, information and bins, the Hpl index of
+    each block whose pose and landmark are free and whether a pair repeats,
+    and a scratch for their intermediates. It reads the state's
     fixed masks, not its values, so one plan serves every state of a solve
     with the active mask ``active``. Systems own their arrays, but the
     scratch serves one call at a time: each concurrent solve needs its plan.
@@ -267,7 +234,13 @@ class LinearizationPlan:
         n_p, n_l = len(lay.free_pose_ids), len(lay.free_lm_ids)
         self.pose_bins = np.where(self.pose_slot < 0, n_p, self.pose_slot)
         self.lm_bins = np.where(self.lm_slot < 0, n_l, self.lm_slot)
-        self.pairs = PairIndex(n_l, self.pose_slot, self.lm_slot)
+        # the factors whose pose and landmark are both free, and the flat Hpl
+        # index (6, 3, kb), factor-last, of their 6x3 blocks
+        self.pair_rows = _rows((self.pose_slot >= 0) & (self.lm_slot >= 0))
+        ps, ls = self.pose_slot[self.pair_rows], self.lm_slot[self.pair_rows]
+        self.pair_idx = (3 * n_l * np.arange(6)[:, None, None] + np.arange(3)[:, None]
+                         + (18 * n_l * ps + 3 * ls))
+        self.pair_repeats = bool(len(ps)) and np.bincount(ps * n_l + ls).max() > 1
 
         # Factor-last scratch: Z = [PM | Pb; M | b] in rows 0-23, which hold R
         # and 1/z, then W rho' and WA, before it; -PMP in 24-32 and products in

@@ -21,10 +21,9 @@ from gradba.implicit import (ImplicitGradRequest, PoseErrorLoss,
 from gradba.problem import (DescriptorFieldModel, RobustKernel, StateVector,
                             StaticModel, evaluate_residuals,
                             temporal_theta_gradient)
-from gradba.solver import (LinearizationPlan, LinearizedSystem, PairIndex,
-                           SolverSettings, _add_pair_blocks,
-                           exact_hessian_system, linearize, optimize,
-                           segment_sum)
+from gradba.solver import (_POSE_BLOCK, _SYMMETRIC, LinearizationPlan,
+                           LinearizedSystem, SolverSettings, _add_blocks,
+                           exact_hessian_system, linearize, optimize)
 
 from conftest import build_ba_problem, problem_like
 from loop_reference import (loop_assemble, loop_exact_hessian, loop_linearize,
@@ -87,34 +86,37 @@ def test_case_covers_the_edge_cases(case):
 
 @pytest.mark.parametrize("start", ["zero", "nonzero"])
 def test_scatter_is_bit_identical_to_loop(case, start):
+    """The block adder, through the plan of ``linearize``, adds random rows as
+    the factor loop does. Each pose and landmark sum starts at +0.0 and is
+    added to the block once; each Hpl entry, the duplicated pair's included,
+    is added to in factor order."""
     prob, x0, theta = case
     ref = linearize(prob, x0, theta)
-    ps, ls = ref.rec_pose_slot, ref.rec_lm_slot
+    plan = ref.plan
+    assert plan.pair_repeats
+    ps, ls = plan.pose_slot, plan.lm_slot
     rng = np.random.default_rng(5)
     k = len(ps)
-    blocks = (rng.normal(size=(k, 6, 6)), rng.normal(size=(k, 3, 3)),
-              rng.normal(size=(k, 6, 3)), rng.normal(size=(k, 6)),
-              rng.normal(size=(k, 3)))
-    systems = [LinearizedSystem(ref.layout), LinearizedSystem(ref.layout)]
+    pose_rows, lm_rows = rng.normal(size=(27, k)), rng.normal(size=(9, k))
+    pair_blocks = rng.normal(size=(6, 3, k))
+    blocks = (pose_rows[_POSE_BLOCK].T.reshape(k, 6, 6),
+              lm_rows[_SYMMETRIC].T.reshape(k, 3, 3),
+              -pair_blocks.transpose(2, 0, 1), pose_rows[21:].T, lm_rows[6:].T)
+    new, old, summed = (LinearizedSystem(ref.layout) for _ in range(3))
+    init = {n: np.zeros_like(getattr(ref, n)) for n in ("Hpp", "Hll", "Hpl")}
     if start == "nonzero":
-        init = [rng.normal(size=getattr(ref, n).shape)
-                for n in ("Hpp", "Hll", "Hpl", "g")]
-        for s in systems:
-            s.Hpp, s.Hll, s.Hpl, s.g = (a.copy() for a in init)
-    new, old = systems
-    n_p = len(new.layout.free_pose_ids)
-    d = np.arange(n_p)
-    Hpp = new.Hpp.reshape(n_p, 6, n_p, 6)
-    Hpp[d, :, d, :] = segment_sum(ps, blocks[0], Hpp[d, :, d, :])
-    new.Hll = segment_sum(ls, blocks[1], new.Hll)
-    _add_pair_blocks(new.Hpl, PairIndex(len(new.layout.free_lm_ids), ps, ls),
-                     blocks[2].transpose(1, 2, 0))
-    npp = new.layout.n_pose_params
-    new.g = np.concatenate([segment_sum(ps, blocks[3], new.g[:npp].reshape(-1, 6)).ravel(),
-                            segment_sum(ls, blocks[4], new.g[npp:].reshape(-1, 3)).ravel()])
+        init = {n: rng.normal(size=a.shape) for n, a in init.items()}
+        for s in (new, old):
+            vars(s).update({n: a.copy() for n, a in init.items()})
+    per_pose, per_lm = _add_blocks(new, plan, pose_rows, lm_rows, pair_blocks)
     loop_assemble(old, ps, ls, *blocks)
-    for name in ("Hpp", "Hll", "Hpl", "g"):
-        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    loop_assemble(summed, ps, ls, *blocks)
+    for name in ("Hpp", "Hll"):
+        assert np.array_equal(getattr(new, name), init[name] + getattr(summed, name)), name
+    assert np.array_equal(new.Hpl, old.Hpl)
+    npp = new.layout.n_pose_params
+    assert np.array_equal(per_pose[:, 21:].ravel(), summed.g[:npp])
+    assert np.array_equal(per_lm[:, 6:].ravel(), summed.g[npp:])
 
 
 def test_linearize_matches_loop(case):
@@ -244,21 +246,21 @@ def test_exact_hessian_matches_loop(hessian_case):
 
 
 def test_exact_hessian_adds_through_the_linearize_plan(case, monkeypatch):
-    """The exact Hessian builds no PairIndex of its own: it adds its blocks
-    through the plan that ``linearize`` keeps on the system, whose repeated
-    pair it sums as linearize does."""
+    """The exact Hessian builds no LinearizationPlan of its own: it adds its
+    blocks through the plan that ``linearize`` keeps on the system, whose
+    repeated pair it sums as linearize does."""
     prob, x0, theta = case
     sys_ = linearize(prob, x0, theta)
 
     def refuse(*args):
-        raise AssertionError("PairIndex built after linearize")
+        raise AssertionError("LinearizationPlan built after linearize")
 
-    monkeypatch.setattr(solver_mod, "PairIndex", refuse)
+    monkeypatch.setattr(solver_mod, "LinearizationPlan", refuse)
     new = exact_hessian_system(prob, x0, sys_)
     ref = loop_exact_hessian(prob, x0, sys_)
     for name in ("Hpp", "Hll", "Hpl"):
         assert_rel(getattr(new, name), getattr(ref, name))
-    assert sys_.plan.pairs.order is not None
+    assert sys_.plan.pair_repeats
 
 
 def test_residuals_match_loop(case):

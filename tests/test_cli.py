@@ -234,6 +234,17 @@ CONFIG_CASES += [pytest.param(command, config, id=case) for case, command, confi
     ("descriptor_field_attach_int", "synth", {"descriptor_field": {"attach": 1}}),
     ("temporal_unknown_key", "synth", {"temporal": {"atach": True}}),
     ("temporal_tau_zero", "synth", {"temporal": {"tau": 0.0}}),
+    ("noise_sigma_negative", "synth", {"noise": {"sigma": -0.6}}),
+    ("noise_outlier_px_negative", "synth", {"noise": {"outlier_px": -20.0}}),
+    ("pixel_sigma_negative", "synth", {"scene": {"pixel_sigma": -0.6}}),
+    ("fx_negative", "synth", {"scene": {"fx": -500}}),
+    ("fy_zero", "synth", {"scene": {"fy": 0}}),
+    ("scene_seed_negative", "synth", {"scene": {"seed": -1}}),
+    ("noise_seed_negative", "synth", {"noise": {"seed": -1}}),
+    ("ransac_seed_negative", "init", {"ransac": {"seed": -1}}),
+    ("scene_seed_huge", "synth", {"scene": {"seed": 2 ** 128}}),
+    ("ransac_seed_huge", "init", {"ransac": {"seed": 2 ** 128}}),
+    ("max_iterations_negative", "solve", {"solver": {"max_iterations": -5}}),
 ]]
 SECTION_CLASSES = {"scene": scn.SyntheticSceneConfig, "temporal": TemporalEnergy,
                    "window": WindowConfig, "ransac": RansacConfig,
@@ -297,6 +308,29 @@ class TestFailureContract:
                   "noise": {"sigma": 1, "outlier_px": 20}, "temporal": {"attach": False}}
         assert run_with_config("synth", config, cli_inputs, tmp_path)[0] == 0
         assert run_with_config("solve", {"kernel": {"delta": 3}}, cli_inputs, tmp_path)[0] == 0
+
+    def test_zero_max_iterations_is_allowed(self, cli_inputs, tmp_path):
+        config = {"solver": {"max_iterations": 0}}
+        assert run_with_config("solve", config, cli_inputs, tmp_path)[0] == 0
+
+    @pytest.mark.parametrize("args", [
+        ["gradcheck", "--scene", "scene.json", "--fd-subset", "abc"],
+        ["gradcheck", "--scene", "scene.json", "--fd-step", "-1e-5"],
+        ["bogus"], [],
+        ["solve", "--scene", "scene.json", "--out-traj", "est.tum"]],
+        ids=["fd_subset_abc", "fd_step_option", "bogus", "no_command", "solve_no_state"])
+    def test_argument_errors_are_stage_tagged(self, capsys, args):
+        capsys.readouterr()
+        assert main(args) == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert "usage: gradba" in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [["--fd-step", "0"], ["--fd-step", "nan"],
                                       ["--fd-step", "inf"], ["--fd-step=-1e-5"],

@@ -2,12 +2,11 @@
 and its depth boundary, the broadcasting retraction and quaternion helpers
 against their one-row calls, the component cross product against
 ``np.cross``, the analytic pose-loss gradient, the batched vector-jacobian
-products, the problem table of ``build_problem``, the solver's segment sums,
-the Schur solve and the initializer's batched two-view geometry against
-their references on generated inputs, the broadcasting inverse-depth fusion
-against its scalar calls, and the round trips of the scene file
-(with descriptor-field and temporal sections), of the TUM trajectory file
-and of se3_exp / se3_log.
+products, the problem table of ``build_problem``, the Schur solve and the
+initializer's batched two-view geometry against their references on
+generated inputs, the broadcasting inverse-depth fusion against its scalar
+calls, and the round trips of the scene file (with descriptor-field and
+temporal sections), of the TUM trajectory file and of se3_exp / se3_log.
 
 Examples are derandomized and bounded in number, so a run does the same work
 every time. Tolerances were fixed before the code under test was written.
@@ -34,7 +33,7 @@ from gradba.initializer import (InverseDepthEstimate, _cheirality_depths,  # noq
 from gradba.problem import (DescriptorFieldModel, RobustKernel,  # noqa: E402
                             StateVector, StaticModel, TrackBiasModel)
 from gradba.solver import (LinearizedSystem, SystemLayout, lm_step,  # noqa: E402
-                           schur_solve_rhs, segment_sum)
+                           schur_solve_rhs)
 from gradba.trajectory import read_tum, records_from_poses, write_tum  # noqa: E402
 
 from loop_reference import (fd_tangent_gradient, loop_cheirality_depths,  # noqa: E402
@@ -352,26 +351,6 @@ def test_problem_table_matches_per_observation_assembly(n_cameras, n_landmarks, 
             assert_bits(getattr(prob, name), ref[name])
         assert_bits(prob.obs_model.observe_all(prob.frame_idx, prob.track_idx, prob.theta0()),
                     ref["predictions"])
-
-
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(data=st.data(), n=st.integers(0, 4), k=st.integers(0, 12),
-       shape=st.sampled_from([(), (2,), (2, 3)]))
-def test_segment_sum_matches_add_at(data, n, k, shape):
-    """Bit for bit the sums of ``np.add.at``, which adds one row at a time
-    onto the start: repeated slots, dropped slots of -1, no rows at all, and
-    values of mixed magnitude, whose sums depend on the order of addition."""
-    m = int(np.prod(shape))
-    numbers = st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)
-    slots = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=k, max_size=k)),
-                     dtype=int)
-    values = np.array(data.draw(st.lists(numbers, min_size=k * m, max_size=k * m)),
-                      dtype=float).reshape(k, *shape)
-    start = np.array(data.draw(st.lists(numbers, min_size=n * m, max_size=n * m)),
-                     dtype=float).reshape(n, *shape)
-    expected = start.copy()
-    np.add.at(expected, slots[slots >= 0], values[slots >= 0])
-    assert np.array_equal(segment_sum(slots, values, start), expected)
 
 
 @PROPERTY
