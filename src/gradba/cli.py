@@ -10,10 +10,13 @@ where each field falls back to the package defaults. ``scene`` configures the
 synthetic generator geometry; ``noise`` configures the pixel noise and
 outliers applied by ``synth``; ``kernel`` selects the robust kernel used by
 ``solve``, Huber unless ``"kind": "none"``. A missing or malformed config
-file, an unknown section or key, a value not of its field's JSON type (an
-integer, not a boolean, for an int field; a finite number for a float
-field; a boolean or a string for a bool or str field) and a value the
-section's settings reject fail with ``error[harness]``.
+file and an unknown section fail with ``error[harness]``. Each subcommand
+checks only the sections it reads, and there an unknown key, a value not of
+its field's JSON type (an integer, not a boolean, for an int field; a finite
+number for a float field; a boolean or a string for a bool or str field) and
+a value the section's settings reject fail the same way; a section that the
+subcommand does not read is not checked. A rejected ``noise`` value is
+reported under the ``noise`` section and its own key.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ GRADCHECK_SETTINGS = dict(gradient_tolerance=1e-11, max_iterations=300)
 CONFIG_SECTIONS = ("scene", "noise", "solver", "window", "ransac", "temporal",
                    "kernel", "descriptor_field")
 _NOISE_TYPES = {"sigma": float, "outlier_ratio": float, "outlier_px": float, "seed": int}
+# the SyntheticSceneConfig field that each noise key sets
+_NOISE_FIELDS = {"sigma": "pixel_sigma", "outlier_ratio": "outlier_ratio",
+                 "outlier_px": "outlier_px", "seed": "seed"}
 _ATTACH_TYPES = {"attach": bool}
 _JSON_TYPES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
 
@@ -92,11 +98,16 @@ def _section(config, name, cls, extra=None, **defaults):
     hints = typing.get_type_hints(cls)
     known = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     fields = _fields(config, name, {**known, **(extra or {})})
-    kwargs = {**defaults, **{k: v for k, v in fields.items() if k in known}}
+    return _build(f"config section {name!r}", cls,
+                  {**defaults, **{k: v for k, v in fields.items() if k in known}})
+
+
+def _build(where, cls, kwargs):
+    """``cls(**kwargs)``; a value it rejects raises SceneFormatError."""
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise SceneFormatError(f"config section {name!r}: {exc}") from exc
+        raise SceneFormatError(f"{where}: {exc}") from exc
 
 
 def _settings(config, tight=False):
@@ -123,12 +134,11 @@ def _write_json(payload, path):
 def cmd_synth(args):
     config = load_config(args.config)
     noise = _fields(config, "noise", _NOISE_TYPES)
-    defaults = {"pixel_sigma": noise.get("sigma", 0.0),
-                "outlier_ratio": noise.get("outlier_ratio", 0.0),
-                "outlier_px": noise.get("outlier_px", 20.0)}
-    if "seed" in noise:
-        defaults["seed"] = noise["seed"]
-    cfg = _section(config, "scene", scn.SyntheticSceneConfig, **defaults)
+    for key, value in noise.items():  # each alone, so that a refusal names its key
+        _build(f"config section 'noise': {key}", scn.SyntheticSceneConfig,
+               {_NOISE_FIELDS[key]: value})
+    cfg = _section(config, "scene", scn.SyntheticSceneConfig,
+                   **{_NOISE_FIELDS[k]: v for k, v in noise.items()})
     _temporal_terms(config)  # synth reads only its attach, but checks it all
     field = _fields(config, "descriptor_field", _ATTACH_TYPES).get("attach")
     scene = scn.generate_scene(cfg)

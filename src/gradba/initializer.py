@@ -268,8 +268,8 @@ def triangulate(p0, p1, pose0, pose1, K):
     return X, ok
 
 
-def depth_gate(points, z_values):
-    """Retain points whose anchor depth lies in [0.1, 10] x median depth.
+def depth_gate(z_values):
+    """Mask of the anchor depths ``z_values`` in [0.1, 10] x median depth.
 
     The median is taken over the positive depths only. Never raises; an
     all-False mask signals that nothing survived.
@@ -506,7 +506,7 @@ def run_initialization(window, K, cfg=None, ransac_cfg=None):
 
     # --- landmarks and inverse depths from the anchor-terminal pair --------
     depths = _depth(anchor_pose, X)
-    keep = depth_gate(cols, depths)
+    keep = depth_gate(depths)
     cols, depths = cols[keep], depths[keep]
     var_obs, _, ok = sigma_obs_from_reproj(pix[0, cols], pix[t_star, cols],
                                            anchor_pose, pose_term, K, PROBE_PX)

@@ -364,45 +364,31 @@ class DescriptorFieldModel(ObservationModel):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TemporalObservation:
-    """One track inside an attached transition.
-
-    The chained endpoint is produced by the observation model at (frame,
-    track); the long-baseline endpoint and any dense descriptor data are
-    frozen constants supplied with the scene.
-    """
-
-    frame: int
-    track: int
-    long_endpoint: np.ndarray
-    grid: np.ndarray = None     # optional H x W x C patch for the dense losses
-    origin: np.ndarray = None   # image pixel of grid cell (0, 0)
-    valid: bool = True          # False leaves the pair out of the MRP loss
-
-
-@dataclass
 class TemporalAttachment:
-    """Temporal terms whose chained endpoints the observation model predicts.
-    The keys and the dense items (with their frozen maps) do not depend on
-    theta and are built once; ``build`` swaps in the predicted endpoints."""
+    """Temporal terms whose chained endpoints the observation model predicts:
+    ``temporal.Transition``s built once, whose TrackPairs carry the long
+    endpoints and valid flags and whose DenseItems carry the frozen maps, and
+    the (frame index, track) key of every pair in transition order, as int64
+    arrays (ValueError unless there is one per pair). ``build`` swaps in the
+    endpoints that the model predicts at those keys."""
 
     terms: temporal.TemporalEnergy
-    transitions: list  # list of lists of TemporalObservation
+    transitions: list
+    frames: np.ndarray
+    tracks: np.ndarray
 
     def __post_init__(self):
-        obs = [ob for obs_list in self.transitions for ob in obs_list]
-        self.frames = np.array([ob.frame for ob in obs], dtype=np.int64)
-        self.tracks = np.array([ob.track for ob in obs], dtype=np.int64)
-        self._dense = [[temporal.build_dense_item(k, ob.grid, ob.origin, ob.long_endpoint)
-                        for k, ob in enumerate(obs_list) if ob.grid is not None]
-                       for obs_list in self.transitions]
+        self.frames, self.tracks = (np.asarray(a, dtype=np.int64).ravel()
+                                    for a in (self.frames, self.tracks))
+        if not len(self.frames) == len(self.tracks) == sum(len(t.pairs) for t in self.transitions):
+            raise ValueError("need one (frame, track) key per temporal pair")
 
     def build(self, obs_model, theta):
-        """Transition structures with the endpoints the model predicts at theta."""
+        """The transitions with the endpoints the model predicts at theta."""
         recs = iter(obs_model.observe_all(self.frames, self.tracks, theta))
-        return [temporal.Transition([temporal.TrackPair(next(recs), ob.long_endpoint, ob.valid)
-                                     for ob in obs_list], dense)
-                for obs_list, dense in zip(self.transitions, self._dense)]
+        return [temporal.Transition([temporal.TrackPair(next(recs), p.long, p.valid)
+                                     for p in tr.pairs], tr.dense)
+                for tr in self.transitions]
 
 
 # ---------------------------------------------------------------------------

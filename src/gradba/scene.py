@@ -25,8 +25,7 @@ from .errors import InfeasibleConfig, SceneFormatError
 from .geometry import (CameraIntrinsics, Pose, pinhole, project, quat_from_matrix,
                        quat_to_matrix)
 from .problem import (DescriptorFieldModel, Problem, ScalePrior, StateVector,
-                      StaticModel, TemporalAttachment, TemporalObservation,
-                      TrackBiasModel, softargmax)
+                      StaticModel, TemporalAttachment, TrackBiasModel, softargmax)
 from .temporal import TemporalEnergy, TrackPair, Transition, build_dense_item
 
 SCENE_VERSION = 1
@@ -633,31 +632,29 @@ def _temporal_section(scene):
     return out
 
 
+def _transition(items):
+    """The Transition of one transition's parsed items."""
+    return Transition([TrackPair(it["recursive"], it["long"], it["valid"]) for it in items],
+                      [build_dense_item(k, it["grid"], it["origin"], it["long"])
+                       for k, it in enumerate(items) if it["grid"] is not None])
+
+
 def temporal_transitions(scene):
     """Standalone Transition structures from the scene's temporal section."""
     section = _temporal_section(scene)
     if section is None:
         raise SceneFormatError("scene has no temporal block")
-    return [Transition([TrackPair(it["recursive"], it["long"], it["valid"]) for it in items],
-                       [build_dense_item(k, it["grid"], it["origin"], it["long"])
-                        for k, it in enumerate(items) if it["grid"] is not None])
-            for _, items in section]
+    return [_transition(items) for _, items in section]
 
 
 def temporal_attachment(scene, observed):
-    """Problem attachment: chained endpoints come from the observation model
-    at (frame, track); frozen data comes from the scene section. Items whose
-    (frame index, track) key is not in ``observed`` are left out."""
-    section = _temporal_section(scene)
-    if section is None:
+    """Problem attachment of the scene's temporal section, or None without
+    one. Each transition is built from its items whose (frame index, track)
+    key is in ``observed``, so a DenseItem's pair index points into the kept
+    items; a transition that keeps no item is dropped."""
+    kept = [(fi, its) for fi, items in _temporal_section(scene) or ()
+            if (its := [it for it in items if (fi, it["track"]) in observed])]
+    if not kept:
         return None
-    transitions = []
-    for fi, items in section:
-        obs_list = [TemporalObservation(fi, it["track"], it["long"], it["grid"], it["origin"],
-                                        it["valid"])
-                    for it in items if (fi, it["track"]) in observed]
-        if obs_list:
-            transitions.append(obs_list)
-    if not transitions:
-        return None
-    return TemporalAttachment(TemporalEnergy(), transitions)
+    keys = np.array([(fi, it["track"]) for fi, its in kept for it in its])
+    return TemporalAttachment(TemporalEnergy(), [_transition(its) for _, its in kept], *keys.T)

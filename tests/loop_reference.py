@@ -422,10 +422,8 @@ def loop_temporal_theta_gradient(problem, theta):
     transitions = att.build(problem.obs_model, theta)
     res = temporal.temporal_energy(att.terms, transitions)
     g = np.zeros(problem.obs_model.theta_dim)
-    for obs_list, gep in zip(att.transitions, res.grad_endpoints):
-        for k, ob in enumerate(obs_list):
-            J = problem.obs_model.observe_jacobian(ob.frame, ob.track, theta)
-            g += gep[k] @ J
+    for frame, track, gk in zip(att.frames, att.tracks, np.concatenate(res.grad_endpoints)):
+        g += gk @ problem.obs_model.observe_jacobian(int(frame), int(track), theta)
     return att.terms.lambda_t * g
 
 
@@ -816,7 +814,7 @@ def loop_run_initialization(window, K, cfg=None, ransac_cfg=None):
     poses = {0: anchor_pose, t_star: pose_term}
 
     depths = _depth(anchor_pose, X)
-    keep = depth_gate(tracks, depths)
+    keep = depth_gate(depths)
     tracks, depths = list(compress(tracks, keep)), depths[keep]
     var, _, ok = sigma_obs_from_reproj([anchor[tr] for tr in tracks],
                                        [window[t_star][tr] for tr in tracks],

@@ -20,10 +20,9 @@ from gradba.initializer import (InverseDepthEstimate, RansacConfig,
                                 estimate_relative_pose, fuse_inverse_depth,
                                 normalize_bearings, run_initialization)
 from gradba.problem import (DescriptorFieldModel, Problem, RobustKernel,
-                            StateVector, TrackBiasModel, TemporalAttachment,
-                            TemporalObservation)
+                            StateVector, TrackBiasModel, TemporalAttachment)
 from gradba.solver import SolverSettings, linearize, lm_step, optimize, schur_solve
-from gradba.temporal import (TemporalEnergy, TrackPair, gaussian_target,
+from gradba.temporal import (TemporalEnergy, TrackPair, Transition, gaussian_target,
                              loss_hot, loss_mrp, loss_sim, temporal_energy)
 
 from conftest import build_ba_problem, build_window, problem_like
@@ -286,10 +285,10 @@ def test_09_temporal_energy_correctness():
 
     # zero-weight attachment leaves optimize() bit-identical
     prob, x0, *_ = build_ba_problem(42, sigma=0.6)
-    obs_list = [TemporalObservation(1, t, prob.obs_model.observe(1, t, prob.theta0()))
-                for t in (0, 1, 2)]
-    attach = TemporalAttachment(TemporalEnergy(alpha=0.0, beta=0.0,
-                                               lambda_t=0.0), [obs_list])
+    longs = [prob.obs_model.observe(1, t, prob.theta0()) for t in (0, 1, 2)]
+    attach = TemporalAttachment(TemporalEnergy(alpha=0.0, beta=0.0, lambda_t=0.0),
+                                [Transition([TrackPair(p, p) for p in longs])],
+                                [1, 1, 1], [0, 1, 2])
     prob2 = problem_like(prob, temporal_terms=attach, scale_prior=prob.scale_prior)
     xa, ra = optimize(prob, x0)
     xb, rb = optimize(prob2, x0)

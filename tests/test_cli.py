@@ -236,6 +236,7 @@ CONFIG_CASES += [pytest.param(command, config, id=case) for case, command, confi
     ("temporal_tau_zero", "synth", {"temporal": {"tau": 0.0}}),
     ("noise_sigma_negative", "synth", {"noise": {"sigma": -0.6}}),
     ("noise_outlier_px_negative", "synth", {"noise": {"outlier_px": -20.0}}),
+    ("noise_outlier_ratio_high", "synth", {"noise": {"outlier_ratio": 1.5}}),
     ("pixel_sigma_negative", "synth", {"scene": {"pixel_sigma": -0.6}}),
     ("fx_negative", "synth", {"scene": {"fx": -500}}),
     ("fy_zero", "synth", {"scene": {"fy": 0}}),
@@ -300,6 +301,7 @@ class TestFailureContract:
         lines = error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error[harness]: ")
         assert any(key in lines[0] for section in config.values() for key in section)
+        assert any(f"config section {name!r}" in lines[0] for name in config)
         assert not any(p.exists() for p in paths)
 
     def test_json_integer_is_a_number(self, cli_inputs, tmp_path):

@@ -248,23 +248,22 @@ class TestWeightedCovariances:
 
 class TestWithTemporalTerms:
     def _attach(self, prob, seed, beta=0.0):
-        from gradba.problem import TemporalAttachment, TemporalObservation
-        from gradba.temporal import TemporalEnergy
+        from gradba.problem import TemporalAttachment
+        from gradba.temporal import TemporalEnergy, TrackPair, Transition, build_dense_item
         rng = np.random.default_rng(seed)
         transitions = []
         for frame in (1, 2):
-            obs_list = []
-            for t in (0, 1, 2):
+            pairs, dense = [], []
+            for k, t in enumerate((0, 1, 2)):
                 pixel = prob.obs_model.observe(frame, t, prob.theta0())
                 long = pixel + rng.normal(scale=0.3, size=2)
-                grid = origin = None
+                pairs.append(TrackPair(pixel, long))
                 if beta:
                     grid = rng.normal(size=(9, 9, 4)) * 0.3
-                    origin = long - np.array([4.0, 4.0])
-                obs_list.append(TemporalObservation(frame, t, long, grid, origin))
-            transitions.append(obs_list)
-        return TemporalAttachment(TemporalEnergy(alpha=1.0, beta=beta,
-                                                 lambda_t=0.2), transitions)
+                    dense.append(build_dense_item(k, grid, long - np.array([4.0, 4.0]), long))
+            transitions.append(Transition(pairs, dense))
+        return TemporalAttachment(TemporalEnergy(alpha=1.0, beta=beta, lambda_t=0.2),
+                                  transitions, [1, 1, 1, 2, 2, 2], [0, 1, 2] * 2)
 
     def test_fd_agreement_with_temporal_terms(self):
         prob, x0, gt_poses, *_ = build_ba_problem(8, sigma=0.4)

@@ -199,21 +199,21 @@ class TestTriangulate:
 class TestDepthGate:
     def test_all_equal_depths_retained(self):
         z = np.array([2.0, 2.0, 2.0])
-        assert depth_gate(None, z).all()
+        assert depth_gate(z).all()
 
     def test_far_outlier_rejected(self):
         z = np.array([1.0, 1.0, 1.0, 100.0])
-        np.testing.assert_array_equal(depth_gate(None, z),
+        np.testing.assert_array_equal(depth_gate(z),
                                       [True, True, True, False])
 
     def test_near_bound_hand_median(self):
         # median over positive depths {1, 0.05} is 0.525; lower bound 0.0525
         z = np.array([1.0, 0.05])
-        np.testing.assert_array_equal(depth_gate(None, z), [True, False])
+        np.testing.assert_array_equal(depth_gate(z), [True, False])
 
     def test_negative_depths_never_retained_median_over_positive(self):
         z = np.array([-3.0, 2.0, 2.2])
-        mask = depth_gate(None, z)
+        mask = depth_gate(z)
         assert not mask[0] and mask[1] and mask[2]
 
 

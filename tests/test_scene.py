@@ -7,7 +7,7 @@ import pytest
 from gradba import scene as scn
 from gradba.errors import InfeasibleConfig, SceneFormatError
 from gradba.geometry import pinhole, project
-from gradba.problem import RobustKernel
+from gradba.problem import RobustKernel, StateVector, TemporalAttachment
 from gradba.scene import (SyntheticSceneConfig, attach_descriptor_field,
                           attach_temporal, build_problem, dumps_scene,
                           generate_scene, gt_poses, gt_state, inject_noise,
@@ -291,3 +291,36 @@ class TestBuildProblem:
         assert len(transitions) == 2
         assert all(len(t.pairs) >= 1 for t in transitions)
         assert all(len(t.dense) == len(t.pairs) for t in transitions)
+
+    def test_temporal_attachment_keeps_the_observed_items(self):
+        scene = attach_temporal(attach_descriptor_field(
+            generate_scene(SyntheticSceneConfig(seed=18)), seed=3), n_transitions=2, seed=4)
+        frame_order = {f["id"]: k for k, f in enumerate(scene["frames"])}
+        items = [((frame_order[tr["frame"]], it["track"]), it)
+                 for tr in scene["temporal"]["transitions"] for it in tr["items"]]
+        first = scene["temporal"]["transitions"][0]["items"]
+        # the track of a patched item that is not last in its transition
+        assert first[0]["grid"] is not None and len(first) > 1
+        dropped = first[0]["track"]
+
+        def temporal_terms(drop):
+            gt, ids = gt_state(scene), [l["id"] for l in scene["landmarks"]]
+            rows = [k for k, t in enumerate(ids) if t not in drop]
+            state = StateVector(gt.poses, gt.landmarks[rows], gt.fixed_poses)
+            return build_problem(scene, model="descfield", state=state,
+                                 track_ids=[ids[k] for k in rows]).temporal_terms
+
+        att = temporal_terms({dropped})
+        kept = [(key, it) for key, it in items if key[1] != dropped]
+        assert list(zip(att.frames.tolist(), att.tracks.tolist())) == [k for k, _ in kept]
+        kept = iter(kept)
+        for tr in att.transitions:
+            scene_items = [next(kept)[1] for _ in tr.pairs]
+            assert [p.long.tolist() for p in tr.pairs] == [it["long"] for it in scene_items]
+            assert [d.grid.ravel().tolist() for d in tr.dense] == \
+                [scene_items[d.pair_index]["grid"] for d in tr.dense]
+        assert next(kept, None) is None
+        assert temporal_terms({key[1] for key, _ in items}) is None
+        for frames, tracks in [(att.frames[1:], att.tracks[1:]), (att.frames, att.tracks[:-1])]:
+            with pytest.raises(ValueError):
+                TemporalAttachment(att.terms, att.transitions, frames, tracks)

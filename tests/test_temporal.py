@@ -291,14 +291,14 @@ class TestAttachmentValidFlag:
 class TestZeroWeightAttachmentBitIdentical:
     def test_optimize_unchanged(self):
         from conftest import build_ba_problem, problem_like
-        from gradba.problem import TemporalAttachment, TemporalObservation
+        from gradba.problem import TemporalAttachment
         from gradba.solver import optimize
 
         prob, x0, *_ = build_ba_problem(13, sigma=0.6)
-        obs_list = [TemporalObservation(1, t, prob.obs_model.observe(1, t, prob.theta0()))
-                    for t in (0, 1)]
-        attach = TemporalAttachment(TemporalEnergy(alpha=0.0, beta=0.0,
-                                                   lambda_t=0.0), [obs_list])
+        longs = [prob.obs_model.observe(1, t, prob.theta0()) for t in (0, 1)]
+        attach = TemporalAttachment(TemporalEnergy(alpha=0.0, beta=0.0, lambda_t=0.0),
+                                    [Transition([TrackPair(p, p) for p in longs])],
+                                    [1, 1], [0, 1])
         prob2 = problem_like(prob, temporal_terms=attach, scale_prior=prob.scale_prior)
         xa, ra = optimize(prob, x0)
         xb, rb = optimize(prob2, x0)
